@@ -13,6 +13,7 @@ from .errors import (
     FunctionDomainError,
     InconsistentFamily,
     InvalidOperator,
+    InvalidWord,
     NonMinimalSystem,
     NotRegular,
     QmdlError,
@@ -71,10 +72,12 @@ from .qsource import (
     example_uniform_source,
     level,
     outcome_prob,
+    outcome_probs,
     predict_step,
     q_restrict,
     strategy_step,
     universality_check,
+    word_counts,
     word_distribution,
 )
 from .estim import (

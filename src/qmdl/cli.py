@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, QmdlError
+from .errors import ConfigError, InvalidWord, QmdlError
 from .estim import GeneralizedModel, ParamModel, mle, two_part
 from .infodist import rel_entropy, hellinger_sq, renyi, word_divergences
 from .models import example_state
@@ -345,6 +345,10 @@ def main(argv=None) -> int:
         return _cmd_experiment(args.command, config, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvalidWord as exc:
+        # only estimate and predict take words from the config
+        print(f"config error: word: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QmdlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,10 @@ class SupportMismatch(QmdlError):
     """Conditioning state is not supported inside the marginal's support."""
 
 
+class InvalidWord(QmdlError):
+    """An outcome word holds an index outside the system's outcomes."""
+
+
 class AllZeroLikelihood(QmdlError):
     """Every candidate assigns exact probability zero to the observed word."""
 

@@ -8,7 +8,7 @@ trace, then to the lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import AllZeroLikelihood, InvalidOperator, NonMinimalSystem
 from .models import example_state
 from .opcore import as_operator, check_density, normalize
 from .projlat import ProjSystem
-from .qsource import outcome_prob
+from .qsource import outcome_prob, outcome_probs, word_counts
 from .typeclasses import compositions, log_multinomial
 
 __all__ = [
@@ -40,6 +40,7 @@ class ParamModel:
 
     states: tuple[np.ndarray, ...]
     thetas: np.ndarray | None = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def example(cls, c: float = 0.0, grid: np.ndarray | None = None) -> "ParamModel":
@@ -69,6 +70,7 @@ class GeneralizedModel:
             raise InvalidOperator("a generalized model needs at least one member")
         self.code_weights = np.array(weights)
         self.states = states
+        self._tables: dict = {}
         self.stored_traces = np.array(
             [w * np.trace(s).real for w, s in zip(weights, states)]
         )
@@ -98,41 +100,57 @@ class EstimateResult:
     tie_path: TiePath
 
 
-def _word_counts(word, n_outcomes: int) -> np.ndarray:
-    counts = np.zeros(n_outcomes, dtype=int)
-    for i in word:
-        counts[int(i)] += 1
-    return counts
+def _score_table(model, system: ProjSystem):
+    """(p[i, a], log max(p[i, a], 1e-300), log w_i) for every member.
+
+    Built once per (model, system) and cached on the model, keyed by system
+    identity; ParamModel members carry no code weight (log w = 0).
+    """
+    cached = model._tables.get(id(system))
+    if cached is not None and cached[0] is system:
+        return cached[1]
+    probs = outcome_probs(model.states, system)
+    logs = np.array([[math.log(max(p, 1e-300)) for p in row] for row in probs])
+    if isinstance(model, GeneralizedModel):
+        log_w = np.array([math.log(w) for w in model.code_weights])
+    else:
+        log_w = np.zeros(len(probs))
+    # keep a reference to the key object so its id cannot be recycled
+    model._tables[id(system)] = (system, (probs, logs, log_w))
+    return probs, logs, log_w
 
 
-def _loglik(probs: np.ndarray, counts: np.ndarray) -> float:
-    total = 0.0
-    for p, k in zip(probs, counts):
-        if k == 0:
-            continue
-        if p <= 0.0:
-            return -np.inf
-        total += k * math.log(max(p, 1e-300))
-    return total
+def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+    """n log w_i + sum_a k_a log p[i, a] per member; -inf if p[i, a] <= 0 at a seen a.
+
+    Outcome columns are added one at a time in index order, so each score is
+    the same float as the per-member scalar sum taken in that order; exact
+    ties between members therefore survive vectorisation.
+    """
+    probs, logs, log_w = _score_table(model, system)
+    ll = np.zeros(len(probs))
+    dead = np.zeros(len(probs), dtype=bool)
+    for a in np.flatnonzero(counts):
+        ll += counts[a] * logs[:, a]
+        dead |= probs[:, a] <= 0.0
+    scores = int(counts.sum()) * log_w + ll
+    scores[dead] = -np.inf
+    return scores
 
 
 def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
     """Grid maximum likelihood; ties resolved to the lowest grid index."""
     if not system.minimal:
         raise NonMinimalSystem("MLE is defined over a rank-1 measurement system")
-    word = tuple(int(i) for i in word)
-    if not word:
+    counts = word_counts(word, system)
+    if not counts.any():
         raise ValueError("MLE needs a nonempty outcome word")
-    counts = _word_counts(word, len(system))
-    scores = []
-    for rho in model.states:
-        probs = np.array([np.trace(q @ rho).real for q in system])
-        scores.append(_loglik(probs, counts))
-    best = max(scores)
+    scores = _member_scores(model, system, counts)
+    best = scores.max()
     if best == -np.inf:
         raise AllZeroLikelihood("every grid state assigns probability 0 to the word")
-    winners = [i for i, s in enumerate(scores) if s == best]
-    idx = winners[0]
+    winners = np.flatnonzero(scores == best)
+    idx = int(winners[0])
     theta = float(model.thetas[idx]) if model.thetas is not None else None
     return EstimateResult(
         state=model.states[idx],
@@ -155,21 +173,23 @@ def predict_next(src, system: ProjSystem, word) -> np.ndarray:
 
 def _two_part_scores(
     model: GeneralizedModel, system: ProjSystem, counts: np.ndarray
-) -> list[float]:
-    n = int(counts.sum())
-    scores = []
-    for w, rho in model.members:
-        probs = np.array([np.trace(q @ rho).real for q in system])
-        ll = _loglik(probs, counts)
-        scores.append(-np.inf if ll == -np.inf else n * math.log(w) + ll)
-    return scores
+) -> np.ndarray:
+    """Two-part scores for one histogram (kept apart from mle: perfbench counts calls here)."""
+    return _member_scores(model, system, counts)
 
 
-def _break_ties(model: GeneralizedModel, winners: list[int]) -> tuple[int, int]:
+def _select(model: GeneralizedModel, scores: np.ndarray) -> TiePath | None:
+    """Two-part argmax; ties go to the maximal stored trace, then the lowest index.
+
+    None when every member scores -inf.
+    """
+    best = scores.max()
+    if best == -np.inf:
+        return None
+    winners = np.flatnonzero(scores == best)
     traces = model.stored_traces[winners]
-    top = traces.max()
-    trace_winners = [i for i, t in zip(winners, traces) if t == top]
-    return trace_winners[0], len(trace_winners)
+    trace_winners = winners[traces == traces.max()]
+    return TiePath(len(winners), len(trace_winners), int(trace_winners[0]))
 
 
 def two_part(model: GeneralizedModel, system: ProjSystem, word) -> EstimateResult:
@@ -180,18 +200,15 @@ def two_part(model: GeneralizedModel, system: ProjSystem, word) -> EstimateResul
     """
     if not system.minimal:
         raise NonMinimalSystem("two-part selection needs a rank-1 system")
-    counts = _word_counts(tuple(int(i) for i in word), len(system))
-    scores = _two_part_scores(model, system, counts)
-    best = max(scores)
-    if best == -np.inf:
+    tie_path = _select(model, _two_part_scores(model, system, word_counts(word, system)))
+    if tie_path is None:
         raise AllZeroLikelihood("every member assigns probability 0 to the word")
-    winners = [i for i, s in enumerate(scores) if s == best]
-    idx, trace_ties = _break_ties(model, winners)
+    idx = tie_path.chosen
     return EstimateResult(
         state=normalize(model.states[idx]),
         theta_hat=None,
         lam=float(model.stored_traces[idx]),
-        tie_path=TiePath(len(winners), trace_ties, idx),
+        tie_path=tie_path,
     )
 
 
@@ -226,12 +243,9 @@ def lambda_sum(
         raise InvalidOperator("select_model must parallel the model members")
     total = 0.0
     for counts in compositions(n, len(system)):
-        counts_arr = np.asarray(counts)
-        scores = _two_part_scores(scorer, system, counts_arr)
-        best = max(scores)
-        if best == -np.inf:
+        tie_path = _select(scorer, _two_part_scores(scorer, system, np.asarray(counts)))
+        if tie_path is None:
             continue  # no member emits these words; they carry no winner
-        winners = [i for i, s in enumerate(scores) if s == best]
-        idx, _ = _break_ties(scorer, winners)
+        idx = tie_path.chosen
         total += math.exp(log_multinomial(counts)) * model.stored_traces[idx] ** n
     return total

@@ -9,6 +9,7 @@ quantum-complexity classifier all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,17 @@ class ProjSystem:
 
     def __iter__(self):
         return iter(self.projectors)
+
+    @cached_property
+    def computational(self) -> bool:
+        """Whether the projectors are |a><a| in the standard basis, in index order."""
+        if not self.minimal or len(self) != self.dim:
+            return False
+        eye = np.eye(self.dim)
+        return all(
+            np.max(np.abs(q - np.outer(eye[:, a], eye[:, a]))) <= TOL.lattice
+            for a, q in enumerate(self)
+        )
 
 
 def computational_basis(dim: int) -> ProjSystem:

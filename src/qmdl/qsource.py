@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, InvalidOperator, NotRegular, SupportMismatch
+from .errors import DimensionMismatch, InvalidOperator, InvalidWord, NotRegular, SupportMismatch
 from .models import example_state
 from .opcore import (
     as_operator,
@@ -41,6 +41,8 @@ __all__ = [
     "cond_density",
     "strategy_step",
     "outcome_prob",
+    "outcome_probs",
+    "word_counts",
     "predict_step",
     "q_restrict",
     "word_distribution",
@@ -48,6 +50,24 @@ __all__ = [
     "universality_check",
     "convex_combine",
 ]
+
+
+def outcome_probs(states, system: ProjSystem) -> np.ndarray:
+    """Outcome probabilities per state: p[i, a] = Tr(q_a rho_i)."""
+    return np.array([[np.trace(q @ rho).real for q in system] for rho in states])
+
+
+def word_counts(word, system: ProjSystem) -> np.ndarray:
+    """Outcome histogram of a word; an index outside [0, len(system)) raises InvalidWord."""
+    m = len(system)
+    try:
+        idx = np.asarray(word, dtype=np.int64)
+    except OverflowError as exc:
+        raise InvalidWord(f"outcome index out of range for {m} outcomes") from exc
+    bad = idx[(idx < 0) | (idx >= m)]
+    if bad.size:
+        raise InvalidWord(f"outcome index {bad[0]} out of range for {m} outcomes")
+    return np.bincount(idx, minlength=m)
 
 
 class MixtureSource:
@@ -120,13 +140,10 @@ class MixtureSource:
         return probs
 
     def word_prob(self, system: ProjSystem, word) -> float:
-        word = tuple(int(i) for i in word)
-        if any(not 0 <= i < len(system) for i in word):
-            raise IndexError(f"outcome index out of range for {len(system)} outcomes")
+        counts = word_counts(word, system)
         probs = self.letter_probs(system)
-        if not word:
+        if not counts.any():
             return float(self.weights.sum())  # trace of the level-0 operator
-        counts = np.bincount(word, minlength=len(system))
         terms = np.prod(np.clip(probs, 0.0, None) ** counts, axis=1)
         return float(self.weights @ terms)
 
@@ -166,11 +183,11 @@ class SimpleSource:
         return np.kron(self.base, tensor_power(self._unit, n - 1))
 
     def word_prob(self, system: ProjSystem, word) -> float:
+        word_counts(word, system)  # rejects out-of-range indices
         word = tuple(int(i) for i in word)
         if not word:
             return float(np.trace(self.base).real)
-        p_base = [np.trace(q @ self.base).real for q in system]
-        p_unit = [np.trace(q @ self._unit).real for q in system]
+        p_base, p_unit = outcome_probs((self.base, self._unit), system)
         total = p_base[word[0]]
         for i in word[1:]:
             total *= p_unit[i]
@@ -202,23 +219,11 @@ class BetaExampleSource:
         return self._quadrature().level(n)
 
     def word_prob(self, system: ProjSystem, word) -> float:
-        word = tuple(int(i) for i in word)
-        if not _is_computational(system):
+        counts = word_counts(word, system)
+        if not system.computational:
             return self._quadrature().word_prob(system, word)
-        n = len(word)
-        k = sum(1 for i in word if i == 0)
+        n, k = int(counts.sum()), int(counts[0])
         return 1.0 / ((n + 1) * math.comb(n, k))
-
-
-def _is_computational(system: ProjSystem) -> bool:
-    if not system.minimal or len(system) != system.dim:
-        return False
-    eye = np.eye(system.dim)
-    for a, q in enumerate(system):
-        target = np.outer(eye[:, a], eye[:, a])
-        if np.max(np.abs(q - target)) > TOL.lattice:
-            return False
-    return True
 
 
 def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> QuadratureSource:
@@ -364,7 +369,7 @@ def _matrix_margin(src, member: np.ndarray, n: int, eps: float) -> float:
 def _q_restricted_margin(
     src, member: np.ndarray, system: ProjSystem, n: int, eps: float
 ) -> float:
-    member_probs = np.array([np.trace(q @ member).real for q in system])
+    member_probs = outcome_probs([member], system)[0]
     margin = np.inf
     for counts, _, pbar in word_distribution(src, system, n):
         lp = class_log_prob(member_probs, counts)
@@ -387,7 +392,7 @@ def _expected_margin(src, member: np.ndarray, n: int, eps: float) -> float:
 def _q_expected_margin(
     src, member: np.ndarray, system: ProjSystem, n: int, eps: float
 ) -> float:
-    member_probs = np.array([np.trace(q @ member).real for q in system])
+    member_probs = outcome_probs([member], system)[0]
     s = 0.0
     for counts, logmult, pbar in word_distribution(src, system, n):
         lp = class_log_prob(member_probs, counts)

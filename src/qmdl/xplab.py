@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estim import GeneralizedModel, alpha_scale, two_part, _two_part_scores, _break_ties
+from .estim import GeneralizedModel, alpha_scale, two_part, _two_part_scores, _select
 from .models import example_state
 from .opcore import as_operator
 from .projlat import ProjSystem, computational_basis
-from .qsource import BetaExampleSource, MixtureSource, word_distribution
+from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
 from .typeclasses import compositions, log_multinomial
 
 __all__ = [
@@ -116,8 +116,7 @@ def sample_words(
 ) -> list[np.ndarray]:
     """i.i.d. outcome words drawn from Tr(q rho q); one word per replica."""
     rho = as_operator(true_state)
-    probs = np.array([np.trace(q @ rho).real for q in system])
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(outcome_probs([rho], system)[0], 0.0, None)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
@@ -238,10 +237,6 @@ class ConsistencyConfig:
         )
 
 
-def _diag_probs(rho: np.ndarray, system: ProjSystem) -> np.ndarray:
-    return np.array([np.trace(q @ rho).real for q in system])
-
-
 def _classical_he2(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum((np.sqrt(np.clip(p, 0, None)) - np.sqrt(np.clip(q, 0, None))) ** 2))
 
@@ -267,7 +262,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     """
     system = computational_basis(2)
     truth = example_state(config.theta_star, config.c)
-    truth_probs = _diag_probs(truth, system)
+    truth_probs = outcome_probs([truth], system)[0]
     model = GeneralizedModel(
         [(w, example_state(t, config.c)) for w, t in zip(config.code_weights, config.model_thetas)]
     )
@@ -281,7 +276,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
         ):
             if config.estimator == "two-part":
                 est = two_part(model, system, word).state
-                est_probs = _diag_probs(est, system)
+                est_probs = outcome_probs([est], system)[0]
             else:
                 k = int(np.sum(word == 0))
                 p1 = (k + 1) / (n + 2)
@@ -337,11 +332,11 @@ def bound_run(config: BoundConfig) -> RunResult:
     marks the run inconclusive instead of failed.
     """
     system = computational_basis(2)
-    truth_probs = _diag_probs(example_state(config.theta_star, config.c), system)
+    truth_probs = outcome_probs([example_state(config.theta_star, config.c)], system)[0]
     model = GeneralizedModel(
         [(w, example_state(t, config.c)) for w, t in zip(config.code_weights, config.model_thetas)]
     )
-    member_probs = [_diag_probs(rho, system) for rho in model.states]
+    member_probs = outcome_probs(model.states, system)
     result = RunResult("bound", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__)}
     worst_slack = math.inf
@@ -354,7 +349,6 @@ def bound_run(config: BoundConfig) -> RunResult:
             rhs_sum = 0.0
             lam_sum = 0.0
             for counts in compositions(n, 2):
-                counts_arr = np.asarray(counts)
                 mult = math.exp(log_multinomial(counts))
                 log_p_star = sum(
                     k * math.log(p) if k else 0.0
@@ -364,12 +358,10 @@ def bound_run(config: BoundConfig) -> RunResult:
                 if any(k and p <= 0.0 for k, p in zip(counts, truth_probs)):
                     continue  # truth never emits these words
                 p_star = math.exp(log_p_star)
-                scores = _two_part_scores(model, system, counts_arr)
-                best = max(scores)
-                if best == -math.inf:
+                tie_path = _select(model, _two_part_scores(model, system, np.asarray(counts)))
+                if tie_path is None:
                     continue
-                winners = [i for i, s in enumerate(scores) if s == best]
-                idx, _ = _break_ties(model, winners)
+                idx = tie_path.chosen
                 est_probs = member_probs[idx]
                 # Lambda_I: level-n trace of the alpha-scaled winning element
                 lam_level = scaled.stored_traces[idx] ** n

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmdl import (
     AllZeroLikelihood,
     GeneralizedModel,
     InvalidOperator,
+    InvalidWord,
     NonMinimalSystem,
     ParamModel,
     ProjSystem,
@@ -22,6 +25,7 @@ from qmdl import (
     two_part,
 )
 from qmdl import BetaExampleSource, predict_step
+from qmdl.estim import _member_scores, _select, _two_part_scores
 
 CB = computational_basis(2)
 
@@ -65,6 +69,14 @@ def test_mle_requires_minimal_system():
 def test_mle_rejects_empty_word():
     with pytest.raises(ValueError):
         mle(ParamModel.example(grid=np.array([0.5])), CB, ())
+
+
+@pytest.mark.parametrize("word", [(0, 2, 1), (0, -1)])
+def test_estimators_reject_out_of_range_outcomes(word):
+    with pytest.raises(InvalidWord):
+        mle(ParamModel.example(grid=np.array([0.5])), CB, word)
+    with pytest.raises(InvalidWord):
+        two_part(GeneralizedModel([(0.5, example_state(0.5))]), CB, word)
 
 
 # --- two-part ---------------------------------------------------------------
@@ -116,6 +128,89 @@ def test_two_part_exact_tie_uses_trace_then_index():
     assert result.tie_path.maxima == 2
     assert result.tie_path.trace_ties == 2
     assert result.tie_path.chosen == 0
+
+
+# --- scoring kernel against the per-member scalar loop -----------------------
+
+
+def reference_loglik(probs, counts):
+    total = 0.0
+    for p, k in zip(probs, counts):
+        if k == 0:
+            continue
+        if p <= 0.0:
+            return -np.inf
+        total += k * math.log(max(p, 1e-300))
+    return total
+
+
+def reference_scores(members, system, counts):
+    """Per-member scalar scores: n log w + log-likelihood (w = None: no weight)."""
+    n = int(counts.sum())
+    scores = []
+    for w, rho in members:
+        probs = np.array([np.trace(q @ rho).real for q in system])
+        ll = reference_loglik(probs, counts)
+        if w is None or ll == -np.inf:
+            scores.append(ll)
+        else:
+            scores.append(n * math.log(w) + ll)
+    return scores
+
+
+def reference_tie_path(model, scores):
+    best = max(scores)
+    winners = [i for i, s in enumerate(scores) if s == best]
+    traces = model.stored_traces[winners]
+    trace_winners = [i for i, t in zip(winners, traces) if t == traces.max()]
+    return (len(winners), len(trace_winners), trace_winners[0])
+
+
+# exact zeros, negative round-off and values below the 1e-300 clamp
+LETTER_PROB = st.one_of(
+    st.sampled_from([0.0, -1e-17, -0.0, 1e-310, 1e-300, 1.0]),
+    st.floats(1e-12, 1.0),
+)
+
+
+@st.composite
+def scoring_cases(draw):
+    m = draw(st.sampled_from([2, 3, 5, 9]))
+    rows = draw(st.lists(st.lists(LETTER_PROB, min_size=m, max_size=m), min_size=1, max_size=6))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows)))
+    counts = draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+    return m, rows, [w / len(rows) for w in raw], np.array(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_kernel_scores_equal_scalar_loop(case):
+    m, rows, weights, counts = case
+    system = computational_basis(m)
+    states = [np.diag(np.array(row, dtype=complex)) for row in rows]
+    two = GeneralizedModel(list(zip(weights, states)))
+    got = _two_part_scores(two, system, counts)
+    assert got.tolist() == reference_scores(two.members, system, counts)
+    grid = ParamModel(tuple(states))
+    got = _member_scores(grid, system, counts)
+    assert got.tolist() == reference_scores([(None, s) for s in states], system, counts)
+    # every member listed twice: each winner ties with its copy
+    doubled = GeneralizedModel([(w / 2, s) for w, s in two.members] * 2)
+    scores = reference_scores(doubled.members, system, counts)
+    if max(scores) > -np.inf:
+        tie = _select(doubled, _two_part_scores(doubled, system, counts))
+        assert (tie.maxima, tie.trace_ties, tie.chosen) == reference_tie_path(doubled, scores)
+        assert tie.maxima >= 2
+
+
+def test_score_table_is_cached_per_system():
+    model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, example_state(0.8))])
+    two_part(model, CB, (0, 1))
+    two_part(model, CB, (1, 1))
+    other = computational_basis(2)
+    two_part(model, other, (0,))
+    assert len(model._tables) == 2
+    assert model._tables[id(CB)][0] is CB
 
 
 def test_generalized_model_kraft_guard():

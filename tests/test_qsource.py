@@ -9,6 +9,7 @@ import pytest
 from qmdl import (
     BetaExampleSource,
     InvalidOperator,
+    InvalidWord,
     MixtureSource,
     NotRegular,
     SimpleSource,
@@ -145,6 +146,28 @@ def test_beta_source_closed_form():
             word = (0,) * k + (1,) * (n - k)
             expected = 1.0 / ((n + 1) * math.comb(n, k))
             assert abs(src.word_prob(CB, word) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("word", [(0, 7), (0, -1), (2,)])
+def test_word_prob_rejects_out_of_range_outcomes(rng, word):
+    sources = [
+        BetaExampleSource(),
+        random_mixture(rng),
+        SimpleSource(example_state(0.3)),
+    ]
+    for src in sources:
+        with pytest.raises(InvalidWord):
+            src.word_prob(CB, word)
+    with pytest.raises(InvalidWord):
+        predict_step(BetaExampleSource(), CB, word)
+
+
+def test_beta_source_uses_quadrature_off_the_computational_basis(rng):
+    system = haar_random_system(2, rng)
+    assert CB.computational and not system.computational
+    word = (0, 1, 1)
+    expected = example_uniform_source(0.0, 64).word_prob(system, word)
+    assert BetaExampleSource(fallback_nodes=64).word_prob(system, word) == expected
 
 
 def test_quadrature_matches_beta_closed_form():

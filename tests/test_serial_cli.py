@@ -153,6 +153,22 @@ def test_cli_estimate_two_part(tmp_path, capsys):
     assert out["tie_path"]["chosen"] == 0
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("estimate", {"estimator": "two-part", "members": [{"weight": 0.5, "theta": 0.2}], "word": "0,5,1"}),
+        ("estimate", {"estimator": "mle", "word": "0,-1"}),
+        ("predict", {"source": {"kind": "beta-example"}, "word": "0,7"}),
+        ("predict", {"source": {"kind": "beta-example"}, "word": "0,-1"}),
+    ],
+)
+def test_cli_out_of_range_outcome_is_config_error(tmp_path, capsys, command, config):
+    assert run_cli(tmp_path, command, config) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: word:")
+    assert "Traceback" not in err
+
+
 def test_cli_predict_laplace(tmp_path, capsys):
     config = {"source": {"kind": "beta-example"}, "word": {"n": 4, "k": 2}}
     assert run_cli(tmp_path, "predict", config) == 0
