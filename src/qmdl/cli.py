@@ -5,7 +5,7 @@ Usage: qmdl <subcommand> --config <file.json> [--out <path.csv>] [--seed <u64>]
 Subcommands: lattice, project, universality-check, estimate, predict,
 divergence, consistency, bound, redundancy, markov. Exit codes: 0 pass,
 2 assertion failure, 3 inconclusive (a theorem hypothesis was violated),
-4 configuration error.
+4 configuration error (also a dense operator past QMDL_DENSE_CAP).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvalidWord, QmdlError
+from .errors import ConfigError, InvalidWord, QmdlError, SizeCapExceeded
 from .estim import GeneralizedModel, ParamModel, mle, two_part
 from .infodist import rel_entropy, hellinger_sq, renyi, word_divergences
 from .models import example_state
@@ -349,6 +349,10 @@ def main(argv=None) -> int:
     except InvalidWord as exc:
         # only estimate and predict take words from the config
         print(f"config error: word: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SizeCapExceeded as exc:
+        # the run asked for a dense operator larger than the configured cap
+        print(f"config error: QMDL_DENSE_CAP: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QmdlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PROB_FLOOR
 from .errors import AllZeroLikelihood, InvalidOperator, NonMinimalSystem
 from .models import example_state
 from .opcore import as_operator, check_density, normalize
 from .projlat import ProjSystem
-from .qsource import outcome_prob, outcome_probs, word_counts
+from .qsource import outcome_probs, predict_step, word_counts
 from .typeclasses import compositions, log_multinomial
 
 __all__ = [
@@ -101,7 +102,7 @@ class EstimateResult:
 
 
 def _score_table(model, system: ProjSystem):
-    """(p[i, a], log max(p[i, a], 1e-300), log w_i) for every member.
+    """(p[i, a], log max(p[i, a], PROB_FLOOR), log w_i) for every member.
 
     Built once per (model, system) and cached on the model, keyed by system
     identity; ParamModel members carry no code weight (log w = 0).
@@ -110,7 +111,7 @@ def _score_table(model, system: ProjSystem):
     if cached is not None and cached[0] is system:
         return cached[1]
     probs = outcome_probs(model.states, system)
-    logs = np.array([[math.log(max(p, 1e-300)) for p in row] for row in probs])
+    logs = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
     if isinstance(model, GeneralizedModel):
         log_w = np.array([math.log(w) for w in model.code_weights])
     else:
@@ -123,17 +124,19 @@ def _score_table(model, system: ProjSystem):
 def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
     """n log w_i + sum_a k_a log p[i, a] per member; -inf if p[i, a] <= 0 at a seen a.
 
-    Outcome columns are added one at a time in index order, so each score is
-    the same float as the per-member scalar sum taken in that order; exact
-    ties between members therefore survive vectorisation.
+    counts is one histogram [m] or a batch [C, m]; the scores are [members] or
+    [C, members]. Outcome columns are added one at a time in index order, so
+    each score is the same float as the per-member scalar sum taken in that
+    order; exact ties between members therefore survive vectorisation.
     """
     probs, logs, log_w = _score_table(model, system)
-    ll = np.zeros(len(probs))
-    dead = np.zeros(len(probs), dtype=bool)
-    for a in np.flatnonzero(counts):
-        ll += counts[a] * logs[:, a]
-        dead |= probs[:, a] <= 0.0
-    scores = int(counts.sum()) * log_w + ll
+    counts = np.asarray(counts)[..., None]
+    ll = np.zeros(counts.shape[:-2] + (len(probs),))
+    dead = np.zeros(ll.shape, dtype=bool)
+    for a in range(counts.shape[-2]):
+        ll += counts[..., a, :] * logs[:, a]
+        dead |= (counts[..., a, :] > 0) & (probs[:, a] <= 0.0)
+    scores = counts.sum(axis=-2) * log_w + ll
     scores[dead] = -np.inf
     return scores
 
@@ -160,15 +163,7 @@ def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
     )
 
 
-def predict_next(src, system: ProjSystem, word) -> np.ndarray:
-    """Next-outcome distribution: outcome_prob(word + a) / outcome_prob(word)."""
-    base = outcome_prob(src, system, word)
-    if base <= 1e-300:
-        raise ZeroDivisionError("conditioning word has probability ~ 0")
-    word = tuple(int(i) for i in word)
-    return np.array(
-        [outcome_prob(src, system, word + (a,)) / base for a in range(len(system))]
-    )
+predict_next = predict_step
 
 
 def _two_part_scores(
@@ -178,18 +173,22 @@ def _two_part_scores(
     return _member_scores(model, system, counts)
 
 
-def _select(model: GeneralizedModel, scores: np.ndarray) -> TiePath | None:
-    """Two-part argmax; ties go to the maximal stored trace, then the lowest index.
+def _select(model: GeneralizedModel, scores: np.ndarray) -> TiePath:
+    """Two-part argmax over the last axis of scores[..., members].
 
-    None when every member scores -inf.
+    Ties go to the maximal stored trace, then to the lowest index; chosen is
+    -1 where every member scores -inf. One row of scores gives int fields, a
+    batch of rows gives arrays.
     """
-    best = scores.max()
-    if best == -np.inf:
-        return None
-    winners = np.flatnonzero(scores == best)
-    traces = model.stored_traces[winners]
-    trace_winners = winners[traces == traces.max()]
-    return TiePath(len(winners), len(trace_winners), int(trace_winners[0]))
+    best = scores.max(axis=-1, keepdims=True)
+    winners = scores == best
+    traces = np.where(winners, model.stored_traces, -np.inf)
+    top = traces == traces.max(axis=-1, keepdims=True)
+    chosen = np.where(best[..., 0] > -np.inf, top.argmax(axis=-1), -1)
+    fields = (winners.sum(axis=-1), top.sum(axis=-1), chosen)
+    if scores.ndim == 1:
+        fields = tuple(int(f) for f in fields)
+    return TiePath(*fields)
 
 
 def two_part(model: GeneralizedModel, system: ProjSystem, word) -> EstimateResult:
@@ -201,7 +200,7 @@ def two_part(model: GeneralizedModel, system: ProjSystem, word) -> EstimateResul
     if not system.minimal:
         raise NonMinimalSystem("two-part selection needs a rank-1 system")
     tie_path = _select(model, _two_part_scores(model, system, word_counts(word, system)))
-    if tie_path is None:
+    if tie_path.chosen < 0:
         raise AllZeroLikelihood("every member assigns probability 0 to the word")
     idx = tie_path.chosen
     return EstimateResult(
@@ -241,11 +240,8 @@ def lambda_sum(
     scorer = select_model if select_model is not None else model
     if select_model is not None and len(select_model) != len(model):
         raise InvalidOperator("select_model must parallel the model members")
-    total = 0.0
-    for counts in compositions(n, len(system)):
-        tie_path = _select(scorer, _two_part_scores(scorer, system, np.asarray(counts)))
-        if tie_path is None:
-            continue  # no member emits these words; they carry no winner
-        idx = tie_path.chosen
-        total += math.exp(log_multinomial(counts)) * model.stored_traces[idx] ** n
-    return total
+    counts = compositions(n, len(system))
+    chosen = _select(scorer, _two_part_scores(scorer, system, counts)).chosen
+    won = chosen >= 0  # classes no member emits carry no winner
+    log_traces = np.log(model.stored_traces[chosen[won]])
+    return float(np.exp(log_multinomial(counts)[won] + n * log_traces).sum())

@@ -17,7 +17,7 @@ from .config import TOL
 from .opcore import as_operator, eigh, herm_power, herm_sqrt
 from .projlat import ProjSystem
 from .qsource import word_distribution
-from .typeclasses import class_log_prob
+from .typeclasses import logsumexp
 
 __all__ = [
     "DivergenceValue",
@@ -132,39 +132,32 @@ def word_divergences(
     """Classical divergence between length-n outcome-word distributions.
 
     kind: "S" (relative entropy, bits), "he2", or "renyi" (order lam, nats).
-    Computed over type classes with multiplicities; exact for exchangeable
-    sources.
+    Computed in log space over one type-class table with multiplicities;
+    exact for exchangeable sources and finite at any n.
     """
-    rows_a = word_distribution(src_a, system, n)
-    rows_b = word_distribution(src_b, system, n)
+    counts, log_mult, la = word_distribution(src_a, system, n)
+    lb = src_b.log_prob(system, counts)
     if kind == "S":
         base = base or "bits"
-        scale = _base_factor(base)
-        total = 0.0
-        for (counts, logmult, pa), (_, _, pb) in zip(rows_a, rows_b):
-            if pa <= 0.0:
-                continue
-            if pb <= 0.0:
-                return DivergenceValue(np.inf, base)
-            total += math.exp(logmult) * pa * math.log(pa / pb)
-        return DivergenceValue(total / scale, base)
+        live = la > -np.inf
+        if np.any(lb[live] == -np.inf):
+            return DivergenceValue(np.inf, base)
+        terms = np.exp(log_mult[live] + la[live]) * (la[live] - lb[live])
+        return DivergenceValue(float(terms.sum()) / _base_factor(base), base)
     if kind == "he2":
-        total = 0.0
-        for (counts, logmult, pa), (_, _, pb) in zip(rows_a, rows_b):
-            mult = math.exp(logmult)
-            total += mult * (math.sqrt(max(pa, 0.0)) - math.sqrt(max(pb, 0.0))) ** 2
-        return DivergenceValue(total, "nats")
+        # (sqrt(p) - sqrt(q))^2 = max(p, q) * expm1((log min - log max) / 2)^2
+        hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+        live = hi > -np.inf
+        terms = np.exp(log_mult[live] + hi[live]) * np.expm1((lo[live] - hi[live]) / 2) ** 2
+        return DivergenceValue(float(terms.sum()), "nats")
     if kind == "renyi":
         base = base or "nats"
         if not 0.0 < lam < 1.0:
             raise ValueError(f"Renyi order must lie in (0, 1), got {lam}")
-        affinity = 0.0
-        for (counts, logmult, pa), (_, _, pb) in zip(rows_a, rows_b):
-            if pa <= 0.0 or pb <= 0.0:
-                continue
-            affinity += math.exp(logmult) * pa**lam * pb ** (1.0 - lam)
-        if affinity <= 0.0:
+        live = (la > -np.inf) & (lb > -np.inf)
+        if not live.any():
             return DivergenceValue(np.inf, base)
-        value = -math.log(affinity) / (1.0 - lam) / _base_factor(base)
+        log_affinity = logsumexp(log_mult[live] + lam * la[live] + (1.0 - lam) * lb[live])
+        value = -float(log_affinity) / (1.0 - lam) / _base_factor(base)
         return DivergenceValue(value, base)
     raise ValueError(f"unknown divergence kind {kind!r}")

@@ -27,7 +27,7 @@ from .opcore import (
     tensor_power,
 )
 from .projlat import ProjSystem, q_project
-from .typeclasses import class_log_prob, compositions, log_multinomial
+from .typeclasses import compositions, log_likelihoods, log_multinomial, logsumexp
 
 __all__ = [
     "MixtureSource",
@@ -139,13 +139,30 @@ class MixtureSource:
         self._letter_cache[id(system)] = (system, probs)
         return probs
 
-    def word_prob(self, system: ProjSystem, word) -> float:
-        counts = word_counts(word, system)
+    def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """log probability of one word of each class in counts[C, m]."""
         probs = self.letter_probs(system)
-        if not counts.any():
-            return float(self.weights.sum())  # trace of the level-0 operator
-        terms = np.prod(np.clip(probs, 0.0, None) ** counts, axis=1)
-        return float(self.weights @ terms)
+        log_w = np.log(self.weights)
+        # class blocks bound each [classes, components] intermediate to 8 MB
+        step = max(1, 2**20 // len(log_w))
+        return np.concatenate(
+            [
+                logsumexp(log_w + log_likelihoods(probs, counts[i : i + step]))
+                for i in range(0, len(counts), step)
+            ]
+        )
+
+    def word_prob(self, system: ProjSystem, word) -> float:
+        return outcome_prob(self, system, word)
+
+    def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """Posterior-weighted letter law after a word with histogram counts."""
+        probs = self.letter_probs(system)
+        log_post = np.log(self.weights) + log_likelihoods(probs, counts[None])[0]
+        log_total = logsumexp(log_post)
+        if log_total == -np.inf:
+            raise ZeroDivisionError("conditioning word has probability 0")
+        return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
 
 
 class QuadratureSource(MixtureSource):
@@ -163,35 +180,16 @@ class QuadratureSource(MixtureSource):
         self.thetas = np.array(thetas)
 
 
-class SimpleSource:
-    """Levels rho (x) omega(rho)^(x)(n-1): the first factor keeps the trace."""
+def SimpleSource(base: np.ndarray) -> MixtureSource:
+    """Levels rho (x) omega(rho)^(x)(n-1): the first factor keeps the trace.
 
-    kind = "simple"
-
-    def __init__(self, base: np.ndarray):
-        self.base = as_operator(base)
-        self.dim = self.base.shape[0]
-        tr = np.trace(self.base).real
-        if tr <= TOL.norm:
-            raise InvalidOperator("simple source needs a nonzero base")
-        self._unit = self.base / tr
-
-    def level(self, n: int) -> np.ndarray:
-        check_cap(self.dim ** max(n, 1))
-        if n == 0:
-            return np.eye(1, dtype=complex)
-        return np.kron(self.base, tensor_power(self._unit, n - 1))
-
-    def word_prob(self, system: ProjSystem, word) -> float:
-        word_counts(word, system)  # rejects out-of-range indices
-        word = tuple(int(i) for i in word)
-        if not word:
-            return float(np.trace(self.base).real)
-        p_base, p_unit = outcome_probs((self.base, self._unit), system)
-        total = p_base[word[0]]
-        for i in word[1:]:
-            total *= p_unit[i]
-        return float(total)
+    That is the one-component generalized mixture (Tr rho, rho / Tr rho).
+    """
+    base = as_operator(base)
+    tr = np.trace(base).real
+    if tr <= TOL.norm:
+        raise InvalidOperator("simple source needs a nonzero base")
+    return MixtureSource([(tr, base / tr)], kind="generalized")
 
 
 class BetaExampleSource:
@@ -199,7 +197,8 @@ class BetaExampleSource:
 
     Word probabilities under the computational measurement follow the Beta
     integral: a word with k zero-outcomes among n has probability
-    1 / ((n+1) C(n, k)), exactly. Dense levels fall back to quadrature.
+    1 / ((n+1) C(n, k)), exactly. Dense levels and other measurements fall
+    back to quadrature.
     """
 
     kind = "source"
@@ -218,12 +217,19 @@ class BetaExampleSource:
     def level(self, n: int) -> np.ndarray:
         return self._quadrature().level(n)
 
-    def word_prob(self, system: ProjSystem, word) -> float:
-        counts = word_counts(word, system)
+    def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         if not system.computational:
-            return self._quadrature().word_prob(system, word)
-        n, k = int(counts.sum()), int(counts[0])
-        return 1.0 / ((n + 1) * math.comb(n, k))
+            return self._quadrature().log_prob(system, counts)
+        return -np.log(counts.sum(axis=1) + 1.0) - log_multinomial(counts)
+
+    def word_prob(self, system: ProjSystem, word) -> float:
+        return outcome_prob(self, system, word)
+
+    def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """Rule of succession (k_a + 1) / (n + 2) on the computational basis."""
+        if not system.computational:
+            return self._quadrature().predict(system, counts)
+        return (counts + 1.0) / (counts.sum() + 2.0)
 
 
 def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> QuadratureSource:
@@ -305,19 +311,17 @@ def strategy_step(src, n: int) -> np.ndarray:
 
 
 def outcome_prob(src, system: ProjSystem, word) -> float:
-    """Probability Tr(q_I level(n) q_I), factorized through per-letter traces."""
-    return src.word_prob(system, word)
+    """Probability Tr(q_I level(n) q_I), from the source's log-probability of the word's class."""
+    counts = word_counts(word, system)
+    return float(np.exp(src.log_prob(system, counts[None])[0]))
 
 
 def predict_step(src, system: ProjSystem, word) -> np.ndarray:
-    """Conditional next-outcome distribution given an observed word."""
-    base = outcome_prob(src, system, word)
-    if base <= 1e-300:
-        raise ZeroDivisionError("conditioning word has probability ~ 0")
-    word = tuple(int(i) for i in word)
-    return np.array(
-        [outcome_prob(src, system, word + (a,)) / base for a in range(len(system))]
-    )
+    """Conditional next-outcome distribution given an observed word.
+
+    Raises ZeroDivisionError only when the word has probability exactly 0.
+    """
+    return src.predict(system, word_counts(word, system))
 
 
 def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
@@ -331,13 +335,9 @@ def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
 
 
 def word_distribution(src, system: ProjSystem, n: int):
-    """Type-class table for length-n words: (counts, log #words, per-word prob)."""
-    m = len(system)
-    rows = []
-    for counts in compositions(n, m):
-        word = tuple(i for i, k in enumerate(counts) for _ in range(k))
-        rows.append((counts, log_multinomial(counts), src.word_prob(system, word)))
-    return rows
+    """Type-class table for length-n words: (counts[C, m], log #words, log per-word prob)."""
+    counts = compositions(n, len(system))
+    return counts, log_multinomial(counts), src.log_prob(system, counts)
 
 
 @dataclass(frozen=True)
@@ -366,42 +366,33 @@ def _matrix_margin(src, member: np.ndarray, n: int, eps: float) -> float:
     return float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
 
 
-def _q_restricted_margin(
-    src, member: np.ndarray, system: ProjSystem, n: int, eps: float
-) -> float:
-    member_probs = outcome_probs([member], system)[0]
-    margin = np.inf
-    for counts, _, pbar in word_distribution(src, system, n):
-        lp = class_log_prob(member_probs, counts)
-        if lp == -np.inf:
-            continue  # member never emits this word; dominated trivially
-        if pbar <= 0.0:
-            return -np.inf
-        surplus = (math.log2(pbar) - lp / math.log(2.0)) + n * eps
-        margin = min(margin, surplus)
-    return margin
+def _q_margins(
+    src, member_probs: np.ndarray, system: ProjSystem, n: int, eps: float, mode: str
+) -> np.ndarray:
+    """Q-sense margin of every member at level n, from one type-class table.
+
+    Classes a member never emits are skipped; a class the member emits but
+    the source does not makes that member's margin -inf.
+    """
+    counts, log_mult, log_src = word_distribution(src, system, n)
+    member = log_likelihoods(member_probs, counts)  # [C, members]
+    live = member > -np.inf
+    # -inf - -inf and 0 * -inf arise only on the rows masked here or below
+    with np.errstate(invalid="ignore"):
+        gap = np.where(live, log_src[:, None] - member, 0.0) / math.log(2.0)
+        if mode == "q-restricted":
+            margins = np.where(live, gap, np.inf).min(axis=0) + n * eps
+        else:
+            mass = np.exp(np.where(live, log_mult[:, None] + member, -np.inf))
+            margins = n * eps + (mass * gap).sum(axis=0)
+    margins[(live & (log_src[:, None] == -np.inf)).any(axis=0)] = -np.inf
+    return margins
 
 
 def _expected_margin(src, member: np.ndarray, n: int, eps: float) -> float:
     rho_n = tensor_power(member, n)
     lvl = src.level(n)
     s = np.trace(rho_n @ (herm_log(rho_n) - herm_log(lvl))).real
-    return n * eps - s
-
-
-def _q_expected_margin(
-    src, member: np.ndarray, system: ProjSystem, n: int, eps: float
-) -> float:
-    member_probs = outcome_probs([member], system)[0]
-    s = 0.0
-    for counts, logmult, pbar in word_distribution(src, system, n):
-        lp = class_log_prob(member_probs, counts)
-        if lp == -np.inf:
-            continue
-        if pbar <= 0.0:
-            return -np.inf
-        p = math.exp(lp + logmult)  # total class mass under the member
-        s += p * (lp - math.log(pbar)) / math.log(2.0)
     return n * eps - s
 
 
@@ -422,6 +413,7 @@ def universality_check(
     """
     if mode not in ("matrix", "q-restricted", "expected", "q-expected"):
         raise ValueError(f"unknown universality mode {mode!r}")
+    members = [as_operator(m) for m in model]
     if mode in ("q-restricted", "q-expected"):
         if system is None:
             raise ValueError(f"mode {mode!r} requires a projection system")
@@ -429,20 +421,16 @@ def universality_check(
             from .errors import NonMinimalSystem
 
             raise NonMinimalSystem("Q-restricted universality needs a rank-1 system")
-    members = [as_operator(m) for m in model]
+        member_probs = outcome_probs(members, system)
     ns = sorted(int(n) for n in n_range)
     per_level = []
     for n in ns:
-        margins = []
-        for member in members:
-            if mode == "matrix":
-                margins.append(_matrix_margin(src, member, n, eps))
-            elif mode == "q-restricted":
-                margins.append(_q_restricted_margin(src, member, system, n, eps))
-            elif mode == "expected":
-                margins.append(_expected_margin(src, member, n, eps))
-            else:
-                margins.append(_q_expected_margin(src, member, system, n, eps))
+        if mode == "matrix":
+            margins = [_matrix_margin(src, member, n, eps) for member in members]
+        elif mode == "expected":
+            margins = [_expected_margin(src, member, n, eps) for member in members]
+        else:
+            margins = _q_margins(src, member_probs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))
     n0 = None
     for i in range(len(per_level)):

@@ -1,67 +1,71 @@
-"""Type-class (histogram) enumeration for exchangeable word distributions.
+"""Type-class (histogram) tables for exchangeable word distributions.
 
 Mixture-source levels are exchangeable, so a length-n word's probability
 depends only on its outcome histogram. Enumerating C(n+m-1, m-1) histograms
-instead of m^n words makes exact finite-n checks tractable.
+instead of m^n words makes exact finite-n checks tractable. Everything here
+works on a count array counts[C, m] and stays in log space, so class
+probabilities neither underflow nor overflow at any n.
 """
 
 from __future__ import annotations
 
-from math import lgamma
-from typing import Iterator
+from itertools import chain, combinations
+from math import comb, lgamma
 
 import numpy as np
 
 __all__ = [
     "compositions",
     "log_multinomial",
-    "class_log_prob",
-    "mixture_class_prob",
+    "log_likelihoods",
+    "logsumexp",
 ]
 
 
-def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All histograms of n outcomes over `parts` symbols."""
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in compositions(n - head, parts - 1):
-            yield (head,) + rest
+def compositions(n: int, parts: int) -> np.ndarray:
+    """All histograms of n outcomes over `parts` symbols, as counts[C, parts].
 
-
-def log_multinomial(counts: tuple[int, ...]) -> float:
-    """log of the number of words sharing the histogram `counts`."""
-    n = sum(counts)
-    return lgamma(n + 1) - sum(lgamma(k + 1) for k in counts)
-
-
-def class_log_prob(probs: np.ndarray, counts: tuple[int, ...]) -> float:
-    """log probability of one word with histogram `counts` under i.i.d. `probs`.
-
-    Zero-probability symbols with zero count contribute nothing; with a
-    positive count the word has probability zero (-inf).
+    Rows are in lexicographic order; n = 0 gives one all-zero row.
     """
-    total = 0.0
-    for p, k in zip(probs, counts):
-        if k == 0:
-            continue
-        if p <= 0.0:
-            return -np.inf
-        total += k * np.log(p)
-    return total
+    # stars and bars: each choice of parts-1 bar positions among n+parts-1 slots
+    rows = comb(n + parts - 1, parts - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(n + parts - 1), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    edges = np.hstack(
+        [np.full((rows, 1), -1), bars, np.full((rows, 1), n + parts - 1)]
+    )
+    return np.diff(edges, axis=1) - 1
 
 
-def mixture_class_prob(
-    weights: np.ndarray, letter_probs: np.ndarray, counts: tuple[int, ...]
-) -> float:
-    """Per-word probability of a histogram under a mixture of i.i.d. laws.
+def log_multinomial(counts) -> np.ndarray:
+    """log of the number of words sharing each histogram (last axis of counts)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.sum(axis=-1)
+    top = int(n.max()) if n.size else 0
+    log_fact = np.fromiter(map(lgamma, range(1, top + 2)), dtype=float, count=top + 1)
+    return log_fact[n] - log_fact[counts].sum(axis=-1)
 
-    letter_probs has one row of outcome probabilities per mixture component.
+
+def log_likelihoods(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_a k_a log p[i, a] for every class and law, as [C, I].
+
+    Support convention: a symbol with p <= 0 contributes nothing at count 0
+    and makes the class impossible (-inf) at a positive count.
     """
-    total = 0.0
-    for w, probs in zip(weights, letter_probs):
-        lp = class_log_prob(probs, counts)
-        if lp > -np.inf:
-            total += w * np.exp(lp)
-    return total
+    probs = np.asarray(probs, dtype=float)
+    support = probs > 0.0
+    logs = np.log(np.where(support, probs, 1.0))
+    out = counts @ logs.T
+    out[(counts > 0).astype(np.int64) @ (~support).T.astype(np.int64) > 0] = -np.inf
+    return out
+
+
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp(a) along axis, max-shifted; -inf where every entry is -inf."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.squeeze(top, axis) + np.log(np.sum(np.exp(a - top), axis=axis))

@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .estim import GeneralizedModel, alpha_scale, two_part, _two_part_scores, _select
+from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state
 from .opcore import as_operator
 from .projlat import ProjSystem, computational_basis
 from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
-from .typeclasses import compositions, log_multinomial
+from .typeclasses import compositions, log_likelihoods, log_multinomial
 
 __all__ = [
     "RunResult",
@@ -134,6 +135,18 @@ class DistinguishabilityRelation:
     mass: float  # reference mass of words whose likelihood ratio exceeds delta
 
 
+def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
+    """(log reference class mass, log likelihood ratio) over the classes the reference emits."""
+    counts, log_mult, log_ref = word_distribution(ref_src, system, n)
+    live = log_ref > -np.inf
+    log_comp = comp_src.log_prob(system, counts[live])
+    return log_mult[live] + log_ref[live], log_comp - log_ref[live]
+
+
+def _exceedance_mass(log_mass: np.ndarray, log_ratio: np.ndarray, delta: float) -> float:
+    return float(np.exp(log_mass[log_ratio > math.log(delta)]).sum())
+
+
 def distinguishability_mass(
     ref_src, comp_src, system: ProjSystem, n: int, delta: float
 ) -> DistinguishabilityRelation:
@@ -144,14 +157,7 @@ def distinguishability_mass(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    rows_ref = word_distribution(ref_src, system, n)
-    rows_comp = word_distribution(comp_src, system, n)
-    mass = 0.0
-    for (_, logmult, p_ref), (_, _, p_comp) in zip(rows_ref, rows_comp):
-        if p_ref <= 0.0:
-            continue
-        if p_comp / p_ref > delta:
-            mass += math.exp(logmult) * p_ref
+    mass = _exceedance_mass(*_likelihood_ratios(ref_src, comp_src, system, n), delta)
     return DistinguishabilityRelation(delta, n, mass)
 
 
@@ -237,21 +243,6 @@ class ConsistencyConfig:
         )
 
 
-def _classical_he2(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum((np.sqrt(np.clip(p, 0, None)) - np.sqrt(np.clip(q, 0, None))) ** 2))
-
-
-def _classical_kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total / LN2
-
-
 def consistency_run(config: ConsistencyConfig) -> RunResult:
     """Monte-Carlo estimate-to-truth divergence decay plus exact ratio masses.
 
@@ -281,13 +272,14 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
                 k = int(np.sum(word == 0))
                 p1 = (k + 1) / (n + 2)
                 est_probs = np.array([p1, 1.0 - p1])
-            result.add(n, r, "he2", _classical_he2(truth_probs, est_probs), "nats")
-            result.add(n, r, "S", _classical_kl_bits(truth_probs, est_probs), "bits")
+            result.add(n, r, "he2", hellinger_sq_classical(truth_probs, est_probs), "nats")
+            result.add(n, r, "S", kl_classical(truth_probs, est_probs, "bits"), "bits")
         for theta in config.competitor_thetas:
             comp_src = MixtureSource([(1.0, example_state(theta, config.c))])
+            ratios = _likelihood_ratios(ref_src, comp_src, system, n)
             for delta in config.deltas:
-                rel = distinguishability_mass(ref_src, comp_src, system, n, delta)
-                result.add(n, "exact", f"mass[theta={theta:g},delta={delta:g}]", rel.mass)
+                mass = _exceedance_mass(*ratios, delta)
+                result.add(n, "exact", f"mass[theta={theta:g},delta={delta:g}]", mass)
     return result
 
 
@@ -339,50 +331,28 @@ def bound_run(config: BoundConfig) -> RunResult:
     member_probs = outcome_probs(model.states, system)
     result = RunResult("bound", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__)}
+    tables = {
+        n: _bound_table(model, system, truth_probs, member_probs, n) for n in config.n_schedule
+    }
     worst_slack = math.inf
     for alpha in config.alphas:
         lam = 1.0 - 1.0 / alpha
         scaled = alpha_scale(model, alpha)
+        # Renyi affinity and Bhattacharyya coefficient of truth and each member
+        affinity = np.sum(truth_probs**lam * np.clip(member_probs, 0, None) ** (1.0 - lam), axis=1)
+        bhatt = np.sum(np.sqrt(truth_probs * np.clip(member_probs, 0, None)), axis=1)
         for n in config.n_schedule:
-            lhs = 0.0
-            lhs_he2 = 0.0
-            rhs_sum = 0.0
-            lam_sum = 0.0
-            for counts in compositions(n, 2):
-                mult = math.exp(log_multinomial(counts))
-                log_p_star = sum(
-                    k * math.log(p) if k else 0.0
-                    for k, p in zip(counts, truth_probs)
-                    if not (k and p <= 0.0)
-                )
-                if any(k and p <= 0.0 for k, p in zip(counts, truth_probs)):
-                    continue  # truth never emits these words
-                p_star = math.exp(log_p_star)
-                tie_path = _select(model, _two_part_scores(model, system, np.asarray(counts)))
-                if tie_path is None:
-                    continue
-                idx = tie_path.chosen
-                est_probs = member_probs[idx]
-                # Lambda_I: level-n trace of the alpha-scaled winning element
-                lam_level = scaled.stored_traces[idx] ** n
-                lam_sum += mult * lam_level
-                # LHS: Renyi divergence is additive over i.i.d. extensions
-                affinity = float(
-                    np.sum(truth_probs**lam * np.clip(est_probs, 0, None) ** (1.0 - lam))
-                )
-                if affinity <= 0.0:
-                    d_lam = math.inf
-                else:
-                    d_lam = -n * math.log(affinity) / (1.0 - lam) / LN2
-                lhs += mult * p_star * d_lam
-                if alpha == 2.0:
-                    bhatt = float(np.sum(np.sqrt(truth_probs * np.clip(est_probs, 0, None))))
-                    lhs_he2 += mult * p_star * 2.0 * (1.0 - bhatt**n)
-                # RHS: winner envelope  Lambda_I * prod est_probs^k
-                log_env = n * math.log(scaled.stored_traces[idx]) + sum(
-                    k * math.log(p) for k, p in zip(counts, est_probs) if k
-                )
-                rhs_sum += mult * p_star * (log_p_star - log_env) / LN2
+            log_mult, log_star, idx, log_est = tables[n]
+            mass = np.exp(log_mult + log_star)  # truth's mass on each class
+            # Lambda_I: level-n trace of the alpha-scaled winning element
+            log_lam = n * np.log(scaled.stored_traces[idx])
+            lam_sum = float(np.exp(log_mult + log_lam).sum())
+            # LHS: Renyi divergence is additive over i.i.d. extensions
+            d_lam = -n * np.log(affinity[idx]) / (1.0 - lam) / LN2
+            lhs = float(np.sum(mass * d_lam))
+            lhs_he2 = float(np.sum(mass * 2.0 * (1.0 - bhatt[idx] ** n)))
+            # RHS: winner envelope  Lambda_I * prod est_probs^k
+            rhs_sum = float(np.sum(mass * (log_star - (log_lam + log_est)) / LN2))
             rhs = rhs_sum / n
             result.add(n, "exact", f"lambda_sum[alpha={alpha:g}]", lam_sum)
             result.add(n, "exact", f"lhs_renyi[alpha={alpha:g}]", lhs, "bits")
@@ -401,6 +371,18 @@ def bound_run(config: BoundConfig) -> RunResult:
                 result.status = "fail"
     result.metadata["worst_slack_bits"] = worst_slack
     return result
+
+
+def _bound_table(model, system, truth_probs, member_probs, n: int):
+    """Per length-n class the truth emits and some member explains:
+    (log #words, log truth word prob, two-part winner, winner's log word prob)."""
+    counts = compositions(n, len(system))
+    log_star = log_likelihoods(truth_probs[None], counts)[:, 0]
+    chosen = _select(model, _two_part_scores(model, system, counts)).chosen
+    keep = (log_star > -np.inf) & (chosen >= 0)
+    counts, idx = counts[keep], chosen[keep]
+    log_est = log_likelihoods(member_probs, counts)[np.arange(len(idx)), idx]
+    return log_multinomial(counts), log_star[keep], idx, log_est
 
 
 @dataclass(frozen=True)
@@ -424,22 +406,8 @@ def redundancy_per_n(theta_star: float, n: int) -> float:
     Truth words are Binomial(n, theta); the mixture assigns 1/((n+1) C(n,k))
     per word, so the sum runs over the n+1 type classes.
     """
-    total = 0.0
-    for k in range(n + 1):
-        log_comb = log_multinomial((k, n - k))
-        lp = 0.0
-        if k:
-            if theta_star <= 0.0:
-                continue
-            lp += k * math.log(theta_star)
-        if n - k:
-            if theta_star >= 1.0:
-                continue
-            lp += (n - k) * math.log(1.0 - theta_star)
-        p_class = math.exp(log_comb + lp)
-        log_mix = -math.log(n + 1) - log_comb
-        total += p_class * (lp - log_mix)
-    return total / LN2
+    truth = MixtureSource([(1.0, example_state(theta_star))])
+    return word_divergences(truth, BetaExampleSource(), computational_basis(2), n).value
 
 
 def redundancy_run(config: RedundancyConfig) -> RunResult:
@@ -510,10 +478,11 @@ def markov_run(config: MarkovConfig) -> RunResult:
     result = RunResult("markov", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__)}
     for n in config.n_schedule:
+        ratios = _likelihood_ratios(ref_src, comp_src, system, n)
         for delta in config.deltas:
-            rel = distinguishability_mass(ref_src, comp_src, system, n, delta)
-            result.add(n, "exact", f"mass[delta={delta:g}]", rel.mass)
+            mass = _exceedance_mass(*ratios, delta)
+            result.add(n, "exact", f"mass[delta={delta:g}]", mass)
             result.add(n, "exact", f"bound[delta={delta:g}]", 1.0 / delta)
-            if rel.mass > 1.0 / delta + 1e-9:
+            if mass > 1.0 / delta + 1e-9:
                 result.status = "fail"
     return result

@@ -13,12 +13,14 @@ from qmdl import (
     GeneralizedModel,
     InvalidOperator,
     InvalidWord,
+    MixtureSource,
     NonMinimalSystem,
     ParamModel,
     ProjSystem,
     alpha_scale,
     computational_basis,
     example_state,
+    example_uniform_source,
     lambda_sum,
     mle,
     predict_next,
@@ -26,6 +28,7 @@ from qmdl import (
 )
 from qmdl import BetaExampleSource, predict_step
 from qmdl.estim import _member_scores, _select, _two_part_scores
+from qmdl.typeclasses import compositions
 
 CB = computational_basis(2)
 
@@ -305,3 +308,68 @@ def test_predict_next_matches_source_conditional():
     src = BetaExampleSource()
     word = (0, 1, 0)
     assert np.allclose(predict_next(src, CB, word), predict_step(src, CB, word))
+
+
+def test_predict_next_is_the_source_predictive():
+    assert predict_next is predict_step
+
+
+def test_beta_predict_closed_form_at_large_n():
+    # the ratio of word probabilities overflowed math.comb to float here
+    probs = predict_next(BetaExampleSource(), CB, (0,) * 1000 + (1,) * 1000)
+    assert probs.tolist() == [0.5, 0.5]
+
+
+def test_quadrature_predict_finite_at_n1100():
+    # linear-space word probabilities underflowed to 0 here (ZeroDivisionError)
+    quad = example_uniform_source(0.0, 2048)
+    k, n = 400, 1100
+    probs = predict_next(quad, CB, (0,) * k + (1,) * (n - k))
+    assert np.all(np.isfinite(probs))
+    assert probs[0] == pytest.approx((k + 1) / (n + 2), abs=1e-6)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_predict_raises_only_on_probability_zero_words():
+    only_0 = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
+    assert predict_next(only_0, CB, (0,) * 5000).tolist() == [1.0, 0.0]
+    with pytest.raises(ZeroDivisionError):
+        predict_next(only_0, CB, (0, 1))
+
+
+def test_lambda_sum_finite_at_n1100():
+    # exp(log multinomial) overflowed here
+    model = GeneralizedModel([(0.5, example_state(0.3)), (0.25, example_state(0.7))])
+    value = lambda_sum(model, CB, 1100)
+    assert math.isfinite(value) and 0.0 < value <= 1.0
+
+
+def random_letter_model(rng, members, m):
+    """Diagonal members with exact zeros and duplicated rows, as in two-part ties."""
+    rows = rng.dirichlet(np.ones(m), size=members)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[members // 2] = rows[0]
+    weights = rng.uniform(0.2, 1.0, members)
+    weights = weights / weights.sum()
+    weights[members // 2] = weights[0]
+    weights = weights / (weights.sum() + 1e-9)
+    return GeneralizedModel([(w, np.diag(r).astype(complex)) for w, r in zip(weights, rows)])
+
+
+def test_batched_scores_equal_per_class_loop():
+    rng = np.random.default_rng(20)
+    for trial in range(20):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(0, 61 if m == 2 else 13))
+        model = random_letter_model(rng, int(rng.integers(2, 7)), m)
+        system = computational_basis(m)
+        counts = compositions(n, m)
+        batch = _two_part_scores(model, system, counts)
+        loop = np.array([_member_scores(model, system, row) for row in counts])
+        assert np.array_equal(batch, loop)
+        chosen = _select(model, batch).chosen
+        for row, idx in zip(loop, chosen):
+            tie = _select(model, row)
+            assert tie.chosen == idx
+            if idx >= 0:
+                assert row[idx] == row.max()

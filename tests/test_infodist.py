@@ -137,3 +137,42 @@ def test_word_divergences_unknown_kind():
     src = MixtureSource([(1.0, example_state(0.3))])
     with pytest.raises(ValueError):
         word_divergences(src, src, CB, 2, kind="nope")
+
+
+# --- log-space word divergences at large n ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1100, 3000])
+def test_word_relative_entropy_is_additive_at_large_n(n):
+    # linear-space class probabilities underflow here: S came out inf at
+    # n=1100 and 0.0 at n=3000
+    src_a = MixtureSource([(1.0, example_state(0.3))])
+    src_b = MixtureSource([(1.0, example_state(0.7))])
+    per_letter = 0.3 * math.log2(0.3 / 0.7) + 0.7 * math.log2(0.7 / 0.3)
+    s = word_divergences(src_a, src_b, CB, n, kind="S")
+    assert s.base == "bits"
+    assert s.value == pytest.approx(n * per_letter, rel=1e-9)
+
+
+def test_word_hellinger_and_renyi_closed_forms_at_large_n():
+    p, q = np.array([0.3, 0.7]), np.array([0.45, 0.55])
+    src_a = MixtureSource([(1.0, example_state(0.3))])
+    src_b = MixtureSource([(1.0, example_state(0.45))])
+    n, lam = 3000, 0.3
+    he2 = word_divergences(src_a, src_b, CB, n, kind="he2").value
+    assert he2 == pytest.approx(2.0 - 2.0 * float(np.sum(np.sqrt(p * q))) ** n, rel=1e-9)
+    ren = word_divergences(src_a, src_b, CB, n, kind="renyi", lam=lam).value
+    affinity = float(np.sum(p**lam * q ** (1 - lam)))
+    assert ren == pytest.approx(-n * math.log(affinity) / (1 - lam), rel=1e-9)
+
+
+def test_word_divergences_support_conventions():
+    only_0 = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
+    only_1 = MixtureSource([(1.0, np.diag([0.0, 1.0]))])
+    assert word_divergences(only_0, only_1, CB, 5, kind="S").value == np.inf
+    assert word_divergences(only_0, only_1, CB, 5, kind="renyi").value == np.inf
+    assert word_divergences(only_0, only_1, CB, 5, kind="he2").value == pytest.approx(2.0)
+    mixed = MixtureSource([(1.0, example_state(0.4))])
+    # only_0 emits only the all-zeros word, which mixed gives 0.4^5
+    s = word_divergences(only_0, mixed, CB, 5, kind="S").value
+    assert s == pytest.approx(-5 * math.log2(0.4), rel=1e-12)

@@ -87,6 +87,16 @@ def test_marginal_law_simple_source(rng):
         assert np.max(np.abs(reduced - src.level(n))) < 1e-10
 
 
+def test_simple_source_is_a_one_component_generalized_mixture(rng):
+    base = 0.7 * random_density(rng, 2)
+    src = SimpleSource(base)
+    assert isinstance(src, MixtureSource) and src.kind == "generalized"
+    unit = base / np.trace(base).real
+    assert np.max(np.abs(src.level(3) - np.kron(base, np.kron(unit, unit)))) < 1e-15
+    with pytest.raises(InvalidOperator):
+        SimpleSource(np.zeros((2, 2)))
+
+
 def test_conjugation_preserves_marginals_and_words(rng):
     src = random_mixture(rng)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -180,8 +190,9 @@ def test_quadrature_matches_beta_closed_form():
 
 def test_word_distribution_total_mass(rng):
     src = random_mixture(rng)
-    rows = word_distribution(src, CB, 5)
-    total = sum(math.exp(logmult) * p for _, logmult, p in rows)
+    counts, log_mult, log_p = word_distribution(src, CB, 5)
+    assert [tuple(row) for row in counts] == [(k, 5 - k) for k in range(6)]
+    total = np.exp(log_mult + log_p).sum()
     assert abs(total - 1.0) < 1e-10
 
 

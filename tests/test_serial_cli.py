@@ -285,3 +285,23 @@ def test_cli_invalid_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["consistency", "--config", str(path)]) == 4
+
+
+def test_cli_dense_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QMDL_DENSE_CAP", "1024")
+    thetas, weights = (0.2, 0.5, 0.8), (0.5, 0.25, 0.25)
+    config = {
+        "source": {
+            "components": [
+                {"weight": w, "matrix": matrix_to_json(example_state(t, 1.0))}
+                for w, t in zip(weights, thetas)
+            ]
+        },
+        "model": {"example": {"thetas": list(thetas), "c": 1.0}},
+        "epsilon": 0.5,
+        "n_range": [14],
+        "mode": "matrix",
+    }
+    assert run_cli(tmp_path, "universality-check", config) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: QMDL_DENSE_CAP:") and "cap 1024" in err

@@ -1,5 +1,8 @@
 """Experiment harness: sampling, exceedance masses, runners, reproducibility."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from qmdl import (
     BoundConfig,
     ConfigError,
     ConsistencyConfig,
+    GeneralizedModel,
     MarkovConfig,
     MixtureSource,
     RedundancyConfig,
@@ -15,11 +19,17 @@ from qmdl import (
     consistency_run,
     distinguishability_mass,
     example_state,
+    example_uniform_source,
+    lambda_sum,
     markov_check,
     markov_run,
+    predict_next,
     redundancy_run,
     sample_words,
+    universality_check,
+    word_divergences,
 )
+from qmdl.xplab import redundancy_per_n
 
 CB = computational_basis(2)
 
@@ -350,3 +360,94 @@ def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "run.csv"
     result.write_csv(path)
     assert path.read_text().splitlines() == result.csv_lines()
+
+
+# --- log-space enumeration at large n ------------------------------------------
+
+
+def binomial_log_pmf(n, theta):
+    return [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(theta) + (n - k) * math.log(1 - theta)
+        for k in range(n + 1)
+    ]
+
+
+def test_distinguishability_mass_underflow_free_at_n1100():
+    # outcome 0 has probability theta; the ratio (7/3)^(2k - n) exceeds 2 iff
+    # k > 550, so the mass is P(Binomial(1100, 0.3) > 550)
+    n = 1100
+    ref = MixtureSource([(1.0, example_state(0.3))])
+    comp = MixtureSource([(1.0, example_state(0.7))])
+    log_pmf = binomial_log_pmf(n, 0.3)
+    tail = math.fsum(math.exp(v) for v in log_pmf[551:])
+    assert tail == pytest.approx(4.04e-44, rel=1e-3)
+    assert distinguishability_mass(ref, comp, CB, n, 2.0).mass == pytest.approx(tail, rel=1e-9)
+    # at delta 1 the class k = 550 has ratio 1 up to round-off and may fall either side
+    mass = distinguishability_mass(ref, comp, CB, n, 1.0).mass
+    upper = tail + math.exp(log_pmf[550])
+    assert tail * (1 - 1e-9) <= mass <= upper * (1 + 1e-9)
+
+
+def test_bound_run_finite_at_large_n():
+    result = bound_run(
+        BoundConfig.from_dict(
+            {
+                "theta_star": 0.3,
+                "model_thetas": [0.3, 0.7],
+                "code_weights": [0.5, 0.25],
+                "alphas": [2.0],
+                "n_schedule": [1100, 10000],
+            }
+        )
+    )
+    assert result.status == "pass"
+    values = [value for *_, value, _ in result.rows]
+    assert values and all(math.isfinite(v) for v in values)
+    (rhs,) = result.metric_values("rhs[alpha=2]", 1100)
+    (lhs,) = result.metric_values("lhs_renyi[alpha=2]", 1100)
+    assert 0.0 <= lhs <= rhs
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5])
+def test_redundancy_matches_exact_sum_and_clarke_barron(theta):
+    for n in (10**4, 10**5):
+        s = redundancy_per_n(theta, n)
+        # S = log2(n + 1) - H(Binomial(n, theta)) in bits
+        log_pmf = binomial_log_pmf(n, theta)
+        entropy = -math.fsum(math.exp(v) * v for v in log_pmf) / math.log(2.0)
+        assert s == pytest.approx(math.log2(n + 1) - entropy, rel=1e-9)
+        # Clarke & Barron: 1/2 log2(n / 2 pi e) + 1/2 log2(1 / (theta (1 - theta)))
+        # up to an O(1/n) remainder, 1.4e-4 to 2.3e-4 bits at n = 10^4 here
+        asym = 0.5 * math.log2(n / (2 * math.pi * math.e)) + 0.5 * math.log2(
+            1 / (theta * (1 - theta))
+        )
+        assert abs(s - asym) < 3.0 / n
+
+
+def test_exact_consumers_emit_no_numpy_warning_at_n3000():
+    n = 3000
+    ref = MixtureSource([(1.0, example_state(0.3))])
+    comp = MixtureSource([(1.0, example_state(0.7))])
+    only_0 = MixtureSource([(0.5, np.diag([1.0, 0.0]))], kind="generalized")
+    quad = example_uniform_source(0.0, 256)
+    model = GeneralizedModel([(0.5, example_state(0.3)), (0.25, example_state(0.7))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((ref, comp), (ref, only_0), (only_0, ref), (quad, ref)):
+            for kind in ("S", "he2", "renyi"):
+                word_divergences(a, b, CB, n, kind=kind)
+            distinguishability_mass(a, b, CB, n, 1.0)
+        predict_next(quad, CB, (0,) * 900 + (1,) * 2100)
+        lambda_sum(model, CB, n)
+        redundancy_per_n(0.3, n)
+        bound_run(BoundConfig.from_dict({
+            "theta_star": 0.3, "model_thetas": [0.0, 0.3, 0.7], "code_weights": [0.25, 0.5, 0.25],
+            "alphas": [2.0], "n_schedule": [n],
+        }))
+        markov_run(MarkovConfig.from_dict({
+            "theta_ref": 0.3, "theta_comp": 0.7, "deltas": [0.5, 2.0], "n_schedule": [n],
+        }))
+        for mode in ("q-restricted", "q-expected"):
+            universality_check(ref, [example_state(0.3), np.diag([1.0, 0.0])], 0.1, [n], mode, CB)
+            universality_check(only_0, [example_state(0.3)], 0.1, [n], mode, CB)
