@@ -21,6 +21,7 @@ from .errors import ConfigError, InvalidWord, QmdlError, SizeCapExceeded
 from .estim import GeneralizedModel, ParamModel, mle, two_part
 from .infodist import rel_entropy, hellinger_sq, renyi, word_divergences
 from .models import example_state
+from .opcore import check_density
 from .projlat import (
     ProjSystem,
     classify,
@@ -33,11 +34,19 @@ from .projlat import (
 )
 from .qsource import predict_step, universality_check
 from .serial import (
+    REQUIRED,
+    choice,
+    each,
+    integer,
+    interval,
+    levels,
     matrix_from_json,
     matrix_to_json,
+    read,
     source_from_json,
     system_from_json,
     system_to_json,
+    unit,
 )
 from .xplab import (
     BoundConfig,
@@ -69,41 +78,62 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _parse_word(data, field: str = "word") -> tuple[int, ...]:
+def _word(data) -> tuple[int, ...]:
     """A word is a list of outcome indices, a comma string, or {n, k} shorthand."""
     if isinstance(data, dict):
-        if "n" not in data or "k" not in data:
-            raise ConfigError(field, "shorthand needs both 'n' and 'k'")
-        n, k = int(data["n"]), int(data["k"])
-        if not 0 <= k <= n:
-            raise ConfigError(field, f"need 0 <= k <= n, got n={n}, k={k}")
+        n, k = read(data, "n", integer(0), "word"), read(data, "k", integer(0), "word")
+        if k > n:
+            raise ValueError(f"need k <= n, got n={n}, k={k}")
         return (0,) * k + (1,) * (n - k)
     if isinstance(data, str):
         data = [s for s in data.split(",") if s.strip()]
-    try:
-        return tuple(int(i) for i in data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"not an outcome word: {exc}") from exc
+    return tuple(map(integer(0), data))
 
 
-def _system_or_computational(config: dict, dim: int) -> ProjSystem:
-    if "system" in config:
-        return system_from_json(config["system"])
-    return computational_basis(dim)
+def _system(config: dict, dim: int, default=computational_basis) -> ProjSystem | None:
+    """The config's system, which must act on C^dim; default(dim) when absent."""
+    system = read(config, "system", system_from_json, default=None)
+    if system is None:
+        return default(dim)
+    if system.dim != dim:
+        raise ConfigError("system", f"acts on dimension {system.dim}, not {dim}")
+    return system
 
 
-def _model_states(data, field: str = "model") -> list[np.ndarray]:
-    """Either explicit matrix literals or {"example": {"thetas": [...], "c": c}}."""
-    if isinstance(data, dict) and "example" in data:
-        ex = data["example"]
-        thetas = ex.get("thetas")
-        if thetas is None:
-            raise ConfigError(f"{field}.example.thetas", "missing required field")
-        c = float(ex.get("c", 0.0))
-        return [example_state(float(t), c) for t in thetas]
+def _model(data, thetas=REQUIRED) -> ParamModel:
+    """Density-matrix literals or {"example": {"thetas": [...], "c": c}}; `thetas` is the
+    grid of an example declaration that gives none (REQUIRED: it must give one)."""
     if isinstance(data, list):
-        return [matrix_from_json(m, f"{field}[{i}]") for i, m in enumerate(data)]
-    raise ConfigError(field, "expected matrix literals or an 'example' declaration")
+        return ParamModel.explicit(
+            [matrix_from_json(m, f"model[{i}]") for i, m in enumerate(data)]
+        )
+    example = read(data, "example", dict, "model")
+    grid = read(example, "thetas", each(unit, nonempty=True), "model.example", thetas)
+    return ParamModel.example(read(example, "c", unit, "model.example", 0.0), grid)
+
+
+def _member(data, path: str) -> tuple[float, np.ndarray]:
+    """{"weight": w, "theta": t, "c": c} or {"weight": w, "matrix": M}."""
+    weight = read(data, "weight", interval("(0, 1]"), path)
+    if "theta" in data:
+        return weight, example_state(read(data, "theta", unit, path), read(data, "c", unit, path, 0.0))
+    density = lambda m: check_density(matrix_from_json(m, f"{path}.matrix"))
+    return weight, read(data, "matrix", density, path)
+
+
+def _two_part_model(data) -> GeneralizedModel:
+    return GeneralizedModel([_member(m, f"members[{i}]") for i, m in enumerate(data)])
+
+
+def _systems(data) -> list[ProjSystem]:
+    if len(data) < 2:
+        raise ValueError("need a list of at least two systems")
+    return [system_from_json(s, f"systems[{i}]") for i, s in enumerate(data)]
+
+
+def _operand(data, field: str):
+    """A source declaration (an object) or a matrix literal."""
+    return (source_from_json if isinstance(data, dict) else matrix_from_json)(data, field)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -130,10 +160,7 @@ def _jsonable(obj):
 
 
 def _cmd_lattice(config: dict, out: str | None) -> int:
-    raw = config.get("systems")
-    if not isinstance(raw, list) or len(raw) < 2:
-        raise ConfigError("systems", "need a list of at least two systems")
-    systems = [system_from_json(s, f"systems[{i}]") for i, s in enumerate(raw)]
+    systems = read(config, "systems", _systems)
     ok = consistent(systems)
     payload = {
         "consistent": ok,
@@ -149,10 +176,8 @@ def _cmd_lattice(config: dict, out: str | None) -> int:
 
 
 def _cmd_project(config: dict, out: str | None) -> int:
-    if "matrix" not in config:
-        raise ConfigError("matrix", "missing required field")
-    t = matrix_from_json(config["matrix"])
-    system = _system_or_computational(config, t.shape[0])
+    t = read(config, "matrix", matrix_from_json)
+    system = _system(config, t.shape[0])
     projected = q_project(t, system)
     payload = {"projected": matrix_to_json(projected)}
     if system.minimal:
@@ -164,62 +189,31 @@ def _cmd_project(config: dict, out: str | None) -> int:
 
 
 def _cmd_universality(config: dict, out: str | None) -> int:
-    if "source" not in config:
-        raise ConfigError("source", "missing required field")
-    src = source_from_json(config["source"])
-    model = _model_states(config.get("model"))
-    if "epsilon" not in config:
-        raise ConfigError("epsilon", "missing required field")
-    eps = float(config["epsilon"])
-    n_range = config.get("n_range")
-    if not isinstance(n_range, list) or not n_range:
-        raise ConfigError("n_range", "need a nonempty list of levels")
-    mode = config.get("mode", "matrix")
-    system = system_from_json(config["system"]) if "system" in config else None
-    try:
-        report = universality_check(src, model, eps, n_range, mode, system)
-    except ValueError as exc:
-        raise ConfigError("mode", str(exc)) from exc
+    src = read(config, "source", source_from_json)
+    model = read(config, "model", _model)
+    if model.states[0].shape[0] != src.dim:
+        raise ConfigError("model", f"states act on dimension {model.states[0].shape[0]}, not {src.dim}")
+    eps = read(config, "epsilon", float)
+    n_range = read(config, "n_range", levels)
+    mode = read(config, "mode", choice("matrix", "q-restricted", "expected", "q-expected"), default="matrix")
+    system = _system(config, src.dim, default=lambda dim: None)
+    if system is None and mode.startswith("q-"):
+        raise ConfigError("system", f"mode {mode!r} needs a projection system")
+    report = universality_check(src, model.states, eps, n_range, mode, system)
     _emit(report.to_dict(), out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_estimate(config: dict, out: str | None) -> int:
-    estimator = config.get("estimator", "mle")
-    if "word" not in config:
-        raise ConfigError("word", "missing required field")
-    word = _parse_word(config["word"])
+    estimator = read(config, "estimator", choice("mle", "two-part"), default="mle")
+    word = read(config, "word", _word)
     if estimator == "mle":
-        model_decl = config.get("model", {"example": {}})
-        if isinstance(model_decl, dict) and "example" in model_decl:
-            ex = model_decl["example"]
-            grid = np.asarray(ex["thetas"], dtype=float) if "thetas" in ex else None
-            model = ParamModel.example(float(ex.get("c", 0.0)), grid)
-        else:
-            model = ParamModel.explicit(_model_states(model_decl))
-        dim = model.states[0].shape[0]
-        system = _system_or_computational(config, dim)
-        result = mle(model, system, word)
-    elif estimator == "two-part":
-        raw = config.get("members")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("members", "two-part needs a nonempty member list")
-        members = []
-        for i, m in enumerate(raw):
-            if "weight" not in m:
-                raise ConfigError(f"members[{i}].weight", "missing required field")
-            if "theta" in m:
-                rho = example_state(float(m["theta"]), float(m.get("c", 0.0)))
-            elif "matrix" in m:
-                rho = matrix_from_json(m["matrix"], f"members[{i}].matrix")
-            else:
-                raise ConfigError(f"members[{i}]", "needs 'theta' or 'matrix'")
-            members.append((float(m["weight"]), rho))
-        model = GeneralizedModel(members)
-        system = _system_or_computational(config, model.states[0].shape[0])
-        result = two_part(model, system, word)
+        model = read(config, "model", lambda m: _model(m, None), default=None) or ParamModel.example()
+        estimate = mle
     else:
-        raise ConfigError("estimator", f"unknown estimator {estimator!r}")
+        model = read(config, "members", _two_part_model)
+        estimate = two_part
+    result = estimate(model, _system(config, model.states[0].shape[0]), word)
     _emit(
         {
             "theta_hat": result.theta_hat,
@@ -233,66 +227,38 @@ def _cmd_estimate(config: dict, out: str | None) -> int:
 
 
 def _cmd_predict(config: dict, out: str | None) -> int:
-    if "source" not in config:
-        raise ConfigError("source", "missing required field")
-    src = source_from_json(config["source"])
-    system = _system_or_computational(config, src.dim)
-    word = _parse_word(config.get("word", []))
+    src = read(config, "source", source_from_json)
+    system = _system(config, src.dim)
+    word = read(config, "word", _word, default=())
     probs = predict_step(src, system, word)
     _emit({"probs": [float(p) for p in probs]}, out)
     return EXIT_PASS
 
 
-def _divergence_operand(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(key, "missing required field")
-    value = config[key]
-    if isinstance(value, dict):
-        return "source", source_from_json(value, key)
-    return "matrix", matrix_from_json(value, key)
-
-
 def _cmd_divergence(config: dict, out: str | None) -> int:
-    kind = config.get("kind", "S")
-    lam = float(config.get("lam", 0.5))
-    base = config.get("base")
-    type_a, a = _divergence_operand(config, "a")
-    type_b, b = _divergence_operand(config, "b")
-    if type_a != type_b:
-        raise ConfigError("b", "operands must both be matrices or both be sources")
-    if type_a == "matrix":
+    kind = read(config, "kind", choice("S", "he2", "renyi"), default="S")
+    lam = read(config, "lam", interval("(0, 1)"), default=0.5)
+    base = read(config, "base", choice("bits", "nats"), default=None)
+    a = read(config, "a", lambda v: _operand(v, "a"))
+    b = read(config, "b", lambda v: _operand(v, "b"))
+    # sources have no shape
+    if getattr(a, "shape", None) != getattr(b, "shape", None):
+        raise ConfigError("b", "operands must be two sources or two matrices of one size")
+    if isinstance(a, np.ndarray):
         if kind == "S":
             dv = rel_entropy(a, b, base or "bits")
         elif kind == "he2":
             dv = hellinger_sq(a, b)
-        elif kind == "renyi":
-            dv = renyi(lam, a, b, base or "nats")
         else:
-            raise ConfigError("kind", f"unknown divergence kind {kind!r}")
+            dv = renyi(lam, a, b, base or "nats")
     else:
-        if "n" not in config:
-            raise ConfigError("n", "word divergences need a level n")
-        system = _system_or_computational(config, a.dim)
-        try:
-            dv = word_divergences(a, b, system, int(config["n"]), kind, lam, base)
-        except ValueError as exc:
-            raise ConfigError("kind", str(exc)) from exc
+        n = read(config, "n", integer(1))
+        dv = word_divergences(a, b, _system(config, a.dim), n, kind, lam, base)
     _emit({"value": dv.value, "base": dv.base}, out)
     return EXIT_PASS
 
 
-_RUNNERS = {
-    "consistency": (ConsistencyConfig, consistency_run),
-    "bound": (BoundConfig, bound_run),
-    "redundancy": (RedundancyConfig, redundancy_run),
-    "markov": (MarkovConfig, markov_run),
-}
-
-
-def _cmd_experiment(name: str, config: dict, out: str | None, seed: int | None) -> int:
-    cfg_cls, runner = _RUNNERS[name]
-    if seed is not None:
-        config = dict(config, seed=seed)
+def _cmd_experiment(config: dict, out: str | None, cfg_cls, runner) -> int:
     result = runner(cfg_cls.from_dict(config))
     if out:
         result.write_csv(out)
@@ -304,21 +270,26 @@ def _cmd_experiment(name: str, config: dict, out: str | None, seed: int | None) 
     return EXIT_PASS if result.status == "pass" else EXIT_FAIL
 
 
+# subcommand -> (handler, extra handler arguments); every function sits in a
+# tuple value so that tracing wrappers installed on module dicts reach it
+COMMANDS = {
+    "lattice": (_cmd_lattice,),
+    "project": (_cmd_project,),
+    "universality-check": (_cmd_universality,),
+    "estimate": (_cmd_estimate,),
+    "predict": (_cmd_predict,),
+    "divergence": (_cmd_divergence,),
+    "consistency": (_cmd_experiment, ConsistencyConfig, consistency_run),
+    "bound": (_cmd_experiment, BoundConfig, bound_run),
+    "redundancy": (_cmd_experiment, RedundancyConfig, redundancy_run),
+    "markov": (_cmd_experiment, MarkovConfig, markov_run),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "lattice",
-        "project",
-        "universality-check",
-        "estimate",
-        "predict",
-        "divergence",
-        "consistency",
-        "bound",
-        "redundancy",
-        "markov",
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (CSV or JSON)")
@@ -328,21 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, *extra = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
-        if args.command == "lattice":
-            return _cmd_lattice(config, args.out)
-        if args.command == "project":
-            return _cmd_project(config, args.out)
-        if args.command == "universality-check":
-            return _cmd_universality(config, args.out)
-        if args.command == "estimate":
-            return _cmd_estimate(config, args.out)
-        if args.command == "predict":
-            return _cmd_predict(config, args.out)
-        if args.command == "divergence":
-            return _cmd_divergence(config, args.out)
-        return _cmd_experiment(args.command, config, args.out, args.seed)
+        if args.seed is not None:
+            config = dict(config, seed=args.seed)
+        return handler(config, args.out, *extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,8 +41,8 @@ class SupportMismatch(QmdlError):
     """Conditioning state is not supported inside the marginal's support."""
 
 
-class InvalidWord(QmdlError):
-    """An outcome word holds an index outside the system's outcomes."""
+class InvalidWord(QmdlError, ValueError):
+    """An outcome word is empty where one is needed, or holds an out-of-range index."""
 
 
 class AllZeroLikelihood(QmdlError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PROB_FLOOR
-from .errors import AllZeroLikelihood, InvalidOperator, NonMinimalSystem
+from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalSystem
 from .models import example_state
 from .opcore import as_operator, check_density, normalize
 from .projlat import ProjSystem
@@ -43,6 +43,10 @@ class ParamModel:
     thetas: np.ndarray | None = None
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if len({s.shape for s in self.states}) != 1:
+            raise InvalidOperator("a model needs at least one state, all on one space")
+
     @classmethod
     def example(cls, c: float = 0.0, grid: np.ndarray | None = None) -> "ParamModel":
         """Built-in qubit family over a theta grid (default 1001 uniform nodes)."""
@@ -67,8 +71,8 @@ class GeneralizedModel:
                 raise InvalidOperator(f"code weight {w} outside (0, 1]")
             weights.append(float(w))
             states.append(as_operator(rho))
-        if not states:
-            raise InvalidOperator("a generalized model needs at least one member")
+        if len({s.shape for s in states}) != 1:
+            raise InvalidOperator("a generalized model needs at least one member, all on one space")
         self.code_weights = np.array(weights)
         self.states = states
         self._tables: dict = {}
@@ -147,7 +151,7 @@ def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
         raise NonMinimalSystem("MLE is defined over a rank-1 measurement system")
     counts = word_counts(word, system)
     if not counts.any():
-        raise ValueError("MLE needs a nonempty outcome word")
+        raise InvalidWord("MLE needs a nonempty outcome word")
     scores = _member_scores(model, system, counts)
     best = scores.max()
     if best == -np.inf:

@@ -204,6 +204,8 @@ class BetaExampleSource:
     kind = "source"
 
     def __init__(self, c: float = 0.0, fallback_nodes: int = 4096):
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"c must lie in [0, 1], got {c}")
         self.c = c
         self.dim = 2
         self._fallback_nodes = fallback_nodes

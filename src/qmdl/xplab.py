@@ -22,6 +22,7 @@ from .models import example_state
 from .opcore import as_operator
 from .projlat import ProjSystem, computational_basis
 from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
+from .serial import choice, each, integer, interval, levels, read, unit
 from .typeclasses import compositions, log_likelihoods, log_multinomial
 
 __all__ = [
@@ -171,29 +172,10 @@ def markov_check(ref_src, comp_src, system: ProjSystem, n: int, delta: float) ->
 # configuration parsing
 
 
-def _require(data: dict, key: str, kind, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = data[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", str(exc)) from exc
-
-
-def _optional(data: dict, key: str, kind, default, path: str):
-    if key not in data or data[key] is None:
-        return default
-    try:
-        return kind(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}", str(exc)) from exc
-
-
-def _ascending_ints(values, path: str) -> list[int]:
-    out = [int(v) for v in values]
-    if not out or any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(path, "schedule must be a nonempty ascending integer list")
+def _schedule(value) -> tuple[int, ...]:
+    out = levels(value)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError("schedule must be strictly ascending")
     return out
 
 
@@ -212,34 +194,23 @@ class ConsistencyConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "ConsistencyConfig":
-        thetas = tuple(float(t) for t in _require(data, "model_thetas", list, path))
-        weights = _optional(data, "code_weights", list, None, path)
-        if weights is None:
-            weights = [1.0 / len(thetas)] * len(thetas)
+        thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
+        weights = read(
+            data, "code_weights", each(interval("(0, 1]")), path, (1.0 / len(thetas),) * len(thetas)
+        )
         if len(weights) != len(thetas):
             raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
-        estimator = _optional(data, "estimator", str, "two-part", path)
-        if estimator not in ("two-part", "laplace"):
-            raise ConfigError(f"{path}.estimator", f"unknown estimator {estimator!r}")
-        replicas = _require(data, "replicas", int, path)
-        if replicas < 1:
-            raise ConfigError(f"{path}.replicas", "must be >= 1")
-        deltas = tuple(float(d) for d in _optional(data, "deltas", list, [], path))
-        if any(d <= 0 for d in deltas):
-            raise ConfigError(f"{path}.deltas", "deltas must be positive")
         return cls(
-            theta_star=_require(data, "theta_star", float, path),
-            c=_optional(data, "c", float, 0.0, path),
+            theta_star=read(data, "theta_star", unit, path),
+            c=read(data, "c", unit, path, 0.0),
             model_thetas=thetas,
-            code_weights=tuple(float(w) for w in weights),
-            estimator=estimator,
-            n_schedule=tuple(_ascending_ints(_require(data, "n_schedule", list, path), f"{path}.n_schedule")),
-            replicas=replicas,
-            seed=_require(data, "seed", int, path),
-            competitor_thetas=tuple(
-                float(t) for t in _optional(data, "competitor_thetas", list, [], path)
-            ),
-            deltas=deltas,
+            code_weights=weights,
+            estimator=read(data, "estimator", choice("two-part", "laplace"), path, "two-part"),
+            n_schedule=read(data, "n_schedule", _schedule, path),
+            replicas=read(data, "replicas", integer(1), path),
+            seed=read(data, "seed", integer(0), path),
+            competitor_thetas=read(data, "competitor_thetas", each(unit), path, ()),
+            deltas=read(data, "deltas", each(interval("(0, inf)")), path, ()),
         )
 
 
@@ -257,7 +228,6 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     model = GeneralizedModel(
         [(w, example_state(t, config.c)) for w, t in zip(config.code_weights, config.model_thetas)]
     )
-    beta_src = BetaExampleSource(config.c)
     result = RunResult("consistency", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
     ref_src = MixtureSource([(1.0, truth)])
@@ -295,21 +265,18 @@ class BoundConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "BoundConfig":
-        thetas = tuple(float(t) for t in _require(data, "model_thetas", list, path))
-        weights = tuple(float(w) for w in _require(data, "code_weights", list, path))
+        thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
+        weights = read(data, "code_weights", each(interval("(0, 1]")), path)
         if len(weights) != len(thetas):
             raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
-        alphas = tuple(float(a) for a in _require(data, "alphas", list, path))
-        if any(a <= 1 for a in alphas):
-            raise ConfigError(f"{path}.alphas", "every alpha must exceed 1")
         return cls(
-            theta_star=_require(data, "theta_star", float, path),
-            c=_optional(data, "c", float, 0.0, path),
+            theta_star=read(data, "theta_star", unit, path),
+            c=read(data, "c", unit, path, 0.0),
             model_thetas=thetas,
             code_weights=weights,
-            alphas=alphas,
-            n_schedule=tuple(_ascending_ints(_require(data, "n_schedule", list, path), f"{path}.n_schedule")),
-            seed=_optional(data, "seed", int, 0, path),
+            alphas=read(data, "alphas", each(interval("(1, inf)")), path),
+            n_schedule=read(data, "n_schedule", _schedule, path),
+            seed=read(data, "seed", integer(0), path, 0),
         )
 
 
@@ -394,9 +361,9 @@ class RedundancyConfig:
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "RedundancyConfig":
         return cls(
-            theta_star=_require(data, "theta_star", float, path),
-            n_schedule=tuple(_ascending_ints(_require(data, "n_schedule", list, path), f"{path}.n_schedule")),
-            seed=_optional(data, "seed", int, 0, path),
+            theta_star=read(data, "theta_star", unit, path),
+            n_schedule=read(data, "n_schedule", _schedule, path),
+            seed=read(data, "seed", integer(0), path, 0),
         )
 
 
@@ -450,20 +417,14 @@ class MarkovConfig:
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "MarkovConfig":
-        deltas = tuple(float(d) for d in _require(data, "deltas", list, path))
-        if any(d <= 0 for d in deltas):
-            raise ConfigError(f"{path}.deltas", "deltas must be positive")
-        weight = _optional(data, "comp_weight", float, 1.0, path)
-        if not 0.0 < weight <= 1.0:
-            raise ConfigError(f"{path}.comp_weight", "must lie in (0, 1]")
         return cls(
-            theta_ref=_require(data, "theta_ref", float, path),
-            theta_comp=_require(data, "theta_comp", float, path),
-            comp_weight=weight,
-            c=_optional(data, "c", float, 0.0, path),
-            deltas=deltas,
-            n_schedule=tuple(_ascending_ints(_require(data, "n_schedule", list, path), f"{path}.n_schedule")),
-            seed=_optional(data, "seed", int, 0, path),
+            theta_ref=read(data, "theta_ref", unit, path),
+            theta_comp=read(data, "theta_comp", unit, path),
+            comp_weight=read(data, "comp_weight", interval("(0, 1]"), path, 1.0),
+            c=read(data, "c", unit, path, 0.0),
+            deltas=read(data, "deltas", each(interval("(0, inf)")), path),
+            n_schedule=read(data, "n_schedule", _schedule, path),
+            seed=read(data, "seed", integer(0), path, 0),
         )
 
 

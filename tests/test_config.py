@@ -1,0 +1,181 @@
+"""Config reading: every malformed field exits 4 and names the field."""
+
+import contextlib
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qmdl import computational_basis, example_state, matrix_to_json, system_to_json
+from qmdl.cli import COMMANDS, main
+
+
+def run(path, command, config):
+    """(exit code, stderr) of one CLI call; main must not raise."""
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path)])
+    return code, err.getvalue()
+
+
+def iid(theta):
+    return {"components": [{"weight": 1.0, "matrix": matrix_to_json(example_state(theta))}]}
+
+
+Z = system_to_json(computational_basis(2))
+Z3 = system_to_json(computational_basis(3))
+RHO = matrix_to_json(example_state(0.3))
+
+# one small valid config per subcommand: n <= 8, replicas <= 3, nodes <= 16
+VALID = {
+    "lattice": {"systems": [Z, [matrix_to_json(np.eye(2))]]},
+    "project": {"matrix": matrix_to_json(np.array([[0, 1], [1, 0]])), "system": Z},
+    "universality-check": {
+        "source": {"kind": "source", "components": [
+            {"weight": 0.5, "matrix": matrix_to_json(example_state(0.2))},
+            {"weight": 0.5, "matrix": matrix_to_json(example_state(0.8))},
+        ]},
+        "model": {"example": {"thetas": [0.2, 0.8], "c": 0.0}},
+        "epsilon": 1.0,
+        "n_range": [1, 2, 3],
+        "mode": "q-restricted",
+        "system": Z,
+    },
+    "estimate": {
+        "estimator": "two-part",
+        "members": [{"weight": 0.5, "theta": 0.2, "c": 0.0}, {"weight": 0.25, "matrix": RHO}],
+        "word": {"n": 6, "k": 2},
+        "system": Z,
+    },
+    "predict": {"source": {"quadrature": {"model": "example", "c": 0.5, "prior": "uniform", "nodes": 16}},
+                "word": "0,1,1"},
+    "divergence": {"a": iid(0.3), "b": {"kind": "beta-example", "c": 0.0}, "n": 8, "kind": "renyi",
+                   "lam": 0.4, "base": "bits"},
+    "consistency": {"theta_star": 0.3, "c": 0.0, "model_thetas": [0.1, 0.3, 0.7],
+                    "code_weights": [0.25, 0.5, 0.25], "estimator": "two-part", "n_schedule": [4, 8],
+                    "replicas": 3, "seed": 5, "competitor_thetas": [0.7], "deltas": [2.0]},
+    "bound": {"theta_star": 0.3, "c": 0.0, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.25],
+              "alphas": [2.0], "n_schedule": [2, 4], "seed": 1},
+    "redundancy": {"theta_star": 0.5, "n_schedule": [2, 4, 8], "seed": 1},
+    "markov": {"theta_ref": 0.3, "theta_comp": 0.7, "comp_weight": 0.5, "c": 0.0,
+               "deltas": [1.5, 3.0], "n_schedule": [4, 8], "seed": 1},
+}
+
+POOL = [None, True, "x", "", -1, 0, 0.5, 1.5, 2, [], [0], ["x"], {}, {"k": 1}]
+DELETE = object()
+
+
+def test_every_subcommand_has_a_valid_config():
+    assert set(VALID) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_valid_configs_pass(tmp_path, command):
+    code, err = run(tmp_path / "c.json", command, VALID[command])
+    assert code in (0, 2, 3), err
+    assert "error" not in err
+
+
+def mutate(data, value, top=False):
+    """`value` with one field somewhere below it deleted or replaced from POOL."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = list(range(len(value)))
+    else:
+        keys = []
+    key = data.draw(st.sampled_from([None] + keys), label="key")  # None: mutate value itself
+    if key is not None:
+        out = copy.copy(value)
+        child = mutate(data, value[key])
+        if child is DELETE:
+            del out[key]
+        else:
+            out[key] = child
+        return out
+    return data.draw(st.sampled_from(POOL if top else POOL + [DELETE]), label="value")
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_configs_exit_cleanly(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(VALID)), label="command")
+    config = mutate(data, VALID[command], top=True)
+    code, err = run(tmp_path / "c.json", command, config)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+
+
+TWO_PART = {"estimator": "two-part", "members": [{"weight": 0.5, "theta": 0.2}], "word": "0,1"}
+CONSISTENCY = {"theta_star": 0.3, "model_thetas": [0.1, 0.3], "n_schedule": [4], "replicas": 2, "seed": 1}
+MARKOV = {"theta_ref": 0.3, "theta_comp": 0.7, "deltas": [1.5], "n_schedule": [4]}
+UNIVERSALITY = {"source": iid(0.3), "model": {"example": {"thetas": [0.3]}}, "epsilon": 1.0, "n_range": [2, 3]}
+BOUND = {"theta_star": 0.3, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.25], "alphas": [2.0]}
+REDUNDANCY = {"theta_star": 0.5}
+MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("estimate", dict(TWO_PART, members=[3]), "members[0]"),
+        ("estimate", dict(TWO_PART, members=[{"weight": "x", "theta": 0.2}]), "members[0].weight"),
+        ("estimate", dict(TWO_PART, members=[{"weight": 0.5, "theta": 0.2, "c": "z"}]), "members[0].c"),
+        ("estimate", dict(TWO_PART, word={"n": "a", "k": 1}), "word.n"),
+        ("estimate", {"model": {"example": {"thetas": [1.5]}}, "word": "0,1"}, "model.example.thetas"),
+        ("consistency", dict(CONSISTENCY, theta_star=1.5), "config.theta_star"),
+        ("consistency", dict(CONSISTENCY, model_thetas=["q"]), "config.model_thetas"),
+        ("markov", dict(MARKOV, deltas=["x"]), "config.deltas"),
+        ("universality-check", dict(UNIVERSALITY, epsilon="x"), "epsilon"),
+        ("universality-check", dict(UNIVERSALITY, n_range=["a"]), "n_range"),
+        ("divergence", {"a": iid(0.3), "b": iid(0.7), "n": "abc"}, "n"),
+        ("divergence", dict(MATRICES, kind="renyi", lam=2), "lam"),
+        ("divergence", dict(MATRICES, base="foo"), "base"),
+        ("predict", {"source": {"components": [{"weight": "x", "matrix": RHO}]}}, "source.components[0].weight"),
+        ("predict", {"source": {"quadrature": {"model": "example", "nodes": "x"}}}, "source.quadrature.nodes"),
+        ("predict", {"source": {"components": [{"weight": 0.5, "matrix": RHO}]}}, "source"),
+        ("project", {"matrix": RHO, "system": [matrix_to_json(np.diag([1.0, 0.0]))]}, "system"),
+        # out-of-range values that used to be accepted
+        ("predict", {"source": {"kind": "beta-example", "c": 2}}, "source.c"),
+        ("estimate", dict(TWO_PART, members=[{"weight": 0.5, "matrix": matrix_to_json(np.eye(2))}]),
+         "members[0].matrix"),
+        ("consistency", dict(CONSISTENCY, c=1.5), "config.c"),
+        ("bound", dict(BOUND, model_thetas=[0.3, -0.1], n_schedule=[2]), "config.model_thetas"),
+        # inputs whose errors escaped as tracebacks from inside the library
+        ("estimate", {"word": []}, "word"),
+        ("estimate", dict(TWO_PART, system=Z3), "system"),
+        ("universality-check", dict(UNIVERSALITY, model=[]), "model"),
+        ("universality-check", dict(UNIVERSALITY, model=[matrix_to_json(np.eye(3) / 3)]), "model"),
+        ("divergence", dict(MATRICES, b=matrix_to_json(np.eye(3) / 3)), "b"),
+        ("consistency", dict(CONSISTENCY, seed=-1), "config.seed"),
+        ("estimate", dict(TWO_PART, word=[0, 0.5, 1]), "word"),
+    ],
+)
+def test_malformed_field_is_named(tmp_path, command, config, field):
+    code, err = run(tmp_path / "c.json", command, config)
+    assert code == 4
+    assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("schedule", [[0, 5], [-3]])
+@pytest.mark.parametrize(
+    "command, config",
+    [("bound", BOUND), ("markov", MARKOV), ("consistency", CONSISTENCY), ("redundancy", REDUNDANCY)],
+)
+def test_levels_below_one_are_config_errors(tmp_path, command, config, schedule):
+    code, err = run(tmp_path / "c.json", command, dict(config, n_schedule=schedule))
+    assert code == 4
+    assert err.startswith("config error: config.n_schedule: ")
+
+
+@pytest.mark.parametrize("n_range", [[0, 2], [-3]])
+def test_universality_levels_below_one_are_config_errors(tmp_path, n_range):
+    code, err = run(tmp_path / "c.json", "universality-check", dict(UNIVERSALITY, n_range=n_range))
+    assert code == 4
+    assert err.startswith("config error: n_range: ")

@@ -12,6 +12,7 @@ from qmdl import (
     DivergenceValue,
     MixtureSource,
     computational_basis,
+    distinguishability_mass,
     example_state,
     hellinger_sq,
     hellinger_sq_classical,
@@ -176,3 +177,32 @@ def test_word_divergences_support_conventions():
     # only_0 emits only the all-zeros word, which mixed gives 0.4^5
     s = word_divergences(only_0, mixed, CB, 5, kind="S").value
     assert s == pytest.approx(-5 * math.log2(0.4), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_word_divergences_and_mass_match_mpmath(n):
+    """50-digit sums over type classes k: C(n, k) words of probability p^k (1-p)^(n-k)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    theta_a, theta_b, lam = 0.3, 0.7, 0.4
+    src_a = MixtureSource([(1.0, example_state(theta_a))])
+    src_b = MixtureSource([(1.0, example_state(theta_b))])
+    classes = []
+    for k in range(n + 1):
+        p = mp.mpf(theta_a) ** k * (1 - mp.mpf(theta_a)) ** (n - k)
+        q = mp.mpf(theta_b) ** k * (1 - mp.mpf(theta_b)) ** (n - k)
+        classes.append((mp.binomial(n, k), p, q))
+    oracle = {
+        "S": mp.fsum(c * p * mp.log(p / q) for c, p, q in classes) / mp.log(2),
+        "he2": mp.fsum(c * (mp.sqrt(p) - mp.sqrt(q)) ** 2 for c, p, q in classes),
+        "renyi": -mp.log(mp.fsum(c * p**lam * q ** (1 - lam) for c, p, q in classes)) / (1 - lam),
+    }
+    for kind, expected in oracle.items():
+        value = word_divergences(src_a, src_b, CB, n, kind=kind, lam=lam).value
+        assert value == pytest.approx(float(expected), rel=1e-12), kind
+    # no class has a likelihood ratio (7/3)^(2k-n) equal to 1.5 or 3
+    for delta in (1.5, 3.0):
+        expected = mp.fsum(c * p for c, p, q in classes if q / p > delta)
+        mass = distinguishability_mass(src_a, src_b, CB, n, delta).mass
+        assert mass == pytest.approx(float(expected), rel=1e-12, abs=0.0), delta
