@@ -32,6 +32,7 @@ from .opcore import (
     herm_power,
     herm_sqrt,
     normalize,
+    norm_exceeds,
     norms,
     op_norm,
     partial_trace,

@@ -24,6 +24,7 @@ from .models import example_state
 from .opcore import check_density
 from .projlat import (
     ProjSystem,
+    _require_same_dim,
     classify,
     computational_basis,
     consistent,
@@ -128,7 +129,9 @@ def _two_part_model(data) -> GeneralizedModel:
 def _systems(data) -> list[ProjSystem]:
     if len(data) < 2:
         raise ValueError("need a list of at least two systems")
-    return [system_from_json(s, f"systems[{i}]") for i, s in enumerate(data)]
+    systems = [system_from_json(s, f"systems[{i}]") for i, s in enumerate(data)]
+    _require_same_dim(*systems)
+    return systems
 
 
 def _operand(data, field: str):
@@ -197,8 +200,8 @@ def _cmd_universality(config: dict, out: str | None) -> int:
     n_range = read(config, "n_range", levels)
     mode = read(config, "mode", choice("matrix", "q-restricted", "expected", "q-expected"), default="matrix")
     system = _system(config, src.dim, default=lambda dim: None)
-    if system is None and mode.startswith("q-"):
-        raise ConfigError("system", f"mode {mode!r} needs a projection system")
+    if mode.startswith("q-") and (system is None or not system.minimal):
+        raise ConfigError("system", f"mode {mode!r} needs a rank-1 projection system")
     report = universality_check(src, model.states, eps, n_range, mode, system)
     _emit(report.to_dict(), out)
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -60,6 +60,13 @@ class ParamModel:
         return cls(tuple(check_density(s) for s in states), None)
 
 
+def check_kraft(weights):
+    """The code weights, unless their sum exceeds 1 by more than round-off."""
+    if np.sum(weights) > 1 + 1e-9:
+        raise InvalidOperator("code weights violate the Kraft-style mass bound")
+    return weights
+
+
 class GeneralizedModel:
     """Members (code weight, density); stored semi-densities w*rho obey Kraft."""
 
@@ -79,8 +86,7 @@ class GeneralizedModel:
         self.stored_traces = np.array(
             [w * np.trace(s).real for w, s in zip(weights, states)]
         )
-        if self.code_weights.sum() > 1 + 1e-9:
-            raise InvalidOperator("code weights violate the Kraft-style mass bound")
+        check_kraft(self.code_weights)
 
     def __len__(self) -> int:
         return len(self.states)

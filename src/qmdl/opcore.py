@@ -36,6 +36,7 @@ __all__ = [
     "herm_power",
     "herm_log",
     "op_norm",
+    "norm_exceeds",
     "trace_inner_norm",
     "norms",
     "normalize",
@@ -217,6 +218,33 @@ def op_norm(t: np.ndarray) -> float:
     if t.size == 0:
         return 0.0
     return float(np.linalg.norm(t, 2))
+
+
+# Relative widening of the band in which norm_exceeds runs an SVD. It exceeds
+# the round-off of both bounds and of an SVD's largest singular value (about
+# d * 1e-16), so a decision taken on a bound equals the SVD's.
+_GATE_SLACK = 1e-9
+
+
+def norm_exceeds(t: np.ndarray, tol: float):
+    """Exactly `op_norm(t) > tol`: a bool for a [d, d] matrix, a bool array for a [k, d, d] stack.
+
+    max|t_ij| <= ||t||_2 <= ||t||_F decide almost every matrix; an SVD runs only
+    for those whose tolerance lies between the two bounds.
+    """
+    t = np.asarray(t, dtype=complex)
+    stack = t[None] if t.ndim == 2 else t
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
+        raise InvalidOperator(f"expected finite square matrices, got shape {t.shape}")
+    k, d = stack.shape[:2]
+    # real and imaginary parts side by side: max |part| <= max |t_ij|
+    parts = np.ascontiguousarray(stack).view(np.float64).reshape(k, 2 * d * d)
+    out = np.abs(parts).max(axis=1, initial=0.0) * (1 - _GATE_SLACK) > tol
+    frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
+    between = ~out & (frobenius * (1 + _GATE_SLACK) > tol)
+    for i in np.flatnonzero(between):
+        out[i] = op_norm(stack[i]) > tol
+    return bool(out[0]) if t.ndim == 2 else out
 
 
 def trace_inner_norm(t: np.ndarray) -> float:

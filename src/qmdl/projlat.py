@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InconsistentFamily, InvalidOperator, NonMinimalSystem
-from .opcore import as_operator, check_cap, op_norm
+from .opcore import as_operator, check_cap, norm_exceeds, op_norm
 
 __all__ = [
     "ProjSystem",
@@ -40,38 +40,41 @@ __all__ = [
 class ProjSystem:
     """A complete set of mutually orthogonal projectors on C^dim."""
 
-    projectors: tuple[np.ndarray, ...]
+    projectors: tuple[np.ndarray, ...]  # read-only views of `stack`
+    stack: np.ndarray = field(init=False, repr=False, compare=False)  # [m, dim, dim]
     dim: int = field(init=False)
     minimal: bool = field(init=False)
 
     def __init__(self, projectors):
-        projs = tuple(as_operator(p) for p in projectors)
+        projs = [as_operator(p) for p in projectors]
         if not projs:
             raise InvalidOperator("a projection system needs at least one projector")
         dim = projs[0].shape[0]
+        # projectors before the first one on another space are checked first
+        split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
+        stack = np.stack(projs[:split])
         tol = TOL.projector
-        total = np.zeros((dim, dim), dtype=complex)
-        minimal = True
-        for i, p in enumerate(projs):
-            if p.shape[0] != dim:
-                raise DimensionMismatch("projectors live on different spaces")
-            if np.max(np.abs(p - p.conj().T)) > TOL.herm:
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
+        idem = norm_exceeds(stack @ stack - stack, tol)
+        for i, p in enumerate(stack):
+            if herm[i]:
                 raise InvalidOperator(f"projector {i} is not Hermitian")
-            if op_norm(p @ p - p) > tol:
+            if idem[i]:
                 raise InvalidOperator(f"projector {i} is not idempotent")
-            for j in range(i):
-                if op_norm(projs[j] @ p) > tol:
-                    raise InvalidOperator(f"projectors {j} and {i} are not orthogonal")
-            total += p
-            w = np.linalg.eigvalsh((p + p.conj().T) / 2)
-            # rank 1: top eigenvalue 1, runner-up numerically 0
-            if w.size > 1 and w[-2] > tol:
-                minimal = False
-        if op_norm(total - np.eye(dim)) > tol:
+            overlaps = np.flatnonzero(norm_exceeds(stack[:i] @ p, tol))
+            if overlaps.size:
+                raise InvalidOperator(f"projectors {overlaps[0]} and {i} are not orthogonal")
+        if split < len(projs):
+            raise DimensionMismatch("projectors live on different spaces")
+        if norm_exceeds(stack.sum(axis=0) - np.eye(dim), tol):
             raise InvalidOperator("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", projs)
+        # rank 1: top eigenvalue 1, runner-up numerically 0
+        w = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "minimal", dim < 2 or bool(np.all(w[:, -2] <= tol)))
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -84,25 +87,19 @@ class ProjSystem:
         """Whether the projectors are |a><a| in the standard basis, in index order."""
         if not self.minimal or len(self) != self.dim:
             return False
-        eye = np.eye(self.dim)
-        return all(
-            np.max(np.abs(q - np.outer(eye[:, a], eye[:, a]))) <= TOL.lattice
-            for a, q in enumerate(self)
-        )
+        basis = np.eye(self.dim)
+        return bool(np.abs(self.stack - basis[:, :, None] * basis[:, None, :]).max() <= TOL.lattice)
 
 
 def computational_basis(dim: int) -> ProjSystem:
     """The rank-1 system |k><k| in the standard basis."""
-    eye = np.eye(dim, dtype=complex)
-    return ProjSystem([np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim)])
+    return system_from_unitary(np.eye(dim, dtype=complex))
 
 
 def system_from_unitary(u: np.ndarray) -> ProjSystem:
     """Rank-1 system built from the columns of a unitary."""
-    u = as_operator(u)
-    return ProjSystem(
-        [np.outer(u[:, k], u[:, k].conj()) for k in range(u.shape[0])]
-    )
+    cols = as_operator(u).T
+    return ProjSystem(cols[:, :, None] * cols.conj()[:, None, :])
 
 
 def haar_random_system(dim: int, rng: np.random.Generator) -> ProjSystem:
@@ -125,10 +122,9 @@ def finer(p_sys: ProjSystem, q_sys: ProjSystem) -> bool:
     _require_same_dim(p_sys, q_sys)
     tol = TOL.lattice
     for p in p_sys:
-        for q in q_sys:
-            pq = p @ q
-            if op_norm(pq - p) > tol and op_norm(pq) > tol:
-                return False
+        pq = p @ q_sys.stack
+        if norm_exceeds(pq[norm_exceeds(pq - p, tol)], tol).any():
+            return False
     return True
 
 
@@ -141,9 +137,8 @@ def consistent(systems: list[ProjSystem]) -> bool:
     for i, a in enumerate(systems):
         for b in systems[i + 1 :]:
             for p in a:
-                for q in b:
-                    if op_norm(p @ q - q @ p) > tol:
-                        return False
+                if norm_exceeds(p @ b.stack - b.stack @ p, tol).any():
+                    return False
     return True
 
 
@@ -154,27 +149,26 @@ class LatticeResult:
     operation: str  # "join" | "meet"
 
 
-def _join_projectors(systems: list[ProjSystem]) -> list[np.ndarray]:
-    """All nonzero products, one projector per system, deduplicated.
+def _join_projectors(systems: list[ProjSystem]) -> np.ndarray:
+    """All nonzero products, one projector per system, deduplicated, as a stack.
 
     Commutativity (checked by the caller) makes each product a projector.
     Deduplication keeps the first representative in lexicographic index order.
     """
     tol = TOL.lattice
-    products = [np.eye(systems[0].dim, dtype=complex)]
+    products = np.eye(systems[0].dim, dtype=complex)[None]
     for sys_ in systems:
-        nxt = []
+        nonzero = []
         for acc in products:
-            for q in sys_:
-                prod = acc @ q
-                if op_norm(prod) > tol:
-                    nxt.append(prod)
-        products = nxt
-    out: list[np.ndarray] = []
+            row = acc @ sys_.stack
+            nonzero.append(row[norm_exceeds(row, tol)])
+        products = np.concatenate(nonzero)
+    kept = 0
     for prod in products:
-        if not any(op_norm(prod - seen) <= tol for seen in out):
-            out.append(prod)
-    return out
+        if norm_exceeds(prod - products[:kept], tol).all():
+            products[kept] = prod
+            kept += 1
+    return products[:kept]
 
 
 def join(systems: list[ProjSystem]) -> LatticeResult:
@@ -197,16 +191,13 @@ def meet(systems: list[ProjSystem]) -> LatticeResult:
     if not consistent(systems):
         raise InconsistentFamily("systems do not commute; no common coarsening")
     atoms = _join_projectors(systems)
-    tol = TOL.lattice
     n = len(atoms)
-    adj = [[False] * n for _ in range(n)]
+    adj = np.zeros((n, n), dtype=bool)
     for sys_ in systems:
         for q in sys_:
-            under = [i for i, a in enumerate(atoms) if op_norm(q @ a - a) <= tol]
-            for i in under:
-                for j in under:
-                    adj[i][j] = True
-    seen = [False] * n
+            under = np.flatnonzero(~norm_exceeds(q @ atoms - atoms, TOL.lattice))
+            adj[np.ix_(under, under)] = True
+    seen = np.zeros(n, dtype=bool)
     members: list[np.ndarray] = []
     for start in range(n):
         if seen[start]:
@@ -216,10 +207,9 @@ def meet(systems: list[ProjSystem]) -> LatticeResult:
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in range(n):
-                if adj[i][j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
+            linked = np.flatnonzero(adj[i] & ~seen)
+            seen[linked] = True
+            stack.extend(linked.tolist())
         members.append(sum(atoms[i] for i in comp))
     return LatticeResult(ProjSystem(members), len(systems), "meet")
 
@@ -252,7 +242,7 @@ def classify(t: np.ndarray, system: ProjSystem) -> Classification:
     nu = op_norm(t - tq)
     if nu <= TOL.lattice:
         tag = "classical"
-    elif op_norm(tq) <= TOL.lattice:
+    elif not norm_exceeds(tq, TOL.lattice):
         tag = "maximally-nonclassical"
     else:
         tag = "intermediate"
@@ -288,6 +278,6 @@ def weakly_equal(
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         system = haar_random_system(t.shape[0], rng)
-        if op_norm(q_project(t, system) - q_project(s, system)) > TOL.lattice:
+        if norm_exceeds(q_project(t, system) - q_project(s, system), TOL.lattice):
             return WeakEqualityResult(False, trials, system)
     return WeakEqualityResult(True, trials, None)

@@ -54,7 +54,13 @@ __all__ = [
 
 def outcome_probs(states, system: ProjSystem) -> np.ndarray:
     """Outcome probabilities per state: p[i, a] = Tr(q_a rho_i)."""
-    return np.array([[np.trace(q @ rho).real for q in system] for rho in states])
+    s_stack = np.stack(states)[:, None]
+    # state blocks bound each [block, m, d, d] product to 8 MB, or to one state
+    step = max(1, 2**19 // system.stack.size)
+    return np.concatenate([
+        np.trace(np.matmul(system.stack[None], s_stack[i : i + step]), axis1=-2, axis2=-1).real
+        for i in range(0, len(s_stack), step)
+    ])
 
 
 def word_counts(word, system: ProjSystem) -> np.ndarray:
@@ -132,9 +138,7 @@ class MixtureSource:
         cached = self._letter_cache.get(id(system))
         if cached is not None and cached[0] is system:
             return cached[1]
-        q_stack = np.stack([np.asarray(q) for q in system])
-        s_stack = np.stack(self.states)
-        probs = np.einsum("aij,cji->ca", q_stack, s_stack).real
+        probs = np.einsum("aij,cji->ca", system.stack, np.stack(self.states)).real
         # keep a reference to the key object so its id cannot be recycled
         self._letter_cache[id(system)] = (system, probs)
         return probs
@@ -363,9 +367,12 @@ class UniversalityReport:
 _MARGIN_FLOOR = -1e-9
 
 
-def _matrix_margin(src, member: np.ndarray, n: int, eps: float) -> float:
-    gap = src.level(n) - 2.0 ** (-n * eps) * tensor_power(member, n)
-    return float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
+def _matrix_margin(lvl: np.ndarray, member: np.ndarray, n: int, eps: float) -> float:
+    gap = lvl - 2.0 ** (-n * eps) * tensor_power(member, n)
+    # in place: the level stays alive across members, so keep one 2^n x 2^n temporary
+    gap += gap.conj().T
+    gap /= 2
+    return float(np.linalg.eigvalsh(gap)[0])
 
 
 def _q_margins(
@@ -391,10 +398,9 @@ def _q_margins(
     return margins
 
 
-def _expected_margin(src, member: np.ndarray, n: int, eps: float) -> float:
+def _expected_margin(log_lvl: np.ndarray, member: np.ndarray, n: int, eps: float) -> float:
     rho_n = tensor_power(member, n)
-    lvl = src.level(n)
-    s = np.trace(rho_n @ (herm_log(rho_n) - herm_log(lvl))).real
+    s = np.trace(rho_n @ (herm_log(rho_n) - log_lvl)).real
     return n * eps - s
 
 
@@ -428,9 +434,11 @@ def universality_check(
     per_level = []
     for n in ns:
         if mode == "matrix":
-            margins = [_matrix_margin(src, member, n, eps) for member in members]
+            lvl = src.level(n)
+            margins = [_matrix_margin(lvl, member, n, eps) for member in members]
         elif mode == "expected":
-            margins = [_expected_margin(src, member, n, eps) for member in members]
+            log_lvl = herm_log(src.level(n))
+            margins = [_expected_margin(log_lvl, member, n, eps) for member in members]
         else:
             margins = _q_margins(src, member_probs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))

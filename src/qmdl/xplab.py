@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estim import GeneralizedModel, alpha_scale, two_part, _two_part_scores, _select
+from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part, _two_part_scores, _select
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state
 from .opcore import as_operator
@@ -179,6 +179,10 @@ def _schedule(value) -> tuple[int, ...]:
     return out
 
 
+def _code_weights(value) -> tuple[float, ...]:
+    return check_kraft(each(interval("(0, 1]"))(value))
+
+
 @dataclass(frozen=True)
 class ConsistencyConfig:
     theta_star: float
@@ -195,9 +199,7 @@ class ConsistencyConfig:
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "ConsistencyConfig":
         thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
-        weights = read(
-            data, "code_weights", each(interval("(0, 1]")), path, (1.0 / len(thetas),) * len(thetas)
-        )
+        weights = read(data, "code_weights", _code_weights, path, (1.0 / len(thetas),) * len(thetas))
         if len(weights) != len(thetas):
             raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
         return cls(
@@ -266,7 +268,7 @@ class BoundConfig:
     @classmethod
     def from_dict(cls, data: dict, path: str = "config") -> "BoundConfig":
         thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
-        weights = read(data, "code_weights", each(interval("(0, 1]")), path)
+        weights = read(data, "code_weights", _code_weights, path)
         if len(weights) != len(thetas):
             raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
         return cls(

@@ -154,6 +154,12 @@ MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
         ("divergence", dict(MATRICES, b=matrix_to_json(np.eye(3) / 3)), "b"),
         ("consistency", dict(CONSISTENCY, seed=-1), "config.seed"),
         ("estimate", dict(TWO_PART, word=[0, 0.5, 1]), "word"),
+        # checks that ran only after the config was read
+        ("consistency", dict(CONSISTENCY, code_weights=[0.9, 0.9]), "config.code_weights"),
+        ("bound", dict(BOUND, code_weights=[0.9, 0.9], n_schedule=[2]), "config.code_weights"),
+        ("lattice", {"systems": [Z3, Z]}, "systems"),
+        ("universality-check", dict(UNIVERSALITY, mode="q-restricted", system=[matrix_to_json(np.eye(2))]),
+         "system"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):

@@ -19,6 +19,7 @@ from qmdl import (
     herm_log,
     herm_power,
     herm_sqrt,
+    norm_exceeds,
     normalize,
     norms,
     op_norm,
@@ -161,6 +162,54 @@ def test_herm_log_excludes_kernel():
 
 def test_op_norm_of_projector():
     assert op_norm(np.diag([1.0, 0.0])) == pytest.approx(1.0)
+
+
+def _near_tolerance(seed: int, k: int, d: int, tol: float) -> np.ndarray:
+    """k random [d, d] matrices with ||t||_2 in [tol / 2, 2 tol sqrt(d)]: dense, rank-1 or diagonal,
+    so the SVD branch and both bounds' equality cases all occur."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((k, d, d), dtype=complex)
+    for i in range(k if d else 0):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if i % 3 == 1:
+            g = np.outer(g[:, 0], g[0].conj())
+        elif i % 3 == 2:
+            g = np.diag(np.diag(g))
+        out[i] = g / op_norm(g) * tol * rng.uniform(0.5, 2 * np.sqrt(d))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.integers(0, 7),
+    st.floats(1e-12, 1e3),
+)
+def test_norm_exceeds_is_the_svd_decision(seed, k, d, tol):
+    stack = _near_tolerance(seed, k, d, tol)
+    expected = np.array([op_norm(t) > tol for t in stack], dtype=bool)
+    assert np.array_equal(norm_exceeds(stack, tol), expected)
+    for t, want in zip(stack, expected):
+        assert norm_exceeds(t, tol) is bool(want)
+
+
+def test_norm_exceeds_runs_an_svd_only_between_the_bounds(monkeypatch):
+    import qmdl.opcore as opcore
+
+    calls = []
+    monkeypatch.setattr(opcore, "op_norm", lambda t: calls.append(t) or np.linalg.norm(t, 2))
+    tol = 1e-8
+    far = np.stack([np.eye(3) * 1e-12, np.eye(3), np.eye(3) * 2 * tol])
+    assert norm_exceeds(far, tol).tolist() == [False, True, True] and not calls
+    # max |t_ij| = tol / 2 < tol < ||t||_F = 3 tol / 2: only the SVD decides
+    assert norm_exceeds(np.ones((3, 3)) * tol / 2, tol) and len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.array([[np.inf, 0], [0, 1]]), np.zeros((2, 2, 3))])
+def test_norm_exceeds_rejects_what_op_norm_rejects(bad):
+    with pytest.raises(InvalidOperator):
+        norm_exceeds(bad, 1e-8)
 
 
 def test_trace_inner_norm_is_frobenius(rng):

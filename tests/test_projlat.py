@@ -22,6 +22,7 @@ from qmdl import (
     tensor_system,
     weakly_equal,
 )
+from qmdl.config import TOL
 from conftest import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -66,6 +67,45 @@ def test_rejects_non_orthogonal():
     p = np.diag([1.0, 0.0])
     with pytest.raises(InvalidOperator):
         ProjSystem([p, np.eye(2) - 0.5 * p])
+
+
+E = [np.diag(np.eye(4)[k]) for k in range(4)]  # |k><k| on C^4
+PLUS = np.full((2, 2), 0.5)                     # |+><+| on span{e0, e1}
+
+
+@pytest.mark.parametrize(
+    "projectors, message",
+    [
+        # the lowest bad index wins; at one index Hermitian is checked before idempotent
+        ([E[0], E[1], np.outer(np.eye(4)[2], np.eye(4)[3]), 0.5 * E[3]], "projector 2 is not Hermitian"),
+        ([E[0], E[1], 0.5 * E[2], np.outer(np.eye(4)[2], np.eye(4)[3])], "projector 2 is not idempotent"),
+        ([E[0], 2 * E[1], 0.5 * E[1], E[3]], "projector 1 is not idempotent"),
+        # P_2 overlaps P_0 and P_1: the smallest j is named
+        ([E[0], E[1], np.pad(PLUS, (0, 2)), 0.5 * E[3]], "projectors 0 and 2 are not orthogonal"),
+        ([E[0], E[1], E[2]], "projectors do not sum to the identity"),
+    ],
+)
+def test_invalid_system_names_the_first_bad_index(projectors, message):
+    with pytest.raises(InvalidOperator, match=f"^{message}$"):
+        ProjSystem(projectors)
+
+
+def test_one_dimensional_system_is_minimal():
+    assert ProjSystem([np.eye(1)]).minimal
+
+
+def test_minimal_flag_of_rotated_rank_two_blocks(rng):
+    fine = haar_random_system(6, rng).projectors
+    assert not ProjSystem([fine[0] + fine[1], fine[2] + fine[3], fine[4] + fine[5]]).minimal
+    assert not ProjSystem([fine[0], fine[1] + fine[2], *fine[3:]]).minimal
+
+
+def test_projectors_are_read_only():
+    sys_ = computational_basis(2)
+    with pytest.raises(ValueError):
+        sys_.projectors[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        sys_.stack[1] = 0.0
 
 
 def test_rejects_mixed_dimensions():
@@ -151,6 +191,34 @@ def test_meet_interleaved_blocks_is_trivial():
     m = meet([a, b]).system
     assert len(m) == 1
     assert np.allclose(np.asarray(m.projectors[0]), np.eye(4))
+
+
+def _tilted(theta: float) -> ProjSystem:
+    """The computational basis of C^4 with e1, e2 rotated by theta."""
+    u = np.eye(4, dtype=complex)
+    u[1:3, 1:3] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return system_from_unitary(u)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_lattice_decisions_at_the_tolerance(scale):
+    """Against the blocks {e0, e1}, {e2, e3}, a tilt by theta gives commutators and
+    refinement defects of norm ~theta, placed at scale * the lattice tolerance."""
+    tilted = _tilted(scale * TOL.lattice)
+    blocks = ProjSystem([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])
+    within = scale < 1
+    assert finer(tilted, blocks) is within
+    assert consistent([tilted, blocks]) is within
+    assert not finer(blocks, tilted)
+    for operation in (join, meet):
+        if within:
+            # the family passes the lattice gate, but its atoms are Hermitian
+            # only to ~theta, beyond the projector tolerance
+            with pytest.raises(InvalidOperator, match="not Hermitian"):
+                operation([tilted, blocks])
+        else:
+            with pytest.raises(InconsistentFamily):
+                operation([tilted, blocks])
 
 
 # --- pinching ---------------------------------------------------------------

@@ -22,11 +22,14 @@ from qmdl import (
     example_state,
     example_uniform_source,
     haar_random_system,
+    herm_log,
+    outcome_probs,
     predict_step,
     q_project,
     q_restrict,
     strategy_step,
     system_from_unitary,
+    tensor_power,
     trace_out_last,
     universality_check,
     word_distribution,
@@ -306,6 +309,33 @@ def test_matrix_implies_expected_and_q_restricted():
         weaker = universality_check(src, model, 0.5, range(4, 8), mode, system)
         assert weaker.passed, mode
         assert weaker.n0 <= matrix.n0
+
+
+@pytest.mark.parametrize("mode", ["matrix", "expected"])
+def test_universality_margins_equal_the_per_member_formula(mode):
+    """The level is built once per n; each margin is the same float as when
+    every member rebuilt it."""
+    src, model = three_component_source(1.0)
+    report = universality_check(src, model, 0.5, range(1, 6), mode)
+    for n, margin in report.per_level:
+        margins = []
+        for member in model:
+            rho_n = tensor_power(member, n)
+            if mode == "matrix":
+                gap = src.level(n) - 2.0 ** (-n * 0.5) * rho_n
+                margins.append(float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]))
+            else:
+                s = np.trace(rho_n @ (herm_log(rho_n) - herm_log(src.level(n)))).real
+                margins.append(n * 0.5 - s)
+        assert margin == float(min(margins))
+
+
+def test_outcome_probs_equal_the_per_pair_trace(rng):
+    for d in [*range(2, 17), 48]:  # d = 48 splits the states into blocks
+        system = haar_random_system(d, rng) if d % 2 else computational_basis(d)
+        states = [random_density(rng, d) for _ in range(5)]
+        loop = np.array([[np.trace(q @ rho).real for q in system] for rho in states])
+        assert np.array_equal(outcome_probs(states, system), loop)
 
 
 def test_q_restricted_universality_needs_system():
