@@ -63,7 +63,6 @@ from .models import example_state
 from .qsource import (
     BetaExampleSource,
     MixtureSource,
-    QuadratureSource,
     SimpleSource,
     UniversalityReport,
     bullet,
@@ -91,6 +90,7 @@ from .estim import (
     mle,
     predict_next,
     two_part,
+    two_part_classes,
 )
 from .infodist import (
     DivergenceValue,

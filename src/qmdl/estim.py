@@ -29,6 +29,7 @@ __all__ = [
     "predict_next",
     "two_part",
     "alpha_scale",
+    "two_part_classes",
     "lambda_sum",
 ]
 
@@ -82,7 +83,7 @@ class GeneralizedModel:
             raise InvalidOperator("a generalized model needs at least one member, all on one space")
         self.code_weights = np.array(weights)
         self.states = states
-        self._tables: dict = {}
+        self._tables: dict[ProjSystem, tuple] = {}
         self.stored_traces = np.array(
             [w * np.trace(s).real for w, s in zip(weights, states)]
         )
@@ -114,21 +115,18 @@ class EstimateResult:
 def _score_table(model, system: ProjSystem):
     """(p[i, a], log max(p[i, a], PROB_FLOOR), log w_i) for every member.
 
-    Built once per (model, system) and cached on the model, keyed by system
-    identity; ParamModel members carry no code weight (log w = 0).
+    Built once per (model, system) and cached on the model, keyed by the
+    system; ParamModel members carry no code weight (log w = 0).
     """
-    cached = model._tables.get(id(system))
-    if cached is not None and cached[0] is system:
-        return cached[1]
-    probs = outcome_probs(model.states, system)
-    logs = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
-    if isinstance(model, GeneralizedModel):
-        log_w = np.array([math.log(w) for w in model.code_weights])
-    else:
-        log_w = np.zeros(len(probs))
-    # keep a reference to the key object so its id cannot be recycled
-    model._tables[id(system)] = (system, (probs, logs, log_w))
-    return probs, logs, log_w
+    if system not in model._tables:
+        probs = outcome_probs(model.states, system)
+        logs = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
+        if isinstance(model, GeneralizedModel):
+            log_w = np.array([math.log(w) for w in model.code_weights])
+        else:
+            log_w = np.zeros(len(probs))
+        model._tables[system] = (probs, logs, log_w)
+    return model._tables[system]
 
 
 def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
@@ -232,6 +230,23 @@ def alpha_scale(model: GeneralizedModel, alpha: float) -> GeneralizedModel:
     return GeneralizedModel(members)
 
 
+def two_part_classes(model: GeneralizedModel, system: ProjSystem, n: int):
+    """Two-part class table for length-n words: (counts[C, m], log #words, winner).
+
+    winner[c] is the two-part choice for every word of class c, or -1 where
+    no member emits the class.
+    """
+    counts = compositions(n, len(system))
+    chosen = _select(model, _two_part_scores(model, system, counts)).chosen
+    return counts, log_multinomial(counts), chosen
+
+
+def _trace_sum(stored_traces: np.ndarray, n: int, log_mult: np.ndarray, chosen: np.ndarray) -> float:
+    """sum over the classes with a winner of #words * (winner's stored trace)^n."""
+    won = chosen >= 0
+    return float(np.exp(log_mult[won] + n * np.log(stored_traces[chosen[won]])).sum())
+
+
 def lambda_sum(
     model: GeneralizedModel,
     system: ProjSystem,
@@ -240,18 +255,16 @@ def lambda_sum(
 ) -> float:
     """Sum over all length-n words of the winning member's level-n trace.
 
-    The winner per word is the two-part argmax (scored on select_model when
-    given, e.g. the alpha-scaled family); its contribution is the trace of its
-    stored level, (code weight * Tr(rho))^n. This is the quantity whose sum
-    over words must stay below 1 for the expected-divergence bound to apply.
+    The winner per word is the two-part argmax on select_model when given
+    (bound scores the family as given and sums the traces of its alpha-scaled
+    copy), else on model; its contribution is the trace of model's stored
+    level at that index, (code weight * Tr(rho))^n. This is the quantity whose
+    sum over words must stay below 1 for the expected-divergence bound to apply.
     """
     if not system.minimal:
         raise NonMinimalSystem("lambda_sum needs a rank-1 system")
     scorer = select_model if select_model is not None else model
     if select_model is not None and len(select_model) != len(model):
         raise InvalidOperator("select_model must parallel the model members")
-    counts = compositions(n, len(system))
-    chosen = _select(scorer, _two_part_scores(scorer, system, counts)).chosen
-    won = chosen >= 0  # classes no member emits carry no winner
-    log_traces = np.log(model.stored_traces[chosen[won]])
-    return float(np.exp(log_multinomial(counts)[won] + n * log_traces).sum())
+    _, log_mult, chosen = two_part_classes(scorer, system, n)
+    return _trace_sum(model.stored_traces, n, log_mult, chosen)

@@ -36,12 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjSystem:
-    """A complete set of mutually orthogonal projectors on C^dim."""
+    """A complete set of mutually orthogonal projectors on C^dim.
+
+    Equality and hashing are by identity, so a system keys per-system caches.
+    """
 
     projectors: tuple[np.ndarray, ...]  # read-only views of `stack`
-    stack: np.ndarray = field(init=False, repr=False, compare=False)  # [m, dim, dim]
+    stack: np.ndarray = field(init=False, repr=False)  # [m, dim, dim]
     dim: int = field(init=False)
     minimal: bool = field(init=False)
 

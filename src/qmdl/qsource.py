@@ -32,7 +32,6 @@ from .typeclasses import compositions, log_likelihoods, log_multinomial, logsume
 __all__ = [
     "MixtureSource",
     "SimpleSource",
-    "QuadratureSource",
     "BetaExampleSource",
     "example_uniform_source",
     "level",
@@ -105,7 +104,7 @@ class MixtureSource:
         self.states = states
         self.kind = kind
         self.dim = dims.pop()
-        self._letter_cache: dict[int, np.ndarray] = {}
+        self._letter_cache: dict[ProjSystem, np.ndarray] = {}
         traces = np.array([np.trace(s).real for s in states])
         if kind == "source":
             if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -128,20 +127,12 @@ class MixtureSource:
         return out
 
     def letter_probs(self, system: ProjSystem) -> np.ndarray:
-        """Outcome probabilities per component: p[i, a] = Tr(q_a rho_i q_a).
-
-        Cached per system object; quadrature sources hit this with thousands of
-        components, so the trace batch is einsum-vectorized.
-        """
+        """Outcome probabilities per component, p[i, a] = Tr(q_a rho_i), cached per system."""
         if system.dim != self.dim:
             raise DimensionMismatch("system dim does not match source dim")
-        cached = self._letter_cache.get(id(system))
-        if cached is not None and cached[0] is system:
-            return cached[1]
-        probs = np.einsum("aij,cji->ca", system.stack, np.stack(self.states)).real
-        # keep a reference to the key object so its id cannot be recycled
-        self._letter_cache[id(system)] = (system, probs)
-        return probs
+        if system not in self._letter_cache:
+            self._letter_cache[system] = outcome_probs(self.states, system)
+        return self._letter_cache[system]
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
@@ -167,21 +158,6 @@ class MixtureSource:
         if log_total == -np.inf:
             raise ZeroDivisionError("conditioning word has probability 0")
         return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
-
-
-class QuadratureSource(MixtureSource):
-    """Mixture over a parametric family with quadrature nodes as weights.
-
-    Discretizes the Bayes-mixture level integral with user-supplied nodes
-    (theta_j, u_j, rho_j), sum u_j = 1 within 1e-6.
-    """
-
-    def __init__(self, nodes):
-        thetas, weights, states = zip(*nodes)
-        if abs(sum(weights) - 1.0) > 1e-6:
-            raise InvalidOperator("quadrature weights must sum to 1 within 1e-6")
-        super().__init__(list(zip(weights, states)), kind="source")
-        self.thetas = np.array(thetas)
 
 
 def SimpleSource(base: np.ndarray) -> MixtureSource:
@@ -213,9 +189,9 @@ class BetaExampleSource:
         self.c = c
         self.dim = 2
         self._fallback_nodes = fallback_nodes
-        self._fallback: QuadratureSource | None = None
+        self._fallback: MixtureSource | None = None
 
-    def _quadrature(self) -> QuadratureSource:
+    def _quadrature(self) -> MixtureSource:
         if self._fallback is None:
             self._fallback = example_uniform_source(self.c, self._fallback_nodes)
         return self._fallback
@@ -238,14 +214,12 @@ class BetaExampleSource:
         return (counts + 1.0) / (counts.sum() + 2.0)
 
 
-def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> QuadratureSource:
+def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> MixtureSource:
     """Gauss-Legendre discretization of the uniform-prior mixture over theta."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     thetas = (x + 1.0) / 2.0
     weights = w / 2.0
-    return QuadratureSource(
-        [(t, u, example_state(t, c)) for t, u in zip(thetas, weights)]
-    )
+    return MixtureSource([(u, example_state(t, c)) for t, u in zip(thetas, weights)])
 
 
 def level(src, n: int) -> np.ndarray:
@@ -258,12 +232,9 @@ def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:
     u = as_operator(u)
     if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-9:
         raise InvalidOperator("conjugation requires a unitary")
-    out = MixtureSource(
+    return MixtureSource(
         [(w, u @ rho @ u.conj().T) for w, rho in src.components], kind=src.kind
     )
-    if isinstance(src, QuadratureSource):
-        out.thetas = src.thetas.copy()
-    return out
 
 
 def bullet(t1: np.ndarray, t: np.ndarray, dim2: int) -> np.ndarray:
@@ -332,12 +303,9 @@ def predict_step(src, system: ProjSystem, word) -> np.ndarray:
 
 def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
     """Pinch every component; levels become Q^(n)-projections of the originals."""
-    out = MixtureSource(
+    return MixtureSource(
         [(w, q_project(rho, system)) for w, rho in src.components], kind=src.kind
     )
-    if isinstance(src, QuadratureSource):
-        out.thetas = src.thetas.copy()
-    return out
 
 
 def word_distribution(src, system: ProjSystem, n: int):

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part, _two_part_scores, _select
+from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part, two_part_classes, _trace_sum
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state
 from .opcore import as_operator
 from .projlat import ProjSystem, computational_basis
 from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
 from .serial import choice, each, integer, interval, levels, read, unit
-from .typeclasses import compositions, log_likelihoods, log_multinomial
+from .typeclasses import log_likelihoods
 
 __all__ = [
     "RunResult",
@@ -154,7 +154,10 @@ def distinguishability_mass(
     """Exact reference mass of the likelihood-ratio exceedance set.
 
     Words with zero reference probability are outside the predicate's domain;
-    their reference mass is zero anyway.
+    their reference mass is zero anyway. The set is a strict log ratio > log
+    delta, so a class whose exact ratio equals delta falls on either side by
+    round-off: for theta 0.3 vs 0.7, delta 1 and n = 1100, the k = 550 class
+    has ratio 1 + 1e-13 (1 - 0.7 is 0.30000000000000004) and is counted.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -163,7 +166,11 @@ def distinguishability_mass(
 
 
 def markov_check(ref_src, comp_src, system: ProjSystem, n: int, delta: float) -> bool:
-    """Coding-theorem bound: exceedance mass never tops 1/delta."""
+    """Coding-theorem bound: exceedance mass never tops 1/delta.
+
+    The exceedance set follows distinguishability_mass, so a class within
+    round-off of delta may fall on either side.
+    """
     rel = distinguishability_mass(ref_src, comp_src, system, n, delta)
     return rel.mass <= 1.0 / delta + 1e-9
 
@@ -285,11 +292,16 @@ class BoundConfig:
 def bound_run(config: BoundConfig) -> RunResult:
     """Exact check of the expected-divergence bound.
 
-    For each alpha and n the expectation of the order-(1 - 1/alpha) Renyi
-    divergence between truth and the per-word two-part estimate (selected on
-    the alpha-scaled family) is compared against (1/n) times the relative
-    entropy from truth to the scaled winner envelope. Everything is enumerated
-    over type classes; nothing is sampled. A violated sum-of-traces hypothesis
+    The per-word two-part estimate is selected on the family as given, once
+    per n. For each alpha and n the expectation of the order-(1 - 1/alpha)
+    Renyi divergence between truth and that estimate is compared against (1/n)
+    times the relative entropy from truth to the winner envelope Lambda_I *
+    (estimate's word probability), where Lambda_I is the level-n trace of the
+    winner's alpha-scaled copy. Both expectations run over the classes the
+    truth emits; the lambda_sum row sums Lambda_I over every class with a
+    winner, as lambda_sum(alpha_scale(model, alpha), system, n,
+    select_model=model) does. Everything is enumerated over type classes;
+    nothing is sampled. A lambda_sum above 1 (the bound's hypothesis fails)
     marks the run inconclusive instead of failed.
     """
     system = computational_basis(2)
@@ -311,11 +323,12 @@ def bound_run(config: BoundConfig) -> RunResult:
         affinity = np.sum(truth_probs**lam * np.clip(member_probs, 0, None) ** (1.0 - lam), axis=1)
         bhatt = np.sum(np.sqrt(truth_probs * np.clip(member_probs, 0, None)), axis=1)
         for n in config.n_schedule:
-            log_mult, log_star, idx, log_est = tables[n]
-            mass = np.exp(log_mult + log_star)  # truth's mass on each class
+            log_mult, chosen, emitted, log_star, log_est = tables[n]
+            lam_sum = _trace_sum(scaled.stored_traces, n, log_mult, chosen)
+            idx = chosen[emitted]
+            mass = np.exp(log_mult[emitted] + log_star)  # truth's mass on each class
             # Lambda_I: level-n trace of the alpha-scaled winning element
             log_lam = n * np.log(scaled.stored_traces[idx])
-            lam_sum = float(np.exp(log_mult + log_lam).sum())
             # LHS: Renyi divergence is additive over i.i.d. extensions
             d_lam = -n * np.log(affinity[idx]) / (1.0 - lam) / LN2
             lhs = float(np.sum(mass * d_lam))
@@ -343,15 +356,14 @@ def bound_run(config: BoundConfig) -> RunResult:
 
 
 def _bound_table(model, system, truth_probs, member_probs, n: int):
-    """Per length-n class the truth emits and some member explains:
-    (log #words, log truth word prob, two-part winner, winner's log word prob)."""
-    counts = compositions(n, len(system))
+    """Two-part class table at length n plus, on the classes the truth emits and
+    some member explains (emitted), the truth's and the winner's log word probs."""
+    counts, log_mult, chosen = two_part_classes(model, system, n)
     log_star = log_likelihoods(truth_probs[None], counts)[:, 0]
-    chosen = _select(model, _two_part_scores(model, system, counts)).chosen
-    keep = (log_star > -np.inf) & (chosen >= 0)
-    counts, idx = counts[keep], chosen[keep]
-    log_est = log_likelihoods(member_probs, counts)[np.arange(len(idx)), idx]
-    return log_multinomial(counts), log_star[keep], idx, log_est
+    emitted = (log_star > -np.inf) & (chosen >= 0)
+    idx = chosen[emitted]
+    log_est = log_likelihoods(member_probs, counts[emitted])[np.arange(len(idx)), idx]
+    return log_mult, chosen, emitted, log_star[emitted], log_est
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,14 @@ def test_kernel_scores_equal_scalar_loop(case):
 def test_score_table_is_cached_per_system():
     model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, example_state(0.8))])
     two_part(model, CB, (0, 1))
+    table = model._tables[CB]
     two_part(model, CB, (1, 1))
+    assert model._tables[CB] is table
+    # an equal-valued second system is a second key
     other = computational_basis(2)
     two_part(model, other, (0,))
     assert len(model._tables) == 2
-    assert model._tables[id(CB)][0] is CB
+    assert model._tables[other] is not table
 
 
 def test_generalized_model_kraft_guard():

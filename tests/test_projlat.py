@@ -53,6 +53,17 @@ def test_block_system_is_not_minimal():
     assert not sys_.minimal
 
 
+def test_systems_compare_and_hash_by_identity():
+    s = computational_basis(2)
+    assert s == s
+    assert s != computational_basis(2)
+    assert hash(s) == hash(s)
+    assert len({s, s, computational_basis(2)}) == 2
+    joined, met = join([s, s]), meet([s, s])
+    assert joined == joined
+    assert joined != met
+
+
 def test_rejects_non_idempotent():
     with pytest.raises(InvalidOperator):
         ProjSystem([0.5 * np.eye(2), 0.5 * np.eye(2)])

@@ -338,6 +338,19 @@ def test_outcome_probs_equal_the_per_pair_trace(rng):
         assert np.array_equal(outcome_probs(states, system), loop)
 
 
+def test_letter_probs_are_cached_per_system(rng):
+    src = MixtureSource([(0.5, example_state(0.2, 0.5)), (0.5, example_state(0.8, 0.5))])
+    probs = src.letter_probs(CB)
+    assert src.letter_probs(CB) is probs
+    # an equal-valued second system is a second key
+    other = computational_basis(2)
+    assert src.letter_probs(other) is not probs
+    assert np.array_equal(src.letter_probs(other), probs)
+    assert len(src._letter_cache) == 2
+    haar = haar_random_system(2, rng)
+    assert np.array_equal(src.letter_probs(haar), outcome_probs(src.states, haar))
+
+
 def test_q_restricted_universality_needs_system():
     src, model = three_component_source()
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from qmdl import (
     BetaExampleSource,
     ConfigError,
     MixtureSource,
-    QuadratureSource,
     computational_basis,
     example_state,
     matrix_from_json,
@@ -57,7 +56,11 @@ def test_source_from_components():
 
 def test_source_from_quadrature_and_beta():
     quad = source_from_json({"quadrature": {"model": "example", "nodes": 64}})
-    assert isinstance(quad, QuadratureSource)
+    assert isinstance(quad, MixtureSource) and len(quad.states) == 64
+    # Gauss-Legendre nodes mapped from [-1, 1] to theta in [0, 1]
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(quad.weights, w / 2.0)
+    assert all(np.array_equal(s, example_state(t)) for s, t in zip(quad.states, (x + 1.0) / 2.0))
     beta = source_from_json({"kind": "beta-example"})
     assert isinstance(beta, BetaExampleSource)
 

@@ -14,6 +14,7 @@ from qmdl import (
     MarkovConfig,
     MixtureSource,
     RedundancyConfig,
+    alpha_scale,
     bound_run,
     computational_basis,
     consistency_run,
@@ -220,20 +221,27 @@ def test_bound_singleton_model_lhs_zero():
         assert value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bound_full_weight_singleton_is_inconclusive():
+@pytest.mark.parametrize("theta_star", [0.0, 0.3, 1.0])
+def test_bound_full_weight_singleton_is_inconclusive(theta_star):
     # with code weight 1 every word contributes trace 1, so the hypothesis
-    # sum <= 1 fails and the run reports inconclusive rather than pass/fail
+    # sum <= 1 fails and the run reports inconclusive rather than pass/fail;
+    # at theta_star 0 or 1 the truth emits one class, but the sum still runs
+    # over every class the member emits
     result = bound_run(
         BoundConfig.from_dict(
             {
-                "theta_star": 0.3,
-                "model_thetas": [0.3],
+                "theta_star": theta_star,
+                "model_thetas": [0.5],
                 "code_weights": [1.0],
                 "alphas": [2.0],
-                "n_schedule": [2],
+                "n_schedule": [4],
             }
         )
     )
+    model = GeneralizedModel([(1.0, example_state(0.5))])
+    expected = lambda_sum(alpha_scale(model, 2.0), CB, 4, select_model=model)
+    assert result.metric_values("lambda_sum[alpha=2]") == [expected]
+    assert expected == pytest.approx(16.0)
     assert result.status == "inconclusive"
 
 
