@@ -14,7 +14,7 @@ from qmdl import (
     computational_basis,
     example_state,
     mle,
-    predict_next,
+    predict_step,
     two_part,
 )
 
@@ -24,7 +24,7 @@ print("== Laplace's rule from the uniform-prior mixture ==")
 src = BetaExampleSource()
 for n, k in [(0, 0), (4, 3), (10, 2)]:
     word = (0,) * k + (1,) * (n - k)
-    p = predict_next(src, cb, word)
+    p = predict_step(src, cb, word)
     print(f"after {k} zeros in {n} outcomes: P(next = 0) = {p[0]:.4f}"
           f"   (rule of succession: {(k + 1) / (n + 2):.4f})")
 

@@ -33,14 +33,12 @@ from .opcore import (
     herm_sqrt,
     normalize,
     norm_exceeds,
-    norms,
     op_norm,
     partial_trace,
     pinv_sqrt,
     tensor,
     tensor_power,
     trace_inner_norm,
-    trace_out_last,
 )
 from .projlat import (
     Classification,
@@ -70,7 +68,6 @@ from .qsource import (
     conjugate,
     convex_combine,
     example_uniform_source,
-    level,
     outcome_prob,
     outcome_probs,
     predict_step,
@@ -88,7 +85,6 @@ from .estim import (
     alpha_scale,
     lambda_sum,
     mle,
-    predict_next,
     two_part,
     two_part_classes,
 )

@@ -17,7 +17,7 @@ from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalS
 from .models import example_state
 from .opcore import as_operator, check_density, normalize
 from .projlat import ProjSystem
-from .qsource import outcome_probs, predict_step, word_counts
+from .qsource import outcome_probs, word_counts
 from .typeclasses import compositions, log_multinomial
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "TiePath",
     "EstimateResult",
     "mle",
-    "predict_next",
     "two_part",
     "alpha_scale",
     "two_part_classes",
@@ -169,9 +168,6 @@ def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
         lam=float(np.trace(model.states[idx]).real),
         tie_path=TiePath(len(winners), len(winners), idx),
     )
-
-
-predict_next = predict_step
 
 
 def _two_part_scores(

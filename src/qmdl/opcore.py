@@ -7,7 +7,7 @@ everything downstream works on validated arrays and stays pure.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "tensor",
     "tensor_power",
     "partial_trace",
-    "Spectrum",
     "eigh",
     "func_calculus",
     "herm_sqrt",
@@ -38,7 +37,6 @@ __all__ = [
     "op_norm",
     "norm_exceeds",
     "trace_inner_norm",
-    "norms",
     "normalize",
     "pinv_sqrt",
 ]
@@ -54,11 +52,11 @@ def as_operator(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def check_hermitian(t: np.ndarray, tol: float = TOL.herm) -> np.ndarray:
+def check_hermitian(t: np.ndarray) -> np.ndarray:
     t = as_operator(t)
     dev = np.max(np.abs(t - t.conj().T)) if t.size else 0.0
-    if dev > tol:
-        raise InvalidOperator(f"not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
+    if dev > TOL.herm:
+        raise InvalidOperator(f"not Hermitian: max deviation {dev:.3e} > {TOL.herm:.1e}")
     return t
 
 
@@ -124,23 +122,10 @@ def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:
     return out.reshape(kept, kept)
 
 
-def trace_out_last(t: np.ndarray, dim_keep: int, dim_last: int) -> np.ndarray:
-    """Partial trace over the final tensor factor."""
-    return partial_trace(t, [dim_keep, dim_last], 1)
-
-
-class Spectrum(NamedTuple):
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(t: np.ndarray) -> Spectrum:
-    """Spectral decomposition of a Hermitian operator."""
+def eigh(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian operator."""
     t = check_hermitian(t)
-    w, v = np.linalg.eigh((t + t.conj().T) / 2)
-    return Spectrum(w, v)
+    return np.linalg.eigh((t + t.conj().T) / 2)
 
 
 def func_calculus(
@@ -152,7 +137,7 @@ def func_calculus(
 
     With strict=True a non-finite value of f on any eigenvalue raises
     FunctionDomainError. With strict=False, non-finite spectral values are
-    replaced by 0 (the support convention used by herm_sqrt/herm_log).
+    replaced by 0.
     """
     w, v = eigh(t)
     with np.errstate(all="ignore"):
@@ -167,49 +152,28 @@ def func_calculus(
     return (v * fw) @ v.conj().T
 
 
-def _clip_support(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues in [-psd tol, support tol] become exact zeros."""
-    out = w.copy()
-    out[(out >= -TOL.psd) & (out <= TOL.support)] = 0.0
-    return out
+def _on_support(t: np.ndarray, g: Callable[[np.ndarray], np.ndarray], cutoff: float) -> np.ndarray:
+    """Apply g to the eigenvalues above cutoff; every other eigenvalue maps to 0."""
+    w, v = eigh(t)
+    fw = np.zeros_like(w)
+    keep = w > cutoff
+    fw[keep] = g(w[keep])
+    return (v * fw) @ v.conj().T
 
 
-def herm_sqrt(t: np.ndarray, strict: bool = False) -> np.ndarray:
+def herm_sqrt(t: np.ndarray) -> np.ndarray:
     """Square root of a PSD operator under the support convention."""
-    w, v = eigh(t)
-    w = _clip_support(w)
-    if strict and np.any(w < 0):
-        raise FunctionDomainError(f"sqrt of negative eigenvalue {w[w < 0]}")
-    fw = np.sqrt(np.clip(w, 0.0, None))
-    return (v * fw) @ v.conj().T
+    return _on_support(t, np.sqrt, TOL.support)
 
 
-def herm_power(t: np.ndarray, p: float, strict: bool = False) -> np.ndarray:
+def herm_power(t: np.ndarray, p: float) -> np.ndarray:
     """Spectral power T^p on the support of a PSD operator."""
-    w, v = eigh(t)
-    w = _clip_support(w)
-    if strict and np.any(w < 0):
-        raise FunctionDomainError(f"power of negative eigenvalue {w[w < 0]}")
-    w = np.clip(w, 0.0, None)
-    fw = np.zeros_like(w)
-    pos = w > 0
-    fw[pos] = w[pos] ** p
-    return (v * fw) @ v.conj().T
+    return _on_support(t, lambda w: w**p, TOL.support)
 
 
-def herm_log(t: np.ndarray, base: float = 2.0, strict: bool = False) -> np.ndarray:
-    """Spectral logarithm restricted to the support of a PSD operator.
-
-    Eigenvalues <= support tolerance are excluded (their spectral projectors
-    map to 0). strict=True raises on them instead.
-    """
-    w, v = eigh(t)
-    pos = w > TOL.support
-    if strict and not np.all(pos):
-        raise FunctionDomainError(f"log of eigenvalues {w[~pos]}")
-    fw = np.zeros_like(w)
-    fw[pos] = np.log(w[pos]) / np.log(base)
-    return (v * fw) @ v.conj().T
+def herm_log(t: np.ndarray) -> np.ndarray:
+    """Base-2 spectral logarithm restricted to the support of a PSD operator."""
+    return _on_support(t, lambda w: np.log(w) / np.log(2.0), TOL.support)
 
 
 def op_norm(t: np.ndarray) -> float:
@@ -253,10 +217,6 @@ def trace_inner_norm(t: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(t) ** 2)))
 
 
-def norms(t: np.ndarray) -> tuple[float, float]:
-    return op_norm(t), trace_inner_norm(t)
-
-
 def normalize(t: np.ndarray) -> np.ndarray:
     """Send a nonzero semi-density matrix to its unit-trace companion."""
     t = as_operator(t)
@@ -266,10 +226,6 @@ def normalize(t: np.ndarray) -> np.ndarray:
     return t / tr
 
 
-def pinv_sqrt(t: np.ndarray, rank_tol: float = TOL.rank) -> np.ndarray:
-    """T^(-1/2) on the support: eigenvalues > rank_tol invert, others map to 0."""
-    w, v = eigh(t)
-    fw = np.zeros_like(w)
-    keep = w > rank_tol
-    fw[keep] = w[keep] ** -0.5
-    return (v * fw) @ v.conj().T
+def pinv_sqrt(t: np.ndarray) -> np.ndarray:
+    """T^(-1/2) on the support: eigenvalues > TOL.rank invert, others map to 0."""
+    return _on_support(t, lambda w: w**-0.5, TOL.rank)

@@ -34,7 +34,6 @@ __all__ = [
     "SimpleSource",
     "BetaExampleSource",
     "example_uniform_source",
-    "level",
     "conjugate",
     "bullet",
     "cond_density",
@@ -147,9 +146,6 @@ class MixtureSource:
             ]
         )
 
-    def word_prob(self, system: ProjSystem, word) -> float:
-        return outcome_prob(self, system, word)
-
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Posterior-weighted letter law after a word with histogram counts."""
         probs = self.letter_probs(system)
@@ -204,9 +200,6 @@ class BetaExampleSource:
             return self._quadrature().log_prob(system, counts)
         return -np.log(counts.sum(axis=1) + 1.0) - log_multinomial(counts)
 
-    def word_prob(self, system: ProjSystem, word) -> float:
-        return outcome_prob(self, system, word)
-
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Rule of succession (k_a + 1) / (n + 2) on the computational basis."""
         if not system.computational:
@@ -220,11 +213,6 @@ def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> MixtureSource:
     thetas = (x + 1.0) / 2.0
     weights = w / 2.0
     return MixtureSource([(u, example_state(t, c)) for t, u in zip(thetas, weights)])
-
-
-def level(src, n: int) -> np.ndarray:
-    """Dense level matrix of a source (capped)."""
-    return src.level(n)
 
 
 def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:

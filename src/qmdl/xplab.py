@@ -298,11 +298,13 @@ def bound_run(config: BoundConfig) -> RunResult:
     times the relative entropy from truth to the winner envelope Lambda_I *
     (estimate's word probability), where Lambda_I is the level-n trace of the
     winner's alpha-scaled copy. Both expectations run over the classes the
-    truth emits; the lambda_sum row sums Lambda_I over every class with a
-    winner, as lambda_sum(alpha_scale(model, alpha), system, n,
-    select_model=model) does. Everything is enumerated over type classes;
-    nothing is sampled. A lambda_sum above 1 (the bound's hypothesis fails)
-    marks the run inconclusive instead of failed.
+    truth emits and some member explains; when the truth emits a class that no
+    member explains, the envelope gives it 0 and the right side is +inf. The
+    lambda_sum row sums Lambda_I over every class with a winner, as
+    lambda_sum(alpha_scale(model, alpha), system, n, select_model=model)
+    does. Everything is enumerated over type classes; nothing is sampled. A
+    lambda_sum above 1 (the bound's hypothesis fails) marks the run
+    inconclusive instead of failed.
     """
     system = computational_basis(2)
     truth_probs = outcome_probs([example_state(config.theta_star, config.c)], system)[0]
@@ -323,7 +325,7 @@ def bound_run(config: BoundConfig) -> RunResult:
         affinity = np.sum(truth_probs**lam * np.clip(member_probs, 0, None) ** (1.0 - lam), axis=1)
         bhatt = np.sum(np.sqrt(truth_probs * np.clip(member_probs, 0, None)), axis=1)
         for n in config.n_schedule:
-            log_mult, chosen, emitted, log_star, log_est = tables[n]
+            log_mult, chosen, emitted, log_star, log_est, unexplained = tables[n]
             lam_sum = _trace_sum(scaled.stored_traces, n, log_mult, chosen)
             idx = chosen[emitted]
             mass = np.exp(log_mult[emitted] + log_star)  # truth's mass on each class
@@ -335,7 +337,8 @@ def bound_run(config: BoundConfig) -> RunResult:
             lhs_he2 = float(np.sum(mass * 2.0 * (1.0 - bhatt[idx] ** n)))
             # RHS: winner envelope  Lambda_I * prod est_probs^k
             rhs_sum = float(np.sum(mass * (log_star - (log_lam + log_est)) / LN2))
-            rhs = rhs_sum / n
+            # the envelope is 0 on a class the truth emits and no member explains
+            rhs = math.inf if unexplained else rhs_sum / n
             result.add(n, "exact", f"lambda_sum[alpha={alpha:g}]", lam_sum)
             result.add(n, "exact", f"lhs_renyi[alpha={alpha:g}]", lhs, "bits")
             result.add(n, "exact", f"rhs[alpha={alpha:g}]", rhs, "bits")
@@ -357,13 +360,16 @@ def bound_run(config: BoundConfig) -> RunResult:
 
 def _bound_table(model, system, truth_probs, member_probs, n: int):
     """Two-part class table at length n plus, on the classes the truth emits and
-    some member explains (emitted), the truth's and the winner's log word probs."""
+    some member explains (emitted), the truth's and the winner's log word probs.
+    The last entry is True when the truth emits a class that no member explains."""
     counts, log_mult, chosen = two_part_classes(model, system, n)
     log_star = log_likelihoods(truth_probs[None], counts)[:, 0]
-    emitted = (log_star > -np.inf) & (chosen >= 0)
+    truth_emits = log_star > -np.inf
+    emitted = truth_emits & (chosen >= 0)
     idx = chosen[emitted]
     log_est = log_likelihoods(member_probs, counts[emitted])[np.arange(len(idx)), idx]
-    return log_mult, chosen, emitted, log_star[emitted], log_est
+    unexplained = bool(np.any(truth_emits & (chosen < 0)))
+    return log_mult, chosen, emitted, log_star[emitted], log_est, unexplained
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,13 @@ from qmdl import (
     mle,
     op_norm,
     outcome_prob,
-    predict_next,
+    partial_trace,
+    predict_step,
     q_project,
     redundancy_run,
     rel_entropy,
     tensor_power,
     trace_inner_norm,
-    trace_out_last,
     universality_check,
 )
 from conftest import random_density, random_hermitian
@@ -77,8 +77,8 @@ def test_criterion_01_laplace_rule(report):
         for k in range(n + 1):
             word = (0,) * k + (1,) * (n - k)
             target = (k + 1) / (n + 2)
-            worst_closed = max(worst_closed, abs(predict_next(beta, CB, word)[0] - target))
-            worst_quad = max(worst_quad, abs(predict_next(quad, CB, word)[0] - target))
+            worst_closed = max(worst_closed, abs(predict_step(beta, CB, word)[0] - target))
+            worst_quad = max(worst_quad, abs(predict_step(quad, CB, word)[0] - target))
     ok = worst_closed <= 1e-12 and worst_quad <= 1e-6
     report(1, "laplace-rule", ok, f"closed {worst_closed:.1e}, quadrature {worst_quad:.1e}", budget=5)
 
@@ -221,7 +221,7 @@ def test_criterion_08_source_laws(report):
         src = MixtureSource([(w, random_density(rng, 2)) for w in weights])
         for n in range(1, 5):
             residual = np.max(
-                np.abs(trace_out_last(src.level(n + 1), 2**n, 2) - src.level(n))
+                np.abs(partial_trace(src.level(n + 1), [2**n, 2], 1) - src.level(n))
             )
             worst_marginal = max(worst_marginal, residual)
         u, _ = np.linalg.qr(
@@ -230,13 +230,13 @@ def test_criterion_08_source_laws(report):
         from qmdl import conjugate, system_from_unitary
 
         conj = conjugate(src, u)
-        residual = np.max(np.abs(trace_out_last(conj.level(4), 8, 2) - conj.level(3)))
+        residual = np.max(np.abs(partial_trace(conj.level(4), [8, 2], 1) - conj.level(3)))
         worst_marginal = max(worst_marginal, residual)
         rotated = system_from_unitary(u)
         for word in itertools.product(range(2), repeat=3):
             worst_conj = max(
                 worst_conj,
-                abs(src.word_prob(CB, word) - conj.word_prob(rotated, word)),
+                abs(outcome_prob(src, CB, word) - outcome_prob(conj, rotated, word)),
             )
     ok = worst_marginal <= 1e-9 and worst_conj <= 1e-10
     report(8, "source-laws", ok, f"marginal {worst_marginal:.1e}, conjugation {worst_conj:.1e}")

@@ -23,7 +23,6 @@ from qmdl import (
     example_uniform_source,
     lambda_sum,
     mle,
-    predict_next,
     two_part,
 )
 from qmdl import BetaExampleSource, predict_step
@@ -307,19 +306,9 @@ def test_lambda_sum_with_scaled_selection():
 # --- prediction -------------------------------------------------------------
 
 
-def test_predict_next_matches_source_conditional():
-    src = BetaExampleSource()
-    word = (0, 1, 0)
-    assert np.allclose(predict_next(src, CB, word), predict_step(src, CB, word))
-
-
-def test_predict_next_is_the_source_predictive():
-    assert predict_next is predict_step
-
-
 def test_beta_predict_closed_form_at_large_n():
     # the ratio of word probabilities overflowed math.comb to float here
-    probs = predict_next(BetaExampleSource(), CB, (0,) * 1000 + (1,) * 1000)
+    probs = predict_step(BetaExampleSource(), CB, (0,) * 1000 + (1,) * 1000)
     assert probs.tolist() == [0.5, 0.5]
 
 
@@ -327,7 +316,7 @@ def test_quadrature_predict_finite_at_n1100():
     # linear-space word probabilities underflowed to 0 here (ZeroDivisionError)
     quad = example_uniform_source(0.0, 2048)
     k, n = 400, 1100
-    probs = predict_next(quad, CB, (0,) * k + (1,) * (n - k))
+    probs = predict_step(quad, CB, (0,) * k + (1,) * (n - k))
     assert np.all(np.isfinite(probs))
     assert probs[0] == pytest.approx((k + 1) / (n + 2), abs=1e-6)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -335,9 +324,9 @@ def test_quadrature_predict_finite_at_n1100():
 
 def test_predict_raises_only_on_probability_zero_words():
     only_0 = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
-    assert predict_next(only_0, CB, (0,) * 5000).tolist() == [1.0, 0.0]
+    assert predict_step(only_0, CB, (0,) * 5000).tolist() == [1.0, 0.0]
     with pytest.raises(ZeroDivisionError):
-        predict_next(only_0, CB, (0, 1))
+        predict_step(only_0, CB, (0, 1))
 
 
 def test_lambda_sum_finite_at_n1100():

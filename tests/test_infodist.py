@@ -17,6 +17,7 @@ from qmdl import (
     hellinger_sq,
     hellinger_sq_classical,
     kl_classical,
+    outcome_prob,
     rel_entropy,
     renyi,
     renyi_classical,
@@ -116,8 +117,8 @@ def test_word_divergences_match_brute_force():
     src_b = MixtureSource([(1.0, example_state(0.6))])
     n = 4
     words = list(itertools.product(range(2), repeat=n))
-    pa = np.array([src_a.word_prob(CB, w) for w in words])
-    pb = np.array([src_b.word_prob(CB, w) for w in words])
+    pa = np.array([outcome_prob(src_a, CB, w) for w in words])
+    pb = np.array([outcome_prob(src_b, CB, w) for w in words])
     s = word_divergences(src_a, src_b, CB, n, kind="S")
     assert s.value == pytest.approx(kl_classical(pa, pb, "bits"), abs=1e-10)
     he2 = word_divergences(src_a, src_b, CB, n, kind="he2")

@@ -1,6 +1,9 @@
 """JSON interchange round trips and the command-line front end."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -308,3 +311,41 @@ def test_cli_dense_cap_is_config_error(tmp_path, capsys, monkeypatch):
     assert run_cli(tmp_path, "universality-check", config) == 4
     err = capsys.readouterr().err
     assert err.startswith("config error: QMDL_DENSE_CAP:") and "cap 1024" in err
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """Config files and qmdl command lines of README's Command line examples block."""
+    block = README.read_text().split("Examples:\n\n```sh\n", 1)[1].split("\n```", 1)[0]
+    files = {name: body for body, name in re.findall(r"^echo '(.*)' > (\S+\.json)$", block, re.M)}
+    files.update(re.findall(r"^cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF$", block, re.M | re.S))
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qmdl ")]
+    return files, commands
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    files, commands = readme_examples()
+    assert sorted(files) == ["b.json", "e.json", "p.json"]
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    runs = {}
+    for argv in commands:
+        code = main(argv)
+        runs[argv[0]] = (code, capsys.readouterr())
+    assert list(runs) == ["predict", "estimate", "bound"]
+
+    code, captured = runs["predict"]
+    assert code == 0
+    assert json.loads(captured.out)["probs"] == [0.6666666666666666, 0.3333333333333333]
+
+    code, captured = runs["estimate"]
+    out = json.loads(captured.out)
+    assert code == 0 and out["tie_path"]["chosen"] == 0
+    assert np.array_equal(matrix_from_json(out["state"]), example_state(0.2))
+
+    code, captured = runs["bound"]
+    assert code == 0 and captured.err == "# status: pass\n"
+    assert (tmp_path / "bound.csv").read_text().startswith("experiment,n,replica,metric,value,base,seed\n")

@@ -24,7 +24,7 @@ from qmdl import (
     lambda_sum,
     markov_check,
     markov_run,
-    predict_next,
+    predict_step,
     redundancy_run,
     sample_words,
     universality_check,
@@ -267,6 +267,29 @@ def test_bound_two_member_inequality_with_slack():
         assert lhs <= rhs + 1e-7
 
 
+def test_bound_rhs_is_infinite_when_no_member_explains_a_truth_class():
+    # the one member (theta 0) emits only the all-ones word; the truth (theta
+    # 0.3) emits every class, so the winner envelope is 0 on classes of mass
+    # 1 - 0.7^20 and the relative entropy from the truth to it is +inf
+    result = bound_run(
+        BoundConfig.from_dict(
+            {
+                "theta_star": 0.3,
+                "model_thetas": [0.0],
+                "code_weights": [0.5],
+                "alphas": [2.0],
+                "n_schedule": [20],
+            }
+        )
+    )
+    assert result.metric_values("rhs[alpha=2]") == [math.inf]
+    assert result.status == "pass"
+    # the left side and the gate still sum over the one explained class
+    (lhs,) = result.metric_values("lhs_renyi[alpha=2]")
+    assert lhs == pytest.approx(-20 * math.log2(0.7) * 0.7**20, rel=1e-12)
+    assert result.metric_values("lambda_sum[alpha=2]") == [pytest.approx(0.25**20, rel=1e-12)]
+
+
 def test_bound_config_rejects_alpha_at_one():
     with pytest.raises(ConfigError) as err:
         BoundConfig.from_dict(
@@ -446,7 +469,7 @@ def test_exact_consumers_emit_no_numpy_warning_at_n3000():
             for kind in ("S", "he2", "renyi"):
                 word_divergences(a, b, CB, n, kind=kind)
             distinguishability_mass(a, b, CB, n, 1.0)
-        predict_next(quad, CB, (0,) * 900 + (1,) * 2100)
+        predict_step(quad, CB, (0,) * 900 + (1,) * 2100)
         lambda_sum(model, CB, n)
         redundancy_per_n(0.3, n)
         bound_run(BoundConfig.from_dict({
