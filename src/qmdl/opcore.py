@@ -7,6 +7,7 @@ everything downstream works on validated arrays and stays pure.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "check_cap",
     "tensor",
     "tensor_power",
+    "sym_powers",
     "partial_trace",
     "eigh",
     "func_calculus",
@@ -103,6 +105,33 @@ def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         out = np.kron(out, a)
     return out
+
+
+def sym_powers(a: np.ndarray, top: int):
+    """Yield Sym^m(A) for m = 0 .. top, for each matrix of a [N, 2, 2] stack.
+
+    Sym^m(A) is A^(x)m restricted to the symmetric subspace: an [N, m+1, m+1]
+    stack in the orthonormal Dicke basis, state j being the normalized sum of
+    the C(m, j) products with j factors |1>. Read as polynomials (|0> -> x,
+    |1> -> y), A^(x)m sends x^(m-j) y^j to (a00 x + a10 y)^(m-j) (a01 x + a11 y)^j.
+    Column j of `mono` holds those coefficients, so each power follows from the
+    one before by one multiplication with a linear form; the Dicke entries are
+    mono[i, j] sqrt(C(m, j) / C(m, i)).
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (2, 2):
+        raise InvalidOperator(f"expected a [N, 2, 2] stack, got shape {a.shape}")
+    a00, a01, a10, a11 = (a[:, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    mono = np.ones((len(a), 1, 1), dtype=complex)
+    for m in range(top + 1):
+        if m:
+            prev, mono = mono, np.zeros((len(a), m + 1, m + 1), dtype=complex)
+            mono[:, :-1, :-1] = a00 * prev
+            mono[:, 1:, :-1] += a10 * prev
+            mono[:, :-1, -1:] = a01 * prev[:, :, -1:]
+            mono[:, 1:, -1:] += a11 * prev[:, :, -1:]
+        scale = np.sqrt([float(math.comb(m, j)) for j in range(m + 1)])
+        yield mono * (scale[None, :] / scale[:, None])
 
 
 def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:

@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, InvalidOperator, InvalidWord, NotRegular, SupportMismatch
+from .errors import (
+    DimensionMismatch,
+    InvalidOperator,
+    InvalidWord,
+    NonMinimalSystem,
+    NotRegular,
+    SupportMismatch,
+)
 from .models import example_state
 from .opcore import (
     as_operator,
@@ -24,6 +32,7 @@ from .opcore import (
     herm_log,
     partial_trace,
     pinv_sqrt,
+    sym_powers,
     tensor_power,
 )
 from .projlat import ProjSystem, q_project
@@ -207,9 +216,17 @@ class BetaExampleSource:
         return (counts + 1.0) / (counts.sum() + 2.0)
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> MixtureSource:
     """Gauss-Legendre discretization of the uniform-prior mixture over theta."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     thetas = (x + 1.0) / 2.0
     weights = w / 2.0
     return MixtureSource([(u, example_state(t, c)) for t, u in zip(thetas, weights)])
@@ -360,6 +377,56 @@ def _expected_margin(log_lvl: np.ndarray, member: np.ndarray, n: int, eps: float
     return n * eps - s
 
 
+def _sym_blocks(states: np.ndarray, weights: np.ndarray, ns) -> dict[int, list[np.ndarray]]:
+    """Schur-Weyl blocks of sum_i weights[j, i] states_i^(x)n, per row j of weights and n in ns.
+
+    For each n, block k = 0 .. n // 2 is the [J, n-2k+1, n-2k+1] stack
+    sum_i weights[j, i] det(states_i)^k Sym^(n-2k)(states_i); it occurs
+    C(n, k) - C(n, k-1) times in the operator on (C^2)^(x)n.
+    """
+    det = states[:, 0, 0] * states[:, 1, 1] - states[:, 0, 1] * states[:, 1, 0]
+    blocks: dict[int, list] = {n: [None] * (n // 2 + 1) for n in ns}
+    for m, sym in enumerate(sym_powers(states, max(ns, default=0))):
+        flat = sym.reshape(len(states), -1)
+        for n, row in blocks.items():
+            k, odd = divmod(n - m, 2)
+            if k >= 0 and not odd:
+                row[k] = ((weights * det**k) @ flat).reshape(-1, m + 1, m + 1)
+    return blocks
+
+
+def _block_margins(src, members: list[np.ndarray], ns, eps: float, mode: str) -> dict[int, np.ndarray]:
+    """Matrix or expected margin of every member at each n, for a qubit mixture source.
+
+    Level and member power are block diagonal on the same Schur-Weyl blocks
+    (`_sym_blocks`): the matrix margin is the smallest block eigenvalue, and
+    the relative entropy is the sum of the blocks' terms, each counted with
+    its multiplicity.
+    """
+    for n in ns:
+        check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
+    mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
+    levels = _sym_blocks(np.stack(mix.states), mix.weights[None], ns)
+    powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
+    margins = {}
+    for n in ns:
+        if mode == "matrix":
+            margin = np.full(len(members), np.inf)
+            for lvl, power in zip(levels[n], powers[n]):
+                gap = lvl - 2.0 ** (-n * eps) * power
+                gap = (gap + gap.conj().swapaxes(1, 2)) / 2
+                margin = np.minimum(margin, np.linalg.eigvalsh(gap)[:, 0])
+        else:
+            s = np.zeros(len(members))
+            for k, (lvl, power) in enumerate(zip(levels[n], powers[n])):
+                mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+                log_lvl = herm_log(lvl[0])
+                s += [mult * np.trace(p @ (herm_log(p) - log_lvl)).real for p in power]
+            margin = n * eps - s
+        margins[n] = margin
+    return margins
+
+
 def universality_check(
     src,
     model: list[np.ndarray],
@@ -373,7 +440,9 @@ def universality_check(
     Modes: "matrix" (min eigenvalue of level - 2^{-n eps} member power),
     "q-restricted" (per-word log-ratio surplus over type classes),
     "expected" / "q-expected" (n eps minus base-2 relative entropy).
-    The report certifies only the checked range [n0, max(n_range)].
+    The report certifies only the checked range [n0, max(n_range)]. Matrix
+    and expected margins of a qubit mixture or Beta-example source are taken
+    on its Schur-Weyl blocks (`_block_margins`), of any other on dense levels.
     """
     if mode not in ("matrix", "q-restricted", "expected", "q-expected"):
         raise ValueError(f"unknown universality mode {mode!r}")
@@ -382,14 +451,22 @@ def universality_check(
         if system is None:
             raise ValueError(f"mode {mode!r} requires a projection system")
         if not system.minimal:
-            from .errors import NonMinimalSystem
-
             raise NonMinimalSystem("Q-restricted universality needs a rank-1 system")
         member_probs = outcome_probs(members, system)
     ns = sorted(int(n) for n in n_range)
+    on_blocks = (
+        mode in ("matrix", "expected")
+        and isinstance(src, (MixtureSource, BetaExampleSource))
+        and src.dim == 2
+        and all(m.shape == (2, 2) for m in members)
+    )
+    if on_blocks:
+        block_margins = _block_margins(src, members, ns, eps, mode)
     per_level = []
     for n in ns:
-        if mode == "matrix":
+        if on_blocks:
+            margins = block_margins[n]
+        elif mode == "matrix":
             lvl = src.level(n)
             margins = [_matrix_margin(lvl, member, n, eps) for member in members]
         elif mode == "expected":

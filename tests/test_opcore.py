@@ -29,6 +29,7 @@ from qmdl import (
     tensor_power,
     trace_inner_norm,
 )
+from qmdl.opcore import sym_powers
 from conftest import random_density, random_hermitian
 
 
@@ -88,6 +89,24 @@ def test_tensor_power_trace_multiplicativity(rng):
 @given(st.integers(0, 5))
 def test_tensor_power_dimensions(n):
     assert tensor_power(np.eye(2), n).shape == (max(2**n, 1), max(2**n, 1))
+
+
+def test_sym_powers_are_tensor_powers_on_the_dicke_basis(rng):
+    mats = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    for m, sym in enumerate(sym_powers(mats, 6)):
+        assert sym.shape == (3, m + 1, m + 1)
+        # column j of dicke: the normalized sum of the basis words with j ones
+        ones = np.array([bin(i).count("1") for i in range(2**m)])
+        dicke = (ones[:, None] == np.arange(m + 1)).astype(float)
+        dicke /= np.sqrt(dicke.sum(axis=0))
+        for a, block in zip(mats, sym):
+            ref = dicke.T @ tensor_power(a, m) @ dicke
+            assert np.abs(block - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sym_powers_need_a_qubit_stack():
+    with pytest.raises(InvalidOperator):
+        next(sym_powers(np.eye(2), 1))
 
 
 def test_partial_trace_of_product_state(rng):

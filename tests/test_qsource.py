@@ -35,6 +35,7 @@ from qmdl import (
     universality_check,
     word_distribution,
 )
+from qmdl import qsource
 from conftest import random_density
 
 CB = computational_basis(2)
@@ -313,10 +314,11 @@ def test_matrix_implies_expected_and_q_restricted():
 
 
 @pytest.mark.parametrize("mode", ["matrix", "expected"])
-def test_universality_margins_equal_the_per_member_formula(mode):
-    """The level is built once per n; each margin is the same float as when
-    every member rebuilt it."""
-    src, model = three_component_source(1.0)
+def test_universality_margins_equal_the_per_member_formula(mode, rng):
+    """On dense levels (a qutrit source) the level is built once per n; each
+    margin is the same float as when every member rebuilt it."""
+    src = random_mixture(rng, dim=3)
+    model = src.states
     report = universality_check(src, model, 0.5, range(1, 6), mode)
     for n, margin in report.per_level:
         margins = []
@@ -329,6 +331,81 @@ def test_universality_margins_equal_the_per_member_formula(mode):
                 s = np.trace(rho_n @ (herm_log(rho_n) - herm_log(src.level(n)))).real
                 margins.append(n * 0.5 - s)
         assert margin == float(min(margins))
+
+
+def _dense_margins(components, model, n, eps, mode):
+    """Matrix or expected margin of each member on the dense 2^n x 2^n level."""
+    lvl = sum(w * tensor_power(rho, n) for w, rho in components)
+    margins = []
+    for member in model:
+        power = tensor_power(member, n)
+        if mode == "matrix":
+            gap = lvl - 2.0 ** (-n * eps) * power
+            margins.append(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
+        else:
+            margins.append(n * eps - np.trace(power @ (herm_log(power) - herm_log(lvl))).real)
+    return min(margins)
+
+
+def _full_rank_qubit(rng):
+    """A random qubit state with eigenvalues in [0.2, 0.8].
+
+    The bound keeps a level's smallest eigenvalue far above the round-off of
+    its entries at n <= 10. Near it the expected margin is ill-conditioned on
+    either path: with eigenvalues down to 0.014 the level at n = 7 has
+    smallest eigenvalue 1e-8, and dense and block margins sit 1e-12 and 4e-12
+    from a 40-digit value.
+    """
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    lam = rng.uniform(0.2, 0.5)
+    return u @ np.diag([lam, 1.0 - lam]) @ u.conj().T
+
+
+def _qubit_cases():
+    for c in (0.0, 0.3, 1.0):
+        src, model = three_component_source(c)
+        yield f"acceptance-6-c{c}", src, src.components, model, 0.5
+    src, _ = three_component_source(0.3)
+    yield "rank-deficient-member", src, src.components, [np.diag([1.0, 0.0]), example_state(0.5, 0.3)], 0.5
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        src = MixtureSource([(w, _full_rank_qubit(rng)) for w in rng.dirichlet(np.ones(3))])
+        model = [src.states[0], _full_rank_qubit(rng)]
+        yield f"random-{seed}", src, src.components, model, 0.3
+    for c in (0.0, 1.0):
+        src = BetaExampleSource(c, fallback_nodes=64)
+        yield f"beta-c{c}", src, example_uniform_source(c, 64).components, [example_state(0.3, c)], 0.5
+
+
+@pytest.mark.parametrize("mode, top", [("matrix", 10), ("expected", 8)])
+def test_qubit_block_margins_match_the_dense_oracle(mode, top):
+    for name, src, components, model, eps in _qubit_cases():
+        report = universality_check(src, model, eps, range(1, top + 1), mode)
+        oracle = [_dense_margins(components, model, n, eps, mode) for n in range(1, top + 1)]
+        assert [n for n, _ in report.per_level] == list(range(1, top + 1))
+        for (n, margin), ref in zip(report.per_level, oracle):
+            assert abs(margin - ref) <= 1e-12, (name, n, margin, ref)
+        n0 = next((n for n in range(1, top + 1) if min(oracle[n - 1 :]) >= -1e-9), None)
+        assert (report.n0, report.passed) == (n0, n0 is not None), name
+
+
+def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    qsource._gauss_legendre.cache_clear()
+    system = haar_random_system(2, rng)
+    first, second = (BetaExampleSource(fallback_nodes=64) for _ in range(2))
+    assert outcome_prob(first, system, (0, 1)) == outcome_prob(second, system, (0, 1))
+    assert calls == [64]
+    x, w = qsource._gauss_legendre(64)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip((x, w), leggauss(64)))
 
 
 def test_outcome_probs_equal_the_per_pair_trace(rng):

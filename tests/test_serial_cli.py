@@ -313,6 +313,27 @@ def test_cli_dense_cap_is_config_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: QMDL_DENSE_CAP:") and "cap 1024" in err
 
 
+@pytest.mark.parametrize("mode", ["matrix", "expected"])
+def test_cli_qubit_universality_keeps_the_dense_cap(tmp_path, capsys, monkeypatch, mode):
+    """Qubit levels are reduced to Schur-Weyl blocks, yet 2^n stays bounded by the cap."""
+    source = {"components": [
+        {"weight": w, "matrix": matrix_to_json(example_state(t, 1.0))}
+        for w, t in zip((0.5, 0.25, 0.25), (0.2, 0.5, 0.8))
+    ]}
+    config = {"source": source, "model": {"example": {"thetas": [0.2, 0.5, 0.8], "c": 1.0}},
+              "epsilon": 0.5, "n_range": [2, 14], "mode": mode}
+    monkeypatch.delenv("QMDL_DENSE_CAP", raising=False)
+    assert run_cli(tmp_path, "universality-check", config) == 4
+    assert capsys.readouterr().err.startswith("config error: QMDL_DENSE_CAP: dense dimension 16384")
+    monkeypatch.setenv("QMDL_DENSE_CAP", "64")
+    config["n_range"] = [5, 7]
+    assert run_cli(tmp_path, "universality-check", config) == 4
+    assert capsys.readouterr().err.startswith("config error: QMDL_DENSE_CAP: dense dimension 128")
+    config["n_range"] = [5, 6]
+    assert run_cli(tmp_path, "universality-check", config) in (0, 2)
+    assert [n for n, _ in json.loads(capsys.readouterr().out)["per_level"]] == [5, 6]
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
