@@ -53,18 +53,37 @@ class ProjSystem:
         if not projs:
             raise InvalidOperator("a projection system needs at least one projector")
         dim = projs[0].shape[0]
+        if dim == 0:
+            raise InvalidOperator("projectors act on the zero-dimensional space C^0")
         # projectors before the first one on another space are checked first
         split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
         stack = np.stack(projs[:split])
-        tol = TOL.projector
+        m, tol = len(stack), TOL.projector
+        cut = tol * (1 - _BOUND_SLACK)
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
-        idem = norm_exceeds(stack @ stack - stack, tol)
-        for i, p in enumerate(stack):
+        # A bound below the cut decides a predicate: one bound for the whole system
+        # first, then one per projector and pair; the dense test runs where neither does.
+        ranks, delta, g = _factor_norms(stack)
+        g_top, d_top = g.max(), delta.max()
+        idem = np.zeros(m, dtype=bool)  # projectors that are not idempotent
+        orth = np.zeros((m, m), dtype=bool)  # pairs j < i whose bound is open
+        suspects = herm
+        if _pair_bound(g_top, 1 + g_top, d_top, 1 + g_top, d_top) + d_top >= cut:
+            q = 1 + g.diagonal()
+            pair = _pair_bound(g, q[:, None], delta[:, None], q, delta)
+            idem = pair.diagonal() + delta >= cut
+            if idem.any():
+                loose = stack[idem]
+                idem[idem] = norm_exceeds(loose @ loose - loose, tol)
+            orth = np.triu(pair >= cut, 1)
+            suspects = herm | idem | orth.any(axis=0)
+        for i in np.flatnonzero(suspects):
             if herm[i]:
                 raise InvalidOperator(f"projector {i} is not Hermitian")
             if idem[i]:
                 raise InvalidOperator(f"projector {i} is not idempotent")
-            overlaps = np.flatnonzero(norm_exceeds(stack[:i] @ p, tol))
+            js = np.flatnonzero(orth[:i, i])
+            overlaps = js[norm_exceeds(stack[js] @ stack[i], tol)]
             if overlaps.size:
                 raise InvalidOperator(f"projectors {overlaps[0]} and {i} are not orthogonal")
         if split < len(projs):
@@ -72,12 +91,20 @@ class ProjSystem:
         if norm_exceeds(stack.sum(axis=0) - np.eye(dim), tol):
             raise InvalidOperator("projectors do not sum to the identity")
         # rank 1: top eigenvalue 1, runner-up numerically 0
-        w = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+        multiple = ranks >= 2
+        loose = stack[multiple | (delta >= cut)]
+        if dim < 2 or not len(loose):
+            minimal = True
+        elif (1 - g.diagonal()[multiple] - delta[multiple] > tol * (1 + _BOUND_SLACK)).any():
+            minimal = False
+        else:
+            w = np.linalg.eigvalsh((loose + loose.conj().transpose(0, 2, 1)) / 2)
+            minimal = bool(np.all(w[:, -2] <= tol))
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "minimal", dim < 2 or bool(np.all(w[:, -2] <= tol)))
+        object.__setattr__(self, "minimal", minimal)
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -92,6 +119,70 @@ class ProjSystem:
             return False
         basis = np.eye(self.dim)
         return bool(np.abs(self.stack - basis[:, :, None] * basis[:, None, :]).max() <= TOL.lattice)
+
+
+# Relative margin by which a bound must clear a tolerance to decide a predicate;
+# it exceeds the relative round-off of the dense test's SVD or eigvalsh.
+_BOUND_SLACK = 1e-9
+# Per unit of d * max rank: the allowance added to each norm of _factor_norms.
+# It covers the round-off of the factor, the Gram product and the dense products.
+_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _factor_norms(stack: np.ndarray):
+    """Norms of one factorisation of a [m, d, d] stack that bound its predicates.
+
+    Each P_i takes r_i = round(Re Tr P_i) pivoted-Cholesky steps (pivot on the
+    largest residual diagonal entry), P_i = F_i F_i^H + R_i, and one Gram product
+    G = F^H F serves every pair. Returns r [m], delta [m] >= ||R_i|| and g [m, m]
+    with g_ji >= ||G_ji|| and e_i = g_ii >= ||G_ii - I||: Frobenius norms plus a
+    round-off allowance. With q_i = 1 + e_i >= ||F_i||^2, _pair_bound bounds
+    ||P_j P_i||; at j = i, plus delta_i, it bounds ||P_i^2 - P_i||. The second
+    eigenvalue of Herm(P_i) lies within delta_i of that of F_i F_i^H, which is
+    0 for r_i <= 1 and at least 1 - e_i for r_i >= 2.
+
+    Ranks stay floats and pivots come from max and nonzero, not argsort, argmax
+    or integer arithmetic: the first call of each of those maps 64-320 KB of
+    numpy code that a run of the operator layer may not otherwise map.
+    """
+    m, d = stack.shape[:2]
+    ranks = np.minimum(np.rint(stack.trace(axis1=1, axis2=2).real), d)
+    # higher ranks first: the projectors still factoring form a prefix
+    order = sorted(range(m), key=ranks.tolist().__getitem__, reverse=True)
+    steps = ranks[order].tolist()
+    residual = stack[order]
+    rows = np.arange(m)
+    cols, owners = [], []
+    for step in range(int(steps[0])):
+        n = sum(r > step for r in steps)
+        res = residual[:n]
+        diag = res.diagonal(axis1=1, axis2=2).real
+        pivot = diag.max(axis=1)
+        hit, at = np.nonzero(diag == pivot[:, None])
+        k = np.empty(n, dtype=np.intp)
+        k[hit] = at  # a column whose diagonal entry is the largest
+        # a valid pivot is at least 1/d; any factor gives valid bounds
+        col = res[rows[:n], :, k] * (np.maximum(pivot, 0.5 / d) ** -0.5)[:, None]
+        res -= col[:, :, None] * col[:, None, :].conj()
+        cols.append(col)
+        owners += order[:n]
+    allowance = _ROUNDOFF * d * max(steps[0], 1)
+    parts = residual.view(np.float64).reshape(m, -1)
+    delta = np.empty(m)
+    delta[order] = np.sqrt(np.einsum("ki,ki->k", parts, parts)) + allowance
+    factor = np.concatenate(cols) if cols else np.empty((0, d), dtype=complex)  # F^T
+    gram = factor.conj() @ factor.T
+    gram.ravel()[:: len(gram) + 1] -= 1
+    owner = np.array(owners, dtype=float)
+    g = np.sqrt(np.bincount(
+        (owner[:, None] * m + owner).ravel().astype(np.intp), np.abs(gram).ravel() ** 2, m * m
+    )).reshape(m, m) + allowance
+    return ranks, delta, g
+
+
+def _pair_bound(g, q_j, delta_j, q_i, delta_i):
+    """Bound on ||P_j P_i|| = ||(F_j F_j^H + R_j)(F_i F_i^H + R_i)||."""
+    return np.sqrt(q_j * q_i) * g + delta_j * (q_i + delta_i) + q_j * delta_i
 
 
 def computational_basis(dim: int) -> ProjSystem:

@@ -22,7 +22,9 @@ from qmdl import (
     tensor_system,
     weakly_equal,
 )
+from qmdl import projlat
 from qmdl.config import TOL
+from qmdl.opcore import as_operator, norm_exceeds
 from conftest import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -129,6 +131,151 @@ def test_system_from_unitary_minimal(rng):
     assert sys_.minimal and len(sys_) == 4
     total = sum(np.asarray(p) for p in sys_)
     assert np.allclose(total, np.eye(4), atol=1e-10)
+
+
+def test_rejects_the_zero_dimensional_space():
+    with pytest.raises(InvalidOperator, match="zero-dimensional space C\\^0"):
+        ProjSystem([np.zeros((0, 0))])
+
+
+def _dense_reference(projectors):
+    """The constructor's checks as dense products, one per pair of projectors.
+
+    Returns the raised exception's type and message, or the `minimal` flag.
+    """
+    try:
+        projs = [as_operator(p) for p in projectors]
+        if not projs:
+            raise InvalidOperator("a projection system needs at least one projector")
+        dim = projs[0].shape[0]
+        split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
+        stack = np.stack(projs[:split])
+        tol = TOL.projector
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
+        idem = norm_exceeds(stack @ stack - stack, tol)
+        for i, p in enumerate(stack):
+            if herm[i]:
+                raise InvalidOperator(f"projector {i} is not Hermitian")
+            if idem[i]:
+                raise InvalidOperator(f"projector {i} is not idempotent")
+            overlaps = np.flatnonzero(norm_exceeds(stack[:i] @ p, tol))
+            if overlaps.size:
+                raise InvalidOperator(f"projectors {overlaps[0]} and {i} are not orthogonal")
+        if split < len(projs):
+            raise DimensionMismatch("projectors live on different spaces")
+        if norm_exceeds(stack.sum(axis=0) - np.eye(dim), tol):
+            raise InvalidOperator("projectors do not sum to the identity")
+        w = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+        return dim < 2 or bool(np.all(w[:, -2] <= tol))
+    except (InvalidOperator, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(projectors):
+    try:
+        return ProjSystem(projectors).minimal
+    except (InvalidOperator, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _perturbed_system(rng) -> list[np.ndarray]:
+    """A complete system on C^1..C^12 with one projector perturbed by 1e-11..1e-7.
+
+    Rank-1 Haar or computational bases, or Haar blocks of rank 2..6, some with a
+    zero projector; the perturbation is general, Hermitian, a tilt of one basis
+    vector towards another projector's range, or a scaling.
+    """
+    d = int(rng.integers(1, 13))
+    kind = rng.choice(["haar", "computational", "blocks"])
+    if kind == "computational":
+        u = np.eye(d, dtype=complex)
+    else:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(z)[0]
+    groups = [[k] for k in range(d)]
+    if kind == "blocks":
+        cuts = np.cumsum(rng.integers(2, 7, size=d))
+        groups = np.split(np.arange(d), cuts[cuts < d])
+    size = 10 ** rng.uniform(-11, -7)
+    k = int(rng.integers(len(groups)))
+    how = rng.choice(["general", "hermitian", "tilt", "scale"])
+    cols = [u[:, g] for g in groups]
+    if how == "tilt" and len(groups) > 1:
+        other = groups[(k + 1 + int(rng.integers(len(groups) - 1))) % len(groups)]
+        cols[k] = cols[k].copy()
+        cols[k][:, 0] = np.cos(size) * cols[k][:, 0] + np.sin(size) * u[:, other[0]]
+    projectors = [c @ c.conj().T for c in cols]
+    noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if how == "general":
+        projectors[k] = projectors[k] + size * noise / np.linalg.norm(noise)
+    elif how == "hermitian":
+        noise = noise + noise.conj().T
+        projectors[k] = projectors[k] + size * noise / np.linalg.norm(noise)
+    elif how == "scale":
+        projectors[k] = (1 + size) * projectors[k]
+    if rng.random() < 0.2:
+        projectors.insert(int(rng.integers(len(projectors) + 1)), np.zeros((d, d)))
+    return projectors
+
+
+def test_factor_bounds_take_the_dense_decisions():
+    """Seeded fuzz at the tolerance: the same exception and message, or the same flag."""
+    rng = np.random.default_rng(20261018)
+    outcomes = []
+    for _ in range(2400):
+        projectors = _perturbed_system(rng)
+        expected = _dense_reference(projectors)
+        assert _outcome(projectors) == expected, [np.round(p, 12) for p in projectors]
+        outcomes.append(expected)
+    # the fuzz reaches both sides of the tolerance and every kind of verdict
+    verdicts = {o if isinstance(o, bool) else o[1].split(" ")[-1] for o in outcomes}
+    assert {True, False, "Hermitian", "idempotent", "orthogonal", "identity"} <= verdicts
+
+
+def _counted(monkeypatch):
+    calls = {"norm_exceeds": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    def count(name, module, attr):
+        inner = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    count("norm_exceeds", projlat, "norm_exceeds")
+    for name in ("eigvalsh", "eigh", "svd"):
+        count(name, np.linalg, name)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: computational_basis(128), lambda: haar_random_system(64, np.random.default_rng(7))],
+    ids=["computational-128", "haar-64"],
+)
+def test_valid_systems_take_no_pairwise_products(monkeypatch, build):
+    calls = _counted(monkeypatch)
+    assert build().minimal
+    assert calls == {"norm_exceeds": 1, "eigvalsh": 0, "eigh": 0, "svd": 0}  # completeness only
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-6, 1 + 1e-6])
+def test_open_bound_falls_back_to_the_dense_product(monkeypatch, scale):
+    """P_1 tilted towards the range of P_0 by just under or over the tolerance: the
+    bound on ||P_0 P_1|| is open, so the dense product decides."""
+    theta = scale * TOL.projector
+    tilted = np.array([np.sin(theta), np.cos(theta)], dtype=complex)
+    projectors = [np.diag([1.0, 0.0]), np.outer(tilted, tilted.conj())]
+    calls = _counted(monkeypatch)
+    if scale < 1:
+        assert ProjSystem(projectors).minimal
+    else:
+        with pytest.raises(InvalidOperator, match="^projectors 0 and 1 are not orthogonal$"):
+            ProjSystem(projectors)
+    # the dense product of the pair, then completeness where the system is valid
+    assert calls == {"norm_exceeds": 2 if scale < 1 else 1, "eigvalsh": 0, "eigh": 0, "svd": 0}
 
 
 # --- lattice ----------------------------------------------------------------
