@@ -62,20 +62,25 @@ class ProjSystem:
         cut = tol * (1 - _BOUND_SLACK)
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
         # A bound below the cut decides a predicate: one bound for the whole system
-        # first, then one per projector and pair; the dense test runs where neither does.
+        # first, then one per projector and pair; the dense test runs where neither
+        # does. Every test reads `not bound < cut`, so a NaN bound stays open.
         ranks, delta, g = _factor_norms(stack)
         g_top, d_top = g.max(), delta.max()
         idem = np.zeros(m, dtype=bool)  # projectors that are not idempotent
         orth = np.zeros((m, m), dtype=bool)  # pairs j < i whose bound is open
         suspects = herm
-        if _pair_bound(g_top, 1 + g_top, d_top, 1 + g_top, d_top) + d_top >= cut:
+        if not _pair_bound(g_top, 1 + g_top, d_top, 1 + g_top, d_top) + d_top < cut:
             q = 1 + g.diagonal()
             pair = _pair_bound(g, q[:, None], delta[:, None], q, delta)
-            idem = pair.diagonal() + delta >= cut
+            idem = ~(pair.diagonal() + delta < cut)
             if idem.any():
                 loose = stack[idem]
-                idem[idem] = norm_exceeds(loose @ loose - loose, tol)
-            orth = np.triu(pair >= cut, 1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    product = loose @ loose - loose
+                if not np.isfinite(product).all():  # overflow: norm_exceeds names the whole stack
+                    product, idem[:] = stack @ stack - stack, True
+                idem[idem] = norm_exceeds(product, tol)
+            orth = np.triu(~(pair < cut), 1)
             suspects = herm | idem | orth.any(axis=0)
         for i in np.flatnonzero(suspects):
             if herm[i]:
@@ -92,7 +97,7 @@ class ProjSystem:
             raise InvalidOperator("projectors do not sum to the identity")
         # rank 1: top eigenvalue 1, runner-up numerically 0
         multiple = ranks >= 2
-        loose = stack[multiple | (delta >= cut)]
+        loose = stack[multiple | ~(delta < cut)]
         if dim < 2 or not len(loose):
             minimal = True
         elif (1 - g.diagonal()[multiple] - delta[multiple] > tol * (1 + _BOUND_SLACK)).any():
@@ -129,6 +134,7 @@ _BOUND_SLACK = 1e-9
 _ROUNDOFF = 64 * np.finfo(float).eps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves its bounds open
 def _factor_norms(stack: np.ndarray):
     """Norms of one factorisation of a [m, d, d] stack that bound its predicates.
 
@@ -136,17 +142,18 @@ def _factor_norms(stack: np.ndarray):
     largest residual diagonal entry), P_i = F_i F_i^H + R_i, and one Gram product
     G = F^H F serves every pair. Returns r [m], delta [m] >= ||R_i|| and g [m, m]
     with g_ji >= ||G_ji|| and e_i = g_ii >= ||G_ii - I||: Frobenius norms plus a
-    round-off allowance. With q_i = 1 + e_i >= ||F_i||^2, _pair_bound bounds
-    ||P_j P_i||; at j = i, plus delta_i, it bounds ||P_i^2 - P_i||. The second
-    eigenvalue of Herm(P_i) lies within delta_i of that of F_i F_i^H, which is
-    0 for r_i <= 1 and at least 1 - e_i for r_i >= 2.
+    round-off allowance, NaN or infinite where the stack's entries overflow.
+    With q_i = 1 + e_i >= ||F_i||^2, _pair_bound bounds ||P_j P_i||; at j = i,
+    plus delta_i, it bounds ||P_i^2 - P_i||. The second eigenvalue of Herm(P_i)
+    lies within delta_i of that of F_i F_i^H, which is 0 for r_i <= 1 and at
+    least 1 - e_i for r_i >= 2.
 
     Ranks stay floats and pivots come from max and nonzero, not argsort, argmax
     or integer arithmetic: the first call of each of those maps 64-320 KB of
     numpy code that a run of the operator layer may not otherwise map.
     """
     m, d = stack.shape[:2]
-    ranks = np.minimum(np.rint(stack.trace(axis1=1, axis2=2).real), d)
+    ranks = np.fmin(np.fmax(np.rint(stack.trace(axis1=1, axis2=2).real), 0), d)
     # higher ranks first: the projectors still factoring form a prefix
     order = sorted(range(m), key=ranks.tolist().__getitem__, reverse=True)
     steps = ranks[order].tolist()
@@ -159,7 +166,7 @@ def _factor_norms(stack: np.ndarray):
         diag = res.diagonal(axis1=1, axis2=2).real
         pivot = diag.max(axis=1)
         hit, at = np.nonzero(diag == pivot[:, None])
-        k = np.empty(n, dtype=np.intp)
+        k = np.zeros(n, dtype=np.intp)  # column 0 where a NaN pivot matches nothing
         k[hit] = at  # a column whose diagonal entry is the largest
         # a valid pivot is at least 1/d; any factor gives valid bounds
         col = res[rows[:n], :, k] * (np.maximum(pivot, 0.5 / d) ** -0.5)[:, None]
@@ -180,6 +187,7 @@ def _factor_norms(stack: np.ndarray):
     return ranks, delta, g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_bound(g, q_j, delta_j, q_i, delta_i):
     """Bound on ||P_j P_i|| = ||(F_j F_j^H + R_j)(F_i F_i^H + R_i)||."""
     return np.sqrt(q_j * q_i) * g + delta_j * (q_i + delta_i) + q_j * delta_i

@@ -1,5 +1,7 @@
 """Projection systems, the refinement lattice, pinching, and classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,37 @@ def test_open_bound_falls_back_to_the_dense_product(monkeypatch, scale):
             ProjSystem(projectors)
     # the dense product of the pair, then completeness where the system is valid
     assert calls == {"norm_exceeds": 2 if scale < 1 else 1, "eigvalsh": 0, "eigh": 0, "svd": 0}
+
+
+_HUGE = np.array([[1, 1e200 * (1 + 1j)], [1e200 * (1 - 1j), 1]])
+
+
+@pytest.mark.parametrize(
+    "projectors",
+    [
+        [_HUGE, np.eye(2) - _HUGE],
+        [_HUGE],
+        [np.diag([1e200, 0.0]), np.diag([0.0, 1.0])],
+        [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1e160])],
+        [np.diag([-1e308, -1e308])],
+        [np.diag([1e308, 1e308, -1e308, -1e308])],
+        [np.array([[1, 1], [0, 0.0]]), np.diag([0, 1e200])],
+    ],
+    ids=["hermitian-sum-to-identity", "hermitian-alone", "diagonal", "last-of-three", "trace-overflows",
+         "trace-is-nan", "non-hermitian-first"],
+)
+def test_overflowing_entries_take_the_dense_decisions(projectors):
+    """Finite entries whose products overflow make the factor bounds NaN or infinite.
+    Such bounds stay open, so the dense test decides: the same error, naming the
+    whole stack, and the same warnings."""
+    outcomes = []
+    for decide in (_dense_reference, _outcome):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes.append((decide(projectors), sorted({str(w.message) for w in caught})))
+    assert outcomes[0] == outcomes[1]
+    shape = np.stack(projectors).shape
+    assert outcomes[1][0] == (InvalidOperator, f"expected finite square matrices, got shape {shape}")
 
 
 # --- lattice ----------------------------------------------------------------
