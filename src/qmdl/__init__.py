@@ -10,7 +10,6 @@ from .errors import (
     AllZeroLikelihood,
     ConfigError,
     DimensionMismatch,
-    FunctionDomainError,
     InconsistentFamily,
     InvalidOperator,
     InvalidWord,
@@ -27,7 +26,6 @@ from .opcore import (
     check_hermitian,
     check_semi_density,
     eigh,
-    func_calculus,
     herm_log,
     herm_power,
     herm_sqrt,
@@ -108,7 +106,6 @@ from .serial import (
 from .xplab import (
     BoundConfig,
     ConsistencyConfig,
-    DistinguishabilityRelation,
     MarkovConfig,
     RedundancyConfig,
     RunResult,

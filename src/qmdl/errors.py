@@ -21,10 +21,6 @@ class ZeroTrace(QmdlError):
     """Normalization of a (numerically) traceless operator was requested."""
 
 
-class FunctionDomainError(QmdlError):
-    """A spectral function was applied outside its domain in strict mode."""
-
-
 class InconsistentFamily(QmdlError):
     """join/meet requested for projection systems that do not commute."""
 

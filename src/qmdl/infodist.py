@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .opcore import as_operator, eigh, herm_power, herm_sqrt
+from .opcore import _rel_entropy_nats, as_operator, eigh, herm_power, herm_sqrt
 from .projlat import ProjSystem
 from .qsource import word_distribution
 from .typeclasses import logsumexp
@@ -60,20 +60,9 @@ def rel_entropy(r1: np.ndarray, r2: np.ndarray, base: str = "bits") -> Divergenc
     """
     r1, r2 = as_operator(r1), as_operator(r2)
     scale = _base_factor(base)
-    w1, v1 = eigh(r1)
+    w1 = eigh(r1)[0]
     w2, v2 = eigh(r2)
-    # mass of r1 on the kernel of r2
-    kernel = v2[:, w2 <= TOL.support]
-    if kernel.shape[1]:
-        leak = np.trace(kernel.conj().T @ r1 @ kernel).real
-        if leak > 1e-9:
-            return DivergenceValue(np.inf, base)
-    pos1 = w1 > TOL.support
-    term1 = float(np.sum(w1[pos1] * np.log(w1[pos1])))
-    pos2 = w2 > TOL.support
-    overlap = v2[:, pos2].conj().T @ r1 @ v2[:, pos2]
-    term2 = float(np.real(np.diag(overlap)) @ np.log(w2[pos2]))
-    return DivergenceValue((term1 - term2) / scale, base)
+    return DivergenceValue(_rel_entropy_nats(r1, w1, w2, v2) / scale, base)
 
 
 def hellinger_sq(r1: np.ndarray, r2: np.ndarray) -> DivergenceValue:

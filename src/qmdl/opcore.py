@@ -15,7 +15,6 @@ import numpy as np
 from .config import TOL, dense_cap
 from .errors import (
     DimensionMismatch,
-    FunctionDomainError,
     InvalidOperator,
     SizeCapExceeded,
     ZeroTrace,
@@ -32,7 +31,6 @@ __all__ = [
     "sym_powers",
     "partial_trace",
     "eigh",
-    "func_calculus",
     "herm_sqrt",
     "herm_power",
     "herm_log",
@@ -157,30 +155,6 @@ def eigh(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((t + t.conj().T) / 2)
 
 
-def func_calculus(
-    t: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    strict: bool = True,
-) -> np.ndarray:
-    """Apply a scalar function to the spectrum and reconstruct.
-
-    With strict=True a non-finite value of f on any eigenvalue raises
-    FunctionDomainError. With strict=False, non-finite spectral values are
-    replaced by 0.
-    """
-    w, v = eigh(t)
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=float)
-    bad = ~np.isfinite(fw)
-    if np.any(bad):
-        if strict:
-            raise FunctionDomainError(
-                f"function undefined on eigenvalues {w[bad]}"
-            )
-        fw = np.where(bad, 0.0, fw)
-    return (v * fw) @ v.conj().T
-
-
 def _on_support(t: np.ndarray, g: Callable[[np.ndarray], np.ndarray], cutoff: float) -> np.ndarray:
     """Apply g to the eigenvalues above cutoff; every other eigenvalue maps to 0."""
     w, v = eigh(t)
@@ -188,6 +162,26 @@ def _on_support(t: np.ndarray, g: Callable[[np.ndarray], np.ndarray], cutoff: fl
     keep = w > cutoff
     fw[keep] = g(w[keep])
     return (v * fw) @ v.conj().T
+
+
+def _rel_entropy_nats(r1: np.ndarray, w1: np.ndarray, w2: np.ndarray, v2: np.ndarray) -> float:
+    """Tr r1 log r1 - Tr r1 log r2 in nats, under the support convention.
+
+    w1 holds the eigenvalues of r1 and (w2, v2) = eigh(r2), so w2 ascends and
+    r2's kernel is its first k eigenvectors. Eigenvalues at or below
+    TOL.support count as zeros; +inf when r1 carries mass above 1e-9 on the
+    kernel of r2.
+    """
+    k = int(np.count_nonzero(w2 <= TOL.support))
+    if k:
+        kernel = v2[:, :k]
+        if np.trace(kernel.conj().T @ r1 @ kernel).real > 1e-9:
+            return math.inf
+    w1 = w1[w1 > TOL.support]
+    term1 = float(np.sum(w1 * np.log(w1)))
+    support = v2[:, k:]
+    term2 = float(np.real(np.diag(support.conj().T @ r1 @ support)) @ np.log(w2[k:]))
+    return term1 - term2
 
 
 def herm_sqrt(t: np.ndarray) -> np.ndarray:

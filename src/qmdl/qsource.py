@@ -25,11 +25,11 @@ from .errors import (
 )
 from .models import example_state
 from .opcore import (
+    _rel_entropy_nats,
     as_operator,
     check_cap,
     eigh,
     herm_sqrt,
-    herm_log,
     partial_trace,
     pinv_sqrt,
     sym_powers,
@@ -371,12 +371,6 @@ def _q_margins(
     return margins
 
 
-def _expected_margin(log_lvl: np.ndarray, member: np.ndarray, n: int, eps: float) -> float:
-    rho_n = tensor_power(member, n)
-    s = np.trace(rho_n @ (herm_log(rho_n) - log_lvl)).real
-    return n * eps - s
-
-
 def _sym_blocks(states: np.ndarray, weights: np.ndarray, ns) -> dict[int, list[np.ndarray]]:
     """Schur-Weyl blocks of sum_i weights[j, i] states_i^(x)n, per row j of weights and n in ns.
 
@@ -400,8 +394,8 @@ def _block_margins(src, members: list[np.ndarray], ns, eps: float, mode: str) ->
 
     Level and member power are block diagonal on the same Schur-Weyl blocks
     (`_sym_blocks`): the matrix margin is the smallest block eigenvalue, and
-    the relative entropy is the sum of the blocks' terms, each counted with
-    its multiplicity.
+    the relative entropy is the sum of the blocks' relative entropies, each
+    counted with its multiplicity.
     """
     for n in ns:
         check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
@@ -420,9 +414,9 @@ def _block_margins(src, members: list[np.ndarray], ns, eps: float, mode: str) ->
             s = np.zeros(len(members))
             for k, (lvl, power) in enumerate(zip(levels[n], powers[n])):
                 mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-                log_lvl = herm_log(lvl[0])
-                s += [mult * np.trace(p @ (herm_log(p) - log_lvl)).real for p in power]
-            margin = n * eps - s
+                w, v = eigh(lvl[0])
+                s += [mult * _rel_entropy_nats(p, eigh(p)[0], w, v) for p in power]
+            margin = n * eps - s / math.log(2.0)
         margins[n] = margin
     return margins
 
@@ -439,7 +433,10 @@ def universality_check(
 
     Modes: "matrix" (min eigenvalue of level - 2^{-n eps} member power),
     "q-restricted" (per-word log-ratio surplus over type classes),
-    "expected" / "q-expected" (n eps minus base-2 relative entropy).
+    "expected" / "q-expected" (n eps minus base-2 relative entropy). The
+    expected margin is n eps - S(member^(x)n || level) in bits, from the
+    support-checked kernel of `rel_entropy`; it is -inf when the member
+    leaves the level's support.
     The report certifies only the checked range [n0, max(n_range)]. Matrix
     and expected margins of a qubit mixture or Beta-example source are taken
     on its Schur-Weyl blocks (`_block_margins`), of any other on dense levels.
@@ -470,8 +467,9 @@ def universality_check(
             lvl = src.level(n)
             margins = [_matrix_margin(lvl, member, n, eps) for member in members]
         elif mode == "expected":
-            log_lvl = herm_log(src.level(n))
-            margins = [_expected_margin(log_lvl, member, n, eps) for member in members]
+            w, v = eigh(src.level(n))
+            powers = (tensor_power(member, n) for member in members)
+            margins = [n * eps - _rel_entropy_nats(p, eigh(p)[0], w, v) / math.log(2.0) for p in powers]
         else:
             margins = _q_margins(src, member_probs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))

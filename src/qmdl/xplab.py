@@ -28,7 +28,6 @@ from .typeclasses import log_likelihoods
 __all__ = [
     "RunResult",
     "sample_words",
-    "DistinguishabilityRelation",
     "distinguishability_mass",
     "markov_check",
     "ConsistencyConfig",
@@ -129,13 +128,6 @@ def sample_words(
     ]
 
 
-@dataclass(frozen=True)
-class DistinguishabilityRelation:
-    delta: float
-    n: int
-    mass: float  # reference mass of words whose likelihood ratio exceeds delta
-
-
 def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
     """(log reference class mass, log likelihood ratio) over the classes the reference emits."""
     counts, log_mult, log_ref = word_distribution(ref_src, system, n)
@@ -150,8 +142,8 @@ def _exceedance_mass(log_mass: np.ndarray, log_ratio: np.ndarray, delta: float) 
 
 def distinguishability_mass(
     ref_src, comp_src, system: ProjSystem, n: int, delta: float
-) -> DistinguishabilityRelation:
-    """Exact reference mass of the likelihood-ratio exceedance set.
+) -> float:
+    """Exact reference mass of the words whose likelihood ratio exceeds delta.
 
     Words with zero reference probability are outside the predicate's domain;
     their reference mass is zero anyway. The set is a strict log ratio > log
@@ -161,8 +153,7 @@ def distinguishability_mass(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    mass = _exceedance_mass(*_likelihood_ratios(ref_src, comp_src, system, n), delta)
-    return DistinguishabilityRelation(delta, n, mass)
+    return _exceedance_mass(*_likelihood_ratios(ref_src, comp_src, system, n), delta)
 
 
 def markov_check(ref_src, comp_src, system: ProjSystem, n: int, delta: float) -> bool:
@@ -171,8 +162,7 @@ def markov_check(ref_src, comp_src, system: ProjSystem, n: int, delta: float) ->
     The exceedance set follows distinguishability_mass, so a class within
     round-off of delta may fall on either side.
     """
-    rel = distinguishability_mass(ref_src, comp_src, system, n, delta)
-    return rel.mass <= 1.0 / delta + 1e-9
+    return distinguishability_mass(ref_src, comp_src, system, n, delta) <= 1.0 / delta + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,7 @@ def test_criterion_11_distinguishability(report):
     ref = MixtureSource([(1.0, example_state(0.3))])
     comp = MixtureSource([(1.0, example_state(0.7))])
     masses = [
-        distinguishability_mass(ref, comp, CB, n, 1.0).mass for n in (4, 8, 16, 32)
+        distinguishability_mass(ref, comp, CB, n, 1.0) for n in (4, 8, 16, 32)
     ]
     ok = all(a > b for a, b in zip(masses, masses[1:]))
     # coding bound for semi-density competitors at every tested (n, delta)
@@ -302,7 +302,7 @@ def test_criterion_11_distinguishability(report):
         semi = MixtureSource([(weight, example_state(0.7))], kind="generalized")
         for n in (4, 8, 16):
             for delta in (0.5, 1.0, 2.0, 4.0):
-                mass = distinguishability_mass(ref, semi, CB, n, delta).mass
+                mass = distinguishability_mass(ref, semi, CB, n, delta)
                 ok &= mass <= 1 / delta + 1e-9
     report(
         11,

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmdl import (
+    TOL,
     DivergenceValue,
+    InvalidOperator,
     MixtureSource,
+    as_operator,
     computational_basis,
     distinguishability_mass,
+    eigh,
     example_state,
     hellinger_sq,
     hellinger_sq_classical,
@@ -63,6 +67,86 @@ def test_rel_entropy_nonnegative(rng):
     for _ in range(20):
         r1, r2 = random_density(rng, 3), random_density(rng, 3)
         assert rel_entropy(r1, r2).value >= -1e-10
+
+
+def _rel_entropy_reference(r1, r2, base="bits"):
+    """The body `rel_entropy` had before it moved into the shared kernel."""
+    r1, r2 = as_operator(r1), as_operator(r2)
+    scale = {"bits": LN2, "nats": 1.0}[base]
+    w1, v1 = eigh(r1)
+    w2, v2 = eigh(r2)
+    # mass of r1 on the kernel of r2
+    kernel = v2[:, w2 <= TOL.support]
+    if kernel.shape[1]:
+        leak = np.trace(kernel.conj().T @ r1 @ kernel).real
+        if leak > 1e-9:
+            return np.inf
+    pos1 = w1 > TOL.support
+    term1 = float(np.sum(w1[pos1] * np.log(w1[pos1])))
+    pos2 = w2 > TOL.support
+    overlap = v2[:, pos2].conj().T @ r1 @ v2[:, pos2]
+    term2 = float(np.real(np.diag(overlap)) @ np.log(w2[pos2]))
+    return (term1 - term2) / scale
+
+
+def _spectral(rng, eigenvalues):
+    """The Hermitian matrix with these eigenvalues in a random unitary basis."""
+    d = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def _unit(w):
+    w = np.asarray(w, dtype=float)
+    return w / w.sum()
+
+
+def _rel_entropy_pairs(rng, d):
+    """(kind, r1, r2) pairs: full rank, rank deficient, leaking, and eigenvalues at +-TOL.support."""
+    keep = max(1, d // 2)
+    low = np.r_[rng.uniform(0.1, 1.0, keep), np.zeros(d - keep)]
+    edge = np.array([TOL.support, -TOL.support, np.nextafter(TOL.support, 1.0), np.nextafter(TOL.support, 0.0)])
+    at_edge = np.r_[edge[: d - 1], np.ones(d - len(edge[: d - 1]))]
+    pairs = [
+        ("full", random_density(rng, d), random_density(rng, d)),
+        ("deficient", np.diag(_unit(low)), np.diag(_unit(rng.uniform(0.1, 1.0, d)))),
+        ("deficient", _spectral(rng, _unit(low)), random_density(rng, d)),
+        ("edge", np.diag(at_edge / at_edge.sum()), np.diag(_unit(rng.uniform(0.1, 1.0, d)))),
+        ("edge", np.diag(_unit(rng.uniform(0.1, 1.0, d))), np.diag(at_edge / at_edge.sum())),
+        ("edge", _spectral(rng, at_edge / at_edge.sum()), _spectral(rng, at_edge[::-1] / at_edge.sum())),
+    ]
+    if d > 1:
+        # r2's kernel is where r1 sits, and the other way round
+        pairs.append(("leak", random_density(rng, d), _spectral(rng, _unit(low))))
+        pairs.append(("leak", np.diag(_unit(low[::-1])), np.diag(_unit(low))))
+        # a rank-deficient r1 inside the support of a rank-deficient r2
+        support = np.diag(_unit(np.r_[rng.uniform(0.1, 1.0, keep), np.zeros(d - keep)]))
+        pairs.append(("deficient", np.diag(_unit(low)), support))
+    else:
+        pairs.append(("leak", np.ones((1, 1)), np.zeros((1, 1))))
+    return pairs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_rel_entropy_is_bit_identical_to_the_reference(d, rng):
+    for kind, r1, r2 in _rel_entropy_pairs(rng, d):
+        for base in ("bits", "nats"):
+            value = rel_entropy(r1, r2, base).value
+            assert value == _rel_entropy_reference(r1, r2, base), (kind, base)
+            if kind != "edge":
+                assert math.isinf(value) == (kind == "leak"), (kind, base)
+
+
+def test_rel_entropy_validates_r1_then_r2_before_the_leak_test():
+    leaky = np.array([[0.5, 0.1], [0.0, 0.5]])  # not Hermitian; half its mass is off diag(1, 0)
+    message = "not Hermitian: max deviation 1.000e-01 > 1.0e-10"
+    with pytest.raises(InvalidOperator, match=message):
+        _rel_entropy_reference(leaky, np.diag([1.0, 0.0]))
+    with pytest.raises(InvalidOperator, match=message):
+        rel_entropy(leaky, np.diag([1.0, 0.0]))
+    # both invalid: r1 is named, as before
+    with pytest.raises(InvalidOperator, match=message):
+        rel_entropy(leaky, np.array([[1.0, 0.2], [0.0, 0.0]]))
 
 
 def test_hellinger_sq_diagonal_matches_classical():
@@ -205,5 +289,5 @@ def test_word_divergences_and_mass_match_mpmath(n):
     # no class has a likelihood ratio (7/3)^(2k-n) equal to 1.5 or 3
     for delta in (1.5, 3.0):
         expected = mp.fsum(c * p for c, p, q in classes if q / p > delta)
-        mass = distinguishability_mass(src_a, src_b, CB, n, delta).mass
+        mass = distinguishability_mass(src_a, src_b, CB, n, delta)
         assert mass == pytest.approx(float(expected), rel=1e-12, abs=0.0), delta

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qmdl import (
     TOL,
-    FunctionDomainError,
     InvalidOperator,
     SizeCapExceeded,
     ZeroTrace,
@@ -16,7 +15,6 @@ from qmdl import (
     check_hermitian,
     check_semi_density,
     eigh,
-    func_calculus,
     herm_log,
     herm_power,
     herm_sqrt,
@@ -128,21 +126,6 @@ def test_eigh_reconstructs(rng):
     w, v = eigh(t)
     assert np.allclose((v * w) @ v.conj().T, t, atol=1e-10)
     assert np.all(np.diff(w) >= 0)
-
-
-def test_func_calculus_identity_function(rng):
-    t = random_hermitian(rng, 4)
-    assert np.allclose(func_calculus(t, lambda w: w), t, atol=1e-10)
-
-
-def test_func_calculus_strict_raises_on_log_of_zero():
-    with pytest.raises(FunctionDomainError):
-        func_calculus(np.diag([1.0, 0.0]), np.log, strict=True)
-
-
-def test_func_calculus_lenient_zeroes_bad_values():
-    out = func_calculus(np.diag([np.e, 0.0]), np.log, strict=False)
-    assert np.allclose(out, np.diag([1.0, 0.0]))
 
 
 def test_herm_sqrt_squares_back(rng):

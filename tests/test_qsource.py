@@ -29,6 +29,7 @@ from qmdl import (
     predict_step,
     q_project,
     q_restrict,
+    rel_entropy,
     strategy_step,
     system_from_unitary,
     tensor_power,
@@ -299,6 +300,31 @@ def test_matrix_universality_fails_for_uncovered_member():
     assert not report.passed and report.n0 is None
 
 
+@pytest.mark.parametrize(
+    "support, member",
+    [
+        (np.diag([1.0, 0.0]), example_state(0.5)),  # qubit: Schur-Weyl blocks
+        (np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3),  # qutrit: dense levels
+    ],
+    ids=["qubit", "qutrit"],
+)
+def test_expected_universality_fails_a_member_off_the_source_support(support, member):
+    """A member with mass outside every level's support has infinite relative
+    entropy to it, so its expected margin is -inf at every n."""
+    src = MixtureSource([(1.0, support)])
+    report = universality_check(src, [member], 0.05, range(1, 4), "expected")
+    assert report.per_level == ((1, -np.inf), (2, -np.inf), (3, -np.inf))
+    assert report.n0 is None and not report.passed
+
+
+def test_expected_and_q_expected_agree_off_the_source_support():
+    src = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
+    for mode in ("expected", "q-expected"):
+        report = universality_check(src, [example_state(0.5)], 0.05, range(1, 4), mode, CB)
+        assert [margin for _, margin in report.per_level] == [-np.inf] * 3, mode
+        assert report.n0 is None and not report.passed, mode
+
+
 def test_matrix_implies_expected_and_q_restricted():
     src, model = three_component_source()
     matrix = universality_check(src, model, 0.5, range(4, 8), "matrix")
@@ -328,8 +354,7 @@ def test_universality_margins_equal_the_per_member_formula(mode, rng):
                 gap = src.level(n) - 2.0 ** (-n * 0.5) * rho_n
                 margins.append(float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]))
             else:
-                s = np.trace(rho_n @ (herm_log(rho_n) - herm_log(src.level(n)))).real
-                margins.append(n * 0.5 - s)
+                margins.append(n * 0.5 - rel_entropy(rho_n, src.level(n)).value)
         assert margin == float(min(margins))
 
 

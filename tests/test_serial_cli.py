@@ -133,6 +133,22 @@ def test_cli_universality_pass_and_fail(tmp_path, capsys):
     assert run_cli(tmp_path, "universality-check", config) == 2
 
 
+def test_cli_expected_universality_fails_a_member_off_the_source_support(tmp_path, capsys):
+    config = {
+        "source": {"components": [{"weight": 1.0, "matrix": matrix_to_json(np.diag([1.0, 0.0]))}]},
+        "model": {"example": {"thetas": [0.5]}},
+        "epsilon": 0.05,
+        "n_range": [1, 2, 3],
+        "mode": "expected",
+    }
+    assert run_cli(tmp_path, "universality-check", config) == 2
+    text = capsys.readouterr().out
+    assert text.count("-Infinity") == 3
+    report = json.loads(text)
+    assert report["per_level"] == [[1, -np.inf], [2, -np.inf], [3, -np.inf]]
+    assert report["n0"] is None and report["pass"] is False
+
+
 def test_cli_estimate_mle_with_shorthand(tmp_path, capsys):
     config = {
         "estimator": "mle",

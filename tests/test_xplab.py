@@ -68,21 +68,21 @@ def test_sample_words_empirical_frequency():
 
 def test_mass_zero_when_competitor_equals_reference():
     src = MixtureSource([(1.0, example_state(0.4))])
-    rel = distinguishability_mass(src, src, CB, 5, delta=2.0)
-    assert rel.mass == pytest.approx(0.0)
+    mass = distinguishability_mass(src, src, CB, 5, delta=2.0)
+    assert mass == pytest.approx(0.0)
 
 
 def test_mass_one_when_ratio_always_exceeds():
     src = MixtureSource([(1.0, example_state(0.4))])
-    rel = distinguishability_mass(src, src, CB, 5, delta=0.5)
-    assert rel.mass == pytest.approx(1.0)
+    mass = distinguishability_mass(src, src, CB, 5, delta=0.5)
+    assert mass == pytest.approx(1.0)
 
 
 def test_mass_nonincreasing_in_delta():
     ref = MixtureSource([(1.0, example_state(0.3))])
     comp = MixtureSource([(1.0, example_state(0.7))])
     masses = [
-        distinguishability_mass(ref, comp, CB, 8, d).mass
+        distinguishability_mass(ref, comp, CB, 8, d)
         for d in (0.25, 0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
@@ -91,7 +91,7 @@ def test_mass_nonincreasing_in_delta():
 def test_mass_decreases_along_n_for_separated_states():
     ref = MixtureSource([(1.0, example_state(0.3))])
     comp = MixtureSource([(1.0, example_state(0.7))])
-    masses = [distinguishability_mass(ref, comp, CB, n, 1.0).mass for n in (4, 8, 16, 32)]
+    masses = [distinguishability_mass(ref, comp, CB, n, 1.0) for n in (4, 8, 16, 32)]
     assert all(a > b for a, b in zip(masses, masses[1:]))
 
 
@@ -99,14 +99,14 @@ def test_markov_check_semi_density_competitor():
     ref = MixtureSource([(1.0, example_state(0.3))])
     comp = MixtureSource([(0.5, example_state(0.7))], kind="generalized")
     assert markov_check(ref, comp, CB, 8, delta=4.0)
-    rel = distinguishability_mass(ref, comp, CB, 8, delta=4.0)
-    assert rel.mass <= 0.25 + 1e-9
+    mass = distinguishability_mass(ref, comp, CB, 8, delta=4.0)
+    assert mass <= 0.25 + 1e-9
 
 
 def test_markov_check_large_delta_same_source():
     src = MixtureSource([(1.0, example_state(0.4))])
-    rel = distinguishability_mass(src, src, CB, 6, delta=1e6)
-    assert rel.mass == pytest.approx(0.0)
+    mass = distinguishability_mass(src, src, CB, 6, delta=1e6)
+    assert mass == pytest.approx(0.0)
     assert markov_check(src, src, CB, 6, delta=1e6)
 
 
@@ -413,9 +413,9 @@ def test_distinguishability_mass_underflow_free_at_n1100():
     log_pmf = binomial_log_pmf(n, 0.3)
     tail = math.fsum(math.exp(v) for v in log_pmf[551:])
     assert tail == pytest.approx(4.04e-44, rel=1e-3)
-    assert distinguishability_mass(ref, comp, CB, n, 2.0).mass == pytest.approx(tail, rel=1e-9)
+    assert distinguishability_mass(ref, comp, CB, n, 2.0) == pytest.approx(tail, rel=1e-9)
     # at delta 1 the class k = 550 has ratio 1 up to round-off and may fall either side
-    mass = distinguishability_mass(ref, comp, CB, n, 1.0).mass
+    mass = distinguishability_mass(ref, comp, CB, n, 1.0)
     upper = tail + math.exp(log_pmf[550])
     assert tail * (1 - 1e-9) <= mass <= upper * (1 + 1e-9)
 
