@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .opcore import _rel_entropy_nats, as_operator, eigh, herm_power, herm_sqrt
+from .opcore import _LEAK_TOL, _rel_entropy_nats, as_operator, eigh, herm_power, herm_sqrt
 from .projlat import ProjSystem
 from .qsource import word_distribution
 from .typeclasses import logsumexp
@@ -62,7 +62,8 @@ def rel_entropy(r1: np.ndarray, r2: np.ndarray, base: str = "bits") -> Divergenc
     scale = _base_factor(base)
     w1 = eigh(r1)[0]
     w2, v2 = eigh(r2)
-    return DivergenceValue(_rel_entropy_nats(r1, w1, w2, v2) / scale, base)
+    nats, leak = _rel_entropy_nats(r1, w1, w2, v2)
+    return DivergenceValue(math.inf if leak > _LEAK_TOL else nats / scale, base)
 
 
 def hellinger_sq(r1: np.ndarray, r2: np.ndarray) -> DivergenceValue:

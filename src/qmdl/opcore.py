@@ -164,24 +164,26 @@ def _on_support(t: np.ndarray, g: Callable[[np.ndarray], np.ndarray], cutoff: fl
     return (v * fw) @ v.conj().T
 
 
-def _rel_entropy_nats(r1: np.ndarray, w1: np.ndarray, w2: np.ndarray, v2: np.ndarray) -> float:
-    """Tr r1 log r1 - Tr r1 log r2 in nats, under the support convention.
+# Mass of r1 on the kernel of r2 above which S(r1 || r2) is +inf
+_LEAK_TOL = 1e-9
+
+
+def _rel_entropy_nats(r1: np.ndarray, w1: np.ndarray, w2: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
+    """Tr r1 log r1 - Tr r1 log r2 in nats on the support of r2, and r1's mass on r2's kernel.
 
     w1 holds the eigenvalues of r1 and (w2, v2) = eigh(r2), so w2 ascends and
     r2's kernel is its first k eigenvectors. Eigenvalues at or below
-    TOL.support count as zeros; +inf when r1 carries mass above 1e-9 on the
-    kernel of r2.
+    TOL.support count as zeros. The relative entropy is +inf when the mass
+    exceeds _LEAK_TOL; the caller applies that rule, so that a block-diagonal
+    pair can sum the mass over its blocks first.
     """
     k = int(np.count_nonzero(w2 <= TOL.support))
-    if k:
-        kernel = v2[:, :k]
-        if np.trace(kernel.conj().T @ r1 @ kernel).real > 1e-9:
-            return math.inf
+    kernel, support = v2[:, :k], v2[:, k:]
+    leak = float(np.trace(kernel.conj().T @ r1 @ kernel).real)
     w1 = w1[w1 > TOL.support]
     term1 = float(np.sum(w1 * np.log(w1)))
-    support = v2[:, k:]
     term2 = float(np.real(np.diag(support.conj().T @ r1 @ support)) @ np.log(w2[k:]))
-    return term1 - term2
+    return term1 - term2, leak
 
 
 def herm_sqrt(t: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .models import example_state
 from .opcore import (
+    _LEAK_TOL,
     _rel_entropy_nats,
     as_operator,
     check_cap,
@@ -340,14 +341,6 @@ class UniversalityReport:
 _MARGIN_FLOOR = -1e-9
 
 
-def _matrix_margin(lvl: np.ndarray, member: np.ndarray, n: int, eps: float) -> float:
-    gap = lvl - 2.0 ** (-n * eps) * tensor_power(member, n)
-    # in place: the level stays alive across members, so keep one 2^n x 2^n temporary
-    gap += gap.conj().T
-    gap /= 2
-    return float(np.linalg.eigvalsh(gap)[0])
-
-
 def _q_margins(
     src, member_probs: np.ndarray, system: ProjSystem, n: int, eps: float, mode: str
 ) -> np.ndarray:
@@ -389,36 +382,38 @@ def _sym_blocks(states: np.ndarray, weights: np.ndarray, ns) -> dict[int, list[n
     return blocks
 
 
-def _block_margins(src, members: list[np.ndarray], ns, eps: float, mode: str) -> dict[int, np.ndarray]:
-    """Matrix or expected margin of every member at each n, for a qubit mixture source.
+def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
+    """Matrix or expected margin of every member at level n, from a block decomposition.
 
-    Level and member power are block diagonal on the same Schur-Weyl blocks
-    (`_sym_blocks`): the matrix margin is the smallest block eigenvalue, and
-    the relative entropy is the sum of the blocks' relative entropies, each
-    counted with its multiplicity.
+    blocks yields (multiplicity, level block, member blocks): the level and
+    each member's n-fold power are block diagonal on the same blocks, and each
+    block occurs multiplicity times. A dense level is one block of
+    multiplicity 1. The matrix margin is the smallest eigenvalue of
+    level - 2^{-n eps} power over all blocks. The expected margin is
+    n eps - S(power || level) in bits, S and the power's mass off the level's
+    support each summed over the blocks with their multiplicities; it is -inf
+    when that mass exceeds _LEAK_TOL.
     """
-    for n in ns:
-        check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
-    mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
-    levels = _sym_blocks(np.stack(mix.states), mix.weights[None], ns)
-    powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
-    margins = {}
-    for n in ns:
+    scale = 2.0 ** (-n * eps)
+    smallest, nats, leak = math.inf, 0.0, 0.0
+    for mult, lvl, powers in blocks:
         if mode == "matrix":
-            margin = np.full(len(members), np.inf)
-            for lvl, power in zip(levels[n], powers[n]):
-                gap = lvl - 2.0 ** (-n * eps) * power
-                gap = (gap + gap.conj().swapaxes(1, 2)) / 2
-                margin = np.minimum(margin, np.linalg.eigvalsh(gap)[:, 0])
+            eigs = []
+            for power in powers:
+                gap = lvl - scale * power
+                # in place: keep one temporary the size of the level
+                gap += gap.conj().T
+                gap /= 2
+                eigs.append(np.linalg.eigvalsh(gap)[0])
+            smallest = np.minimum(smallest, eigs)
         else:
-            s = np.zeros(len(members))
-            for k, (lvl, power) in enumerate(zip(levels[n], powers[n])):
-                mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-                w, v = eigh(lvl[0])
-                s += [mult * _rel_entropy_nats(p, eigh(p)[0], w, v) for p in power]
-            margin = n * eps - s / math.log(2.0)
-        margins[n] = margin
-    return margins
+            w, v = eigh(lvl)
+            value, off = np.array([_rel_entropy_nats(p, eigh(p)[0], w, v) for p in powers]).T
+            nats = nats + mult * value
+            leak = leak + mult * off
+    if mode == "matrix":
+        return smallest
+    return np.where(leak > _LEAK_TOL, -np.inf, n * eps - nats / math.log(2.0))
 
 
 def universality_check(
@@ -435,15 +430,21 @@ def universality_check(
     "q-restricted" (per-word log-ratio surplus over type classes),
     "expected" / "q-expected" (n eps minus base-2 relative entropy). The
     expected margin is n eps - S(member^(x)n || level) in bits, from the
-    support-checked kernel of `rel_entropy`; it is -inf when the member
-    leaves the level's support.
+    kernel of `rel_entropy`; it is -inf when the member's mass outside the
+    level's support exceeds 1e-9.
     The report certifies only the checked range [n0, max(n_range)]. Matrix
-    and expected margins of a qubit mixture or Beta-example source are taken
-    on its Schur-Weyl blocks (`_block_margins`), of any other on dense levels.
+    and expected margins come from one routine (`_margins`): a qubit mixture
+    or Beta-example source passes the Schur-Weyl blocks of its levels
+    (`_sym_blocks`), with the off-support mass summed over the blocks with
+    their multiplicities; any other source passes its dense level as one block.
+    Members on another dimension than the source raise DimensionMismatch.
     """
     if mode not in ("matrix", "q-restricted", "expected", "q-expected"):
         raise ValueError(f"unknown universality mode {mode!r}")
     members = [as_operator(m) for m in model]
+    for m in members:
+        if m.shape[0] != src.dim:
+            raise DimensionMismatch(f"model member acts on dimension {m.shape[0]}, source on {src.dim}")
     if mode in ("q-restricted", "q-expected"):
         if system is None:
             raise ValueError(f"mode {mode!r} requires a projection system")
@@ -455,29 +456,28 @@ def universality_check(
         mode in ("matrix", "expected")
         and isinstance(src, (MixtureSource, BetaExampleSource))
         and src.dim == 2
-        and all(m.shape == (2, 2) for m in members)
     )
     if on_blocks:
-        block_margins = _block_margins(src, members, ns, eps, mode)
+        for n in ns:
+            check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
+        mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
+        levels = _sym_blocks(np.stack(mix.states), mix.weights[None], ns)
+        powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
     per_level = []
     for n in ns:
         if on_blocks:
-            margins = block_margins[n]
-        elif mode == "matrix":
-            lvl = src.level(n)
-            margins = [_matrix_margin(lvl, member, n, eps) for member in members]
-        elif mode == "expected":
-            w, v = eigh(src.level(n))
-            powers = (tensor_power(member, n) for member in members)
-            margins = [n * eps - _rel_entropy_nats(p, eigh(p)[0], w, v) / math.log(2.0) for p in powers]
+            mults = (math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1))
+            margins = _margins(zip(mults, (lvl[0] for lvl in levels[n]), powers[n]), n, eps, mode)
+        elif mode in ("matrix", "expected"):
+            margins = _margins([(1, src.level(n), (tensor_power(m, n) for m in members))], n, eps, mode)
         else:
             margins = _q_margins(src, member_probs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))
     n0 = None
-    for i in range(len(per_level)):
-        if all(margin >= _MARGIN_FLOOR for _, margin in per_level[i:]):
-            n0 = per_level[i][0]
+    for n, margin in reversed(per_level):
+        if not margin >= _MARGIN_FLOOR:  # a NaN margin stops the pass too
             break
+        n0 = n
     return UniversalityReport(mode, eps, tuple(per_level), n0, n0 is not None)
 
 

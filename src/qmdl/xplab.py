@@ -68,25 +68,6 @@ class RunResult:
         with open(path, "w") as fh:
             fh.write("\n".join(self.csv_lines()) + "\n")
 
-    def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "status": self.status,
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "experiment": exp,
-                    "n": n,
-                    "replica": replica,
-                    "metric": metric,
-                    "value": value,
-                    "base": base,
-                }
-                for exp, n, replica, metric, value, base in self.rows
-            ],
-        }
-
     def metric_values(self, metric: str, n: int | None = None) -> list[float]:
         return [
             value

@@ -8,6 +8,7 @@ import pytest
 
 from qmdl import (
     BetaExampleSource,
+    DimensionMismatch,
     InvalidOperator,
     InvalidWord,
     MixtureSource,
@@ -323,6 +324,33 @@ def test_expected_and_q_expected_agree_off_the_source_support():
         report = universality_check(src, [example_state(0.5)], 0.05, range(1, 4), mode, CB)
         assert [margin for _, margin in report.per_level] == [-np.inf] * 3, mode
         assert report.n0 is None and not report.passed, mode
+
+
+def test_expected_leak_is_summed_over_the_schur_weyl_blocks():
+    """diag(1 - b, b)^(x)8 puts about 8b outside the support of |0><0|^(x)8, and
+    at most 1e-9 in any one Schur-Weyl block when b = 2e-10. The block path
+    holds the multiplicity-weighted sum to 1e-9, as the dense level does."""
+    src = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
+
+    def block_and_dense(b):
+        member = np.diag([1.0 - b, b])
+        report = universality_check(src, [member], 0.05, [8], "expected")
+        dense = 8 * 0.05 - rel_entropy(tensor_power(member, 8), src.level(8)).value
+        return report, dense
+
+    report, dense = block_and_dense(2e-10)
+    assert report.per_level == ((8, -np.inf),) and dense == -np.inf
+    assert report.n0 is None and not report.passed
+    report, dense = block_and_dense(2e-11)  # 1.6e-10 in total
+    ((_, margin),) = report.per_level
+    assert math.isfinite(margin) and abs(margin - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["matrix", "expected", "q-restricted", "q-expected"])
+def test_universality_rejects_members_on_another_dimension(mode):
+    src = MixtureSource([(1.0, np.eye(2) / 2)])
+    with pytest.raises(DimensionMismatch, match="dimension 3"):
+        universality_check(src, [np.eye(3) / 3], 0.05, range(1, 4), mode, CB)
 
 
 def test_matrix_implies_expected_and_q_restricted():

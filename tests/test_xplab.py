@@ -377,15 +377,6 @@ def test_markov_config_weight_range():
 # --- result plumbing --------------------------------------------------------
 
 
-def test_run_result_json_mirror():
-    result = consistency_run(small_consistency_config())
-    payload = result.to_json()
-    assert payload["experiment"] == "consistency"
-    assert payload["seed"] == 42
-    assert len(payload["rows"]) == len(result.rows)
-    assert "config_hash" in payload["metadata"]
-
-
 def test_write_csv_round_trip(tmp_path):
     result = consistency_run(small_consistency_config())
     path = tmp_path / "run.csv"
