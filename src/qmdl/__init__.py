@@ -93,7 +93,6 @@ from .infodist import (
     kl_classical,
     rel_entropy,
     renyi,
-    renyi_classical,
     word_divergences,
 )
 from .serial import (

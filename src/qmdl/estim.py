@@ -49,11 +49,19 @@ class ParamModel:
 
     @classmethod
     def example(cls, c: float = 0.0, grid: np.ndarray | None = None) -> "ParamModel":
-        """Built-in qubit family over a theta grid (default 1001 uniform nodes)."""
+        """Built-in qubit family over a theta grid (default 1001 uniform nodes).
+
+        The states are views of one [N, 2, 2] stack holding example_state's
+        entries at every node, computed with the same float operations.
+        """
         if grid is None:
             grid = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
         grid = np.asarray(grid, dtype=float)
-        return cls(tuple(example_state(t, c) for t in grid), grid)
+        # example_state raises for the first failing node: node 0 (theta or c), else the first bad theta
+        for t in grid[:1].tolist() + grid[~((grid >= 0.0) & (grid <= 1.0))][:1].tolist():
+            example_state(t, c)
+        s = np.sqrt(c * (grid - grid * grid))
+        return cls(tuple(np.stack([grid, s, s, 1.0 - grid], axis=-1).reshape(-1, 2, 2).astype(complex)), grid)
 
     @classmethod
     def explicit(cls, states) -> "ParamModel":
@@ -119,7 +127,8 @@ def _score_table(model, system: ProjSystem):
     """
     if system not in model._tables:
         probs = outcome_probs(model.states, system)
-        logs = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
+        clamped = np.maximum(probs, PROB_FLOOR).ravel().tolist()
+        logs = np.array(list(map(math.log, clamped))).reshape(probs.shape)
         if isinstance(model, GeneralizedModel):
             log_w = np.array([math.log(w) for w in model.code_weights])
         else:

@@ -26,7 +26,6 @@ __all__ = [
     "renyi",
     "kl_classical",
     "hellinger_sq_classical",
-    "renyi_classical",
     "word_divergences",
 ]
 
@@ -99,15 +98,6 @@ def kl_classical(p: np.ndarray, q: np.ndarray, base: str = "bits") -> float:
 
 def hellinger_sq_classical(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum((np.sqrt(np.clip(p, 0, None)) - np.sqrt(np.clip(q, 0, None))) ** 2))
-
-
-def renyi_classical(lam: float, p: np.ndarray, q: np.ndarray, base: str = "nats") -> float:
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"Renyi order must lie in (0, 1), got {lam}")
-    a = float(np.sum(np.clip(p, 0, None) ** lam * np.clip(q, 0, None) ** (1.0 - lam)))
-    if a <= 0.0:
-        return np.inf
-    return -math.log(a) / (1.0 - lam) / _base_factor(base)
 
 
 def word_divergences(

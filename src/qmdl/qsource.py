@@ -206,12 +206,16 @@ class BetaExampleSource:
         return self._quadrature().level(n)
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        if system.dim != self.dim:
+            raise DimensionMismatch("system dim does not match source dim")
         if not system.computational:
             return self._quadrature().log_prob(system, counts)
         return -np.log(counts.sum(axis=1) + 1.0) - log_multinomial(counts)
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Rule of succession (k_a + 1) / (n + 2) on the computational basis."""
+        if system.dim != self.dim:
+            raise DimensionMismatch("system dim does not match source dim")
         if not system.computational:
             return self._quadrature().predict(system, counts)
         return (counts + 1.0) / (counts.sum() + 2.0)
@@ -437,7 +441,7 @@ def universality_check(
     or Beta-example source passes the Schur-Weyl blocks of its levels
     (`_sym_blocks`), with the off-support mass summed over the blocks with
     their multiplicities; any other source passes its dense level as one block.
-    Members on another dimension than the source raise DimensionMismatch.
+    Members or a system on another dimension than the source raise DimensionMismatch.
     """
     if mode not in ("matrix", "q-restricted", "expected", "q-expected"):
         raise ValueError(f"unknown universality mode {mode!r}")
@@ -448,6 +452,8 @@ def universality_check(
     if mode in ("q-restricted", "q-expected"):
         if system is None:
             raise ValueError(f"mode {mode!r} requires a projection system")
+        if system.dim != src.dim:
+            raise DimensionMismatch(f"system acts on dimension {system.dim}, source on {src.dim}")
         if not system.minimal:
             raise NonMinimalSystem("Q-restricted universality needs a rank-1 system")
         member_probs = outcome_probs(members, system)

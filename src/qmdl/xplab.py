@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part, two_part_classes, _trace_sum
+from .errors import AllZeroLikelihood, ConfigError
+from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part_classes, _select, _trace_sum, _two_part_scores
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state
-from .opcore import as_operator
+from .opcore import as_operator, normalize
 from .projlat import ProjSystem, computational_basis
 from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
 from .serial import choice, each, integer, interval, levels, read, unit
@@ -97,16 +97,18 @@ def sample_words(
     seed: int,
 ) -> list[np.ndarray]:
     """i.i.d. outcome words drawn from Tr(q rho q); one word per replica."""
+    return list(_replica_words(true_state, system, n, replicas, seed))
+
+
+def _replica_words(true_state, system: ProjSystem, n: int, replicas: int, seed: int):
+    """The words of sample_words as an iterator: each is drawn when it is read."""
     rho = as_operator(true_state)
     probs = np.clip(outcome_probs([rho], system)[0], 0.0, None)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
     probs = probs / total
-    return [
-        _replica_rng(seed, r, n).choice(len(probs), size=n, p=probs)
-        for r in range(replicas)
-    ]
+    return (_replica_rng(seed, r, n).choice(len(probs), size=n, p=probs) for r in range(replicas))
 
 
 def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
@@ -199,7 +201,9 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
 
     Per (n, replica): sample a word from the true state, estimate (two-part or
     Laplace-predictive), report He^2 and S between the pinched estimate and the
-    pinched truth. Declared competitors additionally get exact
+    pinched truth. Each word is reduced to its outcome counts as it is drawn;
+    the replicas of one n are estimated as one count batch, and He^2 and S are
+    taken once per distinct estimate. Declared competitors additionally get exact
     distinguishability masses per n.
     """
     system = computational_basis(2)
@@ -212,18 +216,25 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
     ref_src = MixtureSource([(1.0, truth)])
     for n in config.n_schedule:
-        for r, word in enumerate(
-            sample_words(truth, system, n, config.replicas, config.seed)
-        ):
-            if config.estimator == "two-part":
-                est = two_part(model, system, word).state
-                est_probs = outcome_probs([est], system)[0]
-            else:
-                k = int(np.sum(word == 0))
-                p1 = (k + 1) / (n + 2)
-                est_probs = np.array([p1, 1.0 - p1])
-            result.add(n, r, "he2", hellinger_sq_classical(truth_probs, est_probs), "nats")
-            result.add(n, r, "S", kl_classical(truth_probs, est_probs, "bits"), "bits")
+        words = _replica_words(truth, system, n, config.replicas, config.seed)
+        counts = np.array([np.bincount(word, minlength=2) for word in words])
+        if config.estimator == "two-part":
+            # row r's scores are the floats two_part gets for replica r's word
+            keys = _select(model, _two_part_scores(model, system, counts)).chosen.tolist()
+            if min(keys) < 0:
+                raise AllZeroLikelihood("every member assigns probability 0 to the word")
+            est = {i: outcome_probs([normalize(model.states[i])], system)[0] for i in set(keys)}
+        else:
+            keys = counts[:, 0].tolist()
+            est = {k: np.array([(k + 1) / (n + 2), 1.0 - (k + 1) / (n + 2)]) for k in set(keys)}
+        # He^2 and S depend on the estimate alone: once per distinct estimate
+        div = {
+            key: (hellinger_sq_classical(truth_probs, p), kl_classical(truth_probs, p, "bits"))
+            for key, p in est.items()
+        }
+        for r, key in enumerate(keys):
+            result.add(n, r, "he2", div[key][0], "nats")
+            result.add(n, r, "S", div[key][1], "bits")
         for theta in config.competitor_thetas:
             comp_src = MixtureSource([(1.0, example_state(theta, config.c))])
             ratios = _likelihood_ratios(ref_src, comp_src, system, n)

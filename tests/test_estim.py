@@ -26,7 +26,8 @@ from qmdl import (
     two_part,
 )
 from qmdl import BetaExampleSource, predict_step
-from qmdl.estim import _member_scores, _select, _two_part_scores
+from qmdl.config import PROB_FLOOR
+from qmdl.estim import _member_scores, _score_table, _select, _two_part_scores
 from qmdl.typeclasses import compositions
 
 CB = computational_basis(2)
@@ -216,6 +217,41 @@ def test_score_table_is_cached_per_system():
     two_part(model, other, (0,))
     assert len(model._tables) == 2
     assert model._tables[other] is not table
+
+
+@pytest.mark.parametrize("c", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize(
+    "grid", [None, np.array([0.0, 1.0]), np.array([1.0, 0.3, 0.0, 1e-300, 1 - 2**-53, 0.5])]
+)
+def test_example_family_is_bit_equal_to_example_state(c, grid):
+    model = ParamModel.example(c, grid)
+    nodes = np.linspace(0.0, 1.0, 1001) if grid is None else grid
+    assert np.array_equal(model.thetas, nodes)
+    assert len(model.states) == len(nodes)
+    for state, theta in zip(model.states, nodes):
+        # bytes also tell -0.0 from 0.0
+        assert state.tobytes() == example_state(theta, c).tobytes()
+
+
+@pytest.mark.parametrize(
+    "c,grid",
+    [(0.5, [0.2, 1.5, -0.1]), (0.5, [float("nan")]), (1.2, [0.2, 0.4]), (-0.1, [2.0]), (1.2, [0.2, 1.5])],
+)
+def test_example_family_raises_what_example_state_raises(c, grid):
+    with pytest.raises(ValueError) as expected:
+        [example_state(t, c) for t in np.asarray(grid)]
+    with pytest.raises(ValueError) as err:
+        ParamModel.example(c, grid)
+    assert str(err.value) == str(expected.value)
+
+
+def test_score_table_logs_are_math_log_of_the_floored_probabilities():
+    model = ParamModel.example(0.4, np.array([0.0, 1e-310, 0.25, 0.5, 0.999, 1.0]))
+    probs, logs, log_w = _score_table(model, CB)
+    assert (probs == 0.0).any()
+    expected = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
+    assert logs.tobytes() == expected.tobytes()
+    assert not log_w.any()
 
 
 def test_generalized_model_kraft_guard():

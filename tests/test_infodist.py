@@ -24,7 +24,6 @@ from qmdl import (
     outcome_prob,
     rel_entropy,
     renyi,
-    renyi_classical,
     word_divergences,
 )
 from conftest import random_density
@@ -175,7 +174,8 @@ def test_renyi_order_must_be_interior():
 def test_renyi_diagonal_matches_classical():
     p, q = np.array([0.2, 0.8]), np.array([0.5, 0.5])
     quantum = renyi(0.5, np.diag(p), np.diag(q)).value
-    assert quantum == pytest.approx(renyi_classical(0.5, p, q), abs=1e-12)
+    # order 1/2 in nats: -(1 / (1 - 1/2)) ln sum_a p_a^(1/2) q_a^(1/2)
+    assert quantum == pytest.approx(-2.0 * np.log(np.sum(np.sqrt(p * q))), abs=1e-12)
 
 
 def test_renyi_infinite_on_disjoint_support():
@@ -192,7 +192,7 @@ def test_hellinger_below_half_renyi_on_commuting_pairs(a, b):
     p = np.array([a, 1 - a])
     q = np.array([b, 1 - b])
     he2 = hellinger_sq_classical(p, q)
-    d_half = renyi_classical(0.5, p, q)
+    d_half = -2.0 * np.log(np.sum(np.sqrt(p * q)))
     assert he2 <= d_half + 1e-12
 
 
@@ -208,7 +208,7 @@ def test_word_divergences_match_brute_force():
     he2 = word_divergences(src_a, src_b, CB, n, kind="he2")
     assert he2.value == pytest.approx(hellinger_sq_classical(pa, pb), abs=1e-10)
     ren = word_divergences(src_a, src_b, CB, n, kind="renyi", lam=0.5)
-    assert ren.value == pytest.approx(renyi_classical(0.5, pa, pb), abs=1e-10)
+    assert ren.value == pytest.approx(-2.0 * np.log(np.sum(np.sqrt(pa * pb))), abs=1e-10)
 
 
 def test_word_divergence_additivity_for_iid_sources():

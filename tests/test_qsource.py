@@ -187,6 +187,15 @@ def test_beta_source_uses_quadrature_off_the_computational_basis(rng):
     assert outcome_prob(BetaExampleSource(fallback_nodes=64), system, word) == expected
 
 
+def test_beta_source_rejects_a_system_on_another_dimension():
+    system = computational_basis(3)
+    assert system.computational
+    with pytest.raises(DimensionMismatch):
+        outcome_prob(BetaExampleSource(), system, (0, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        predict_step(BetaExampleSource(), system, (0, 2))
+
+
 def test_quadrature_matches_beta_closed_form():
     quad = example_uniform_source(0.0, 2048)
     beta = BetaExampleSource()
@@ -351,6 +360,13 @@ def test_universality_rejects_members_on_another_dimension(mode):
     src = MixtureSource([(1.0, np.eye(2) / 2)])
     with pytest.raises(DimensionMismatch, match="dimension 3"):
         universality_check(src, [np.eye(3) / 3], 0.05, range(1, 4), mode, CB)
+
+
+@pytest.mark.parametrize("mode", ["q-restricted", "q-expected"])
+def test_q_universality_rejects_a_system_on_another_dimension(mode):
+    src = MixtureSource([(1.0, np.eye(2) / 2)])
+    with pytest.raises(DimensionMismatch, match="system acts on dimension 3, source on 2"):
+        universality_check(src, [example_state(0.3)], 0.05, range(1, 4), mode, computational_basis(3))
 
 
 def test_matrix_implies_expected_and_q_restricted():

@@ -1,5 +1,6 @@
 """Experiment harness: sampling, exceedance masses, runners, reproducibility."""
 
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmdl import (
+    AllZeroLikelihood,
     BoundConfig,
     ConfigError,
     ConsistencyConfig,
@@ -21,16 +23,21 @@ from qmdl import (
     distinguishability_mass,
     example_state,
     example_uniform_source,
+    hellinger_sq_classical,
+    kl_classical,
     lambda_sum,
     markov_check,
     markov_run,
+    outcome_probs,
     predict_step,
     redundancy_run,
     sample_words,
+    two_part,
     universality_check,
     word_divergences,
 )
-from qmdl.xplab import redundancy_per_n
+from qmdl.cli import main
+from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios, redundancy_per_n
 
 CB = computational_basis(2)
 
@@ -166,6 +173,90 @@ def test_consistency_competitor_masses_emitted():
     result = consistency_run(cfg)
     masses = result.metric_values("mass[theta=0.8,delta=1]")
     assert len(masses) == 2 and all(0 <= m <= 1 + 1e-9 for m in masses)
+
+
+def _loop_reference(config):
+    """consistency_run as it was before replicas were scored as one count batch:
+    one two_part call and one He^2 / S pair per replica's word."""
+    system = computational_basis(2)
+    truth = example_state(config.theta_star, config.c)
+    truth_probs = outcome_probs([truth], system)[0]
+    model = GeneralizedModel(
+        [(w, example_state(t, config.c)) for w, t in zip(config.code_weights, config.model_thetas)]
+    )
+    result = RunResult("consistency", config.seed)
+    result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
+    ref_src = MixtureSource([(1.0, truth)])
+    for n in config.n_schedule:
+        for r, word in enumerate(sample_words(truth, system, n, config.replicas, config.seed)):
+            if config.estimator == "two-part":
+                est = two_part(model, system, word).state
+                est_probs = outcome_probs([est], system)[0]
+            else:
+                k = int(np.sum(word == 0))
+                p1 = (k + 1) / (n + 2)
+                est_probs = np.array([p1, 1.0 - p1])
+            result.add(n, r, "he2", hellinger_sq_classical(truth_probs, est_probs), "nats")
+            result.add(n, r, "S", kl_classical(truth_probs, est_probs, "bits"), "bits")
+        for theta in config.competitor_thetas:
+            comp_src = MixtureSource([(1.0, example_state(theta, config.c))])
+            ratios = _likelihood_ratios(ref_src, comp_src, system, n)
+            for delta in config.deltas:
+                mass = _exceedance_mass(*ratios, delta)
+                result.add(n, "exact", f"mass[theta={theta:g},delta={delta:g}]", mass)
+    return result
+
+
+def _fuzz_consistency_config(rng, i):
+    grid = [round(0.005 * j, 3) for j in range(1, 200)]
+    if i % 4 == 0:
+        thetas = grid
+    elif i % 4 == 2:
+        # dyadic mirror pairs t, 1 - t: at k = n / 2 their scores tie exactly, the
+        # states differ, and the tie goes to the lower index
+        t = (rng.integers(1, 8, int(rng.integers(1, 4))) / 16).tolist()
+        thetas = t + [1.0 - x for x in t]
+    else:
+        thetas = rng.uniform(0.0, 1.0, int(rng.integers(1, 9))).round(int(rng.integers(1, 4))).tolist()
+        if i % 4 == 1:  # duplicated members
+            thetas = thetas + thetas[: int(rng.integers(1, len(thetas) + 1))]
+    data = {
+        "theta_star": [0.0, 1.0, float(rng.uniform())][i % 3],
+        "c": [0.0, 0.5, 1.0][(i // 3) % 3],
+        "model_thetas": thetas,
+        "estimator": "laplace" if i % 5 == 4 else "two-part",
+        "n_schedule": sorted(rng.choice([1, 2, 5, 13, 40, 120], size=int(rng.integers(1, 4)), replace=False).tolist()),
+        "replicas": int(rng.integers(1, 25)),
+        "seed": int(rng.integers(0, 2**31)),
+    }
+    if i % 4 == 2:  # even words with k = n / 2 and a truth that tells the mirror states apart
+        data.update(theta_star=float(rng.uniform(0.3, 0.7)), n_schedule=[2, 4, 40])
+    if i % 3 == 1:  # unequal code weights within the Kraft bound
+        raw = rng.uniform(0.05, 1.0, len(thetas))
+        data["code_weights"] = (raw / raw.sum() * rng.uniform(0.3, 1.0)).tolist()
+    if i % 3 == 2:
+        data["competitor_thetas"] = rng.uniform(0.0, 1.0, 2).round(2).tolist()
+        data["deltas"] = [0.5, 1.0, 4.0]
+    return ConsistencyConfig.from_dict(data)
+
+
+def test_consistency_batch_csv_equals_the_per_replica_loop():
+    rng = np.random.default_rng(2026)
+    for i in range(48):
+        config = _fuzz_consistency_config(rng, i)
+        assert consistency_run(config).csv_lines() == _loop_reference(config).csv_lines(), config
+
+
+def test_consistency_word_no_member_explains_raises(tmp_path):
+    # members emit only outcome 0 or only outcome 1; a fair truth soon draws a word with both
+    data = {"theta_star": 0.5, "model_thetas": [0.0, 1.0], "n_schedule": [1, 6], "replicas": 4, "seed": 5}
+    config = ConsistencyConfig.from_dict(data)
+    for run in (_loop_reference, consistency_run):
+        with pytest.raises(AllZeroLikelihood, match="every member assigns probability 0"):
+            run(config)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["consistency", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize(
