@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -289,6 +290,8 @@ COMMANDS = {
 }
 
 
+# built once per process: parse_args keeps no state and looks sys.stdout/stderr up to print
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,7 +4,8 @@ Mixture-source levels are exchangeable, so a length-n word's probability
 depends only on its outcome histogram. Enumerating C(n+m-1, m-1) histograms
 instead of m^n words makes exact finite-n checks tractable. Everything here
 works on a count array counts[C, m] and stays in log space, so class
-probabilities neither underflow nor overflow at any n.
+probabilities neither underflow nor overflow at any n. Binary tables (m = 2)
+take the closed form; log k! comes from one module table that grows on demand.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ def compositions(n: int, parts: int) -> np.ndarray:
 
     Rows are in lexicographic order; n = 0 gives one all-zero row.
     """
+    if parts == 2:
+        k = np.arange(n + 1, dtype=np.int64)
+        return np.stack([k, n - k], axis=1)
     # stars and bars: each choice of parts-1 bar positions among n+parts-1 slots
     rows = comb(n + parts - 1, parts - 1)
     bars = np.fromiter(
@@ -40,12 +44,23 @@ def compositions(n: int, parts: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+# log k! for k < len(_LOG_FACT); log_multinomial swaps in longer read-only copies
+_LOG_FACT = np.empty(0)
+
+
 def log_multinomial(counts) -> np.ndarray:
     """log of the number of words sharing each histogram (last axis of counts)."""
+    global _LOG_FACT
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.sum(axis=-1)
     top = int(n.max()) if n.size else 0
-    log_fact = np.fromiter(map(lgamma, range(1, top + 2)), dtype=float, count=top + 1)
+    log_fact = _LOG_FACT
+    if top >= log_fact.size:
+        more = map(lgamma, range(log_fact.size + 1, top + 2))
+        log_fact = np.concatenate([log_fact, np.fromiter(more, dtype=float, count=top + 1 - log_fact.size)])
+        log_fact.flags.writeable = False
+        _LOG_FACT = log_fact
+    log_fact = log_fact[: max(top + 1, 0)]  # a per-call table's length: bad counts fail alike
     return log_fact[n] - log_fact[counts].sum(axis=-1)
 
 

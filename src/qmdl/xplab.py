@@ -369,23 +369,19 @@ class RedundancyConfig:
         )
 
 
-def redundancy_per_n(theta_star: float, n: int) -> float:
-    """Exact S(truth^(n) || uniform-prior mixture^(n)) in bits, pinched words.
-
-    Truth words are Binomial(n, theta); the mixture assigns 1/((n+1) C(n,k))
-    per word, so the sum runs over the n+1 type classes.
-    """
-    truth = MixtureSource([(1.0, example_state(theta_star))])
-    return word_divergences(truth, BetaExampleSource(), computational_basis(2), n).value
-
-
 def redundancy_run(config: RedundancyConfig) -> RunResult:
-    """Exact redundancy curve S(n) with its log-growth diagnostics."""
+    """Exact redundancy curve S(n) with its log-growth diagnostics.
+
+    S(n) = S(truth^(n) || uniform-prior mixture^(n)) in bits on pinched words, a
+    sum over the n+1 type classes: the mixture gives 1/((n+1) C(n,k)) per word.
+    """
     result = RunResult("redundancy", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__)}
+    truth = MixtureSource([(1.0, example_state(config.theta_star))])
+    mixture, system = BetaExampleSource(), computational_basis(2)
     values: dict[int, float] = {}
     for n in config.n_schedule:
-        s = redundancy_per_n(config.theta_star, n)
+        s = word_divergences(truth, mixture, system, n).value
         values[n] = s
         result.add(n, "exact", "S", s, "bits")
         if n > 1:

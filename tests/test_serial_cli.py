@@ -1,5 +1,8 @@
 """JSON interchange round trips and the command-line front end."""
 
+import argparse
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -20,7 +23,8 @@ from qmdl import (
     system_from_json,
     system_to_json,
 )
-from qmdl.cli import main
+from qmdl.cli import COMMANDS, build_parser, main
+from test_config import VALID
 
 
 # --- serialization ----------------------------------------------------------
@@ -386,3 +390,57 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
     code, captured = runs["bound"]
     assert code == 0 and captured.err == "# status: pass\n"
     assert (tmp_path / "bound.csv").read_text().startswith("experiment,n,replica,metric,value,base,seed\n")
+
+
+def test_a_reused_parser_keeps_no_state(tmp_path, monkeypatch):
+    files, commands = readme_examples()
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    for command, config in VALID.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+        commands.append([command, "--config", f"{command}.json", "--out", f"{command}.out"])
+    usage_errors = [["nope", "--config", "p.json"], ["predict"], ["predict", "--config", "p.json", "--seed", "x"]]
+    others = usage_errors + [["--help"]]
+    calls = [argv for i, command in enumerate(commands) for argv in (command, others[i % len(others)])]
+
+    def call(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = ("return", main(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        written = None
+        if "--out" in argv:
+            out = tmp_path / argv[argv.index("--out") + 1]
+            written = out.read_bytes()
+            out.unlink()
+        return code, stdout.getvalue(), stderr.getvalue(), written
+
+    build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    first = {}
+    for argv in calls + calls[::-1] + calls:
+        result = call(argv)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    # the top-level parser and each subcommand's parser were built once
+    assert built == ["qmdl"] + [f"qmdl {name}" for name in COMMANDS]
+
+    for argv in usage_errors:
+        code, stdout, stderr, _ = first[tuple(argv)]
+        assert code == ("SystemExit", 2) and stdout == ""
+        assert stderr.startswith("usage: qmdl") and "error: " in stderr, argv
+    code, stdout, stderr, _ = first[("--help",)]
+    assert code == ("SystemExit", 0) and stdout.startswith("usage: qmdl") and stderr == ""
+    for argv in commands:
+        code, _, stderr, written = first[tuple(argv)]
+        assert code[0] == "return" and code[1] in (0, 2, 3), (argv, stderr)
+        assert ("--out" in argv) == (written is not None)

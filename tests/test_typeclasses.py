@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmdl import typeclasses
 from qmdl.typeclasses import (
     compositions,
     log_likelihoods,
@@ -107,6 +109,63 @@ def test_log_multinomial_rows_match_scalar_lgamma():
         math.lgamma(10) - sum(math.lgamma(k + 1) for k in row) for row in counts
     ]
     assert np.allclose(log_multinomial(counts), expected, rtol=0, atol=1e-12)
+
+
+def stars_and_bars(n, parts):
+    """The combinations-iterator table that compositions(n, 2) replaces by a closed form."""
+    rows = math.comb(n + parts - 1, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n + parts - 1), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), n + parts - 1)])
+    return np.diff(edges, axis=1) - 1
+
+
+def test_binary_compositions_equal_the_stars_and_bars_table():
+    for n in [*range(301), 1000, 4096]:
+        got, want = compositions(n, 2), stars_and_bars(n, 2)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want), n
+
+
+def per_call_log_multinomial(counts):
+    """log_multinomial with its lgamma table rebuilt for each call."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.sum(axis=-1)
+    top = int(n.max()) if n.size else 0
+    log_fact = np.fromiter(map(math.lgamma, range(1, top + 2)), dtype=float, count=top + 1)
+    return log_fact[n] - log_fact[counts].sum(axis=-1)
+
+
+def test_log_multinomial_is_bit_identical_to_a_per_call_table(monkeypatch):
+    # start from an empty shared table so that it grows while n is visited out of order
+    monkeypatch.setattr(typeclasses, "_LOG_FACT", typeclasses._LOG_FACT[:0])
+    sizes = [(n, m) for n in [*range(40), 97, 300, 1000, 4096] for m in (1, 2, 3, 4) if m <= 2 or n <= 97]
+    random.Random(5).shuffle(sizes)
+    for n, m in sizes:
+        counts = compositions(n, m)
+        assert np.array_equal(log_multinomial(counts), per_call_log_multinomial(counts)), (n, m)
+    assert typeclasses._LOG_FACT.size == 4097
+    # counts that are not histograms fail as with a per-call table, however long the shared one
+    for bad in ([[-1, 3]], [[5, -2]], [[-3, 1]]):
+        for table in (per_call_log_multinomial, log_multinomial):
+            with pytest.raises(IndexError):
+                table(bad)
+
+
+def test_shared_log_factorial_table_rejects_writes(monkeypatch):
+    monkeypatch.setattr(typeclasses, "_LOG_FACT", typeclasses._LOG_FACT[:0])
+    log_multinomial([[3, 4]])
+    first = typeclasses._LOG_FACT
+    log_multinomial([[600, 400]])
+    grown = typeclasses._LOG_FACT
+    assert (first.size, grown.size) == (8, 1001)
+    for table in (first, grown):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert np.array_equal(grown[:8], first)
 
 
 def test_table_functions_emit_no_warning_on_impossible_classes():

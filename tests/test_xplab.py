@@ -9,12 +9,14 @@ import pytest
 
 from qmdl import (
     AllZeroLikelihood,
+    BetaExampleSource,
     BoundConfig,
     ConfigError,
     ConsistencyConfig,
     GeneralizedModel,
     MarkovConfig,
     MixtureSource,
+    ProjSystem,
     RedundancyConfig,
     alpha_scale,
     bound_run,
@@ -37,7 +39,7 @@ from qmdl import (
     word_divergences,
 )
 from qmdl.cli import main
-from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios, redundancy_per_n
+from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios
 
 CB = computational_basis(2)
 
@@ -428,6 +430,59 @@ def test_redundancy_log_growth_checks():
     assert gaps and all(g <= 0.75 for g in gaps)
 
 
+def _per_n_reference(config):
+    """redundancy_run with the sources and the basis rebuilt for each n."""
+    result = RunResult("redundancy", config.seed)
+    result.metadata = {"config_hash": _config_hash(config.__dict__)}
+    values = {}
+    for n in config.n_schedule:
+        truth = MixtureSource([(1.0, example_state(config.theta_star))])
+        s = word_divergences(truth, BetaExampleSource(), computational_basis(2), n).value
+        values[n] = s
+        result.add(n, "exact", "S", s, "bits")
+        if n > 1:
+            result.add(n, "exact", "S_over_log2n", s / math.log2(n))
+    for n in config.n_schedule:
+        if 2 * n in values and n >= 16:
+            gap = values[2 * n] - values[n]
+            result.add(2 * n, "exact", "S_gap", gap, "bits")
+            if gap > 0.75:
+                result.status = "fail"
+    ratios = [values[n] / math.log2(n) for n in config.n_schedule[-3:] if n > 1]
+    if len(ratios) == 3:
+        lo, hi = min(ratios), max(ratios)
+        if hi > 1.25 * lo:
+            result.status = "fail"
+        result.metadata["tail_ratio_band"] = [lo, hi]
+    return result
+
+
+@pytest.mark.parametrize("schedule", [[2**k for k in range(4, 13)], [3, 1000, 2000, 4000]])
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.37, 0.5, 1.0])
+def test_redundancy_csv_equals_the_per_n_reference(tmp_path, theta, schedule):
+    config = RedundancyConfig.from_dict({"theta_star": theta, "n_schedule": schedule, "seed": 3})
+    got, want = redundancy_run(config), _per_n_reference(config)
+    got.write_csv(tmp_path / "got.csv")
+    want.write_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (got.status, got.metadata) == (want.status, want.metadata)
+
+
+def test_redundancy_builds_one_system_per_run(monkeypatch):
+    built = []
+    init = ProjSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjSystem, "__init__", counted)
+    for schedule in ([8], [2**k for k in range(1, 13)], [3, 1000, 2000, 4000]):
+        built.clear()
+        redundancy_run(RedundancyConfig.from_dict({"theta_star": 0.3, "n_schedule": schedule}))
+        assert len(built) == 1, schedule
+
+
 # --- markov runner ----------------------------------------------------------
 
 
@@ -524,8 +579,9 @@ def test_bound_run_finite_at_large_n():
 
 @pytest.mark.parametrize("theta", [0.1, 0.3, 0.5])
 def test_redundancy_matches_exact_sum_and_clarke_barron(theta):
+    result = redundancy_run(RedundancyConfig.from_dict({"theta_star": theta, "n_schedule": [10**4, 10**5]}))
     for n in (10**4, 10**5):
-        s = redundancy_per_n(theta, n)
+        (s,) = result.metric_values("S", n)
         # S = log2(n + 1) - H(Binomial(n, theta)) in bits
         log_pmf = binomial_log_pmf(n, theta)
         entropy = -math.fsum(math.exp(v) * v for v in log_pmf) / math.log(2.0)
@@ -553,7 +609,7 @@ def test_exact_consumers_emit_no_numpy_warning_at_n3000():
             distinguishability_mass(a, b, CB, n, 1.0)
         predict_step(quad, CB, (0,) * 900 + (1,) * 2100)
         lambda_sum(model, CB, n)
-        redundancy_per_n(0.3, n)
+        redundancy_run(RedundancyConfig.from_dict({"theta_star": 0.3, "n_schedule": [n]}))
         bound_run(BoundConfig.from_dict({
             "theta_star": 0.3, "model_thetas": [0.0, 0.3, 0.7], "code_weights": [0.25, 0.5, 0.25],
             "alphas": [2.0], "n_schedule": [n],
