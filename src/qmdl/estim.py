@@ -79,21 +79,21 @@ class GeneralizedModel:
     """Members (code weight, density); stored semi-densities w*rho obey Kraft."""
 
     def __init__(self, members):
-        weights = []
-        states = []
-        for w, rho in members:
-            if not 0.0 < w <= 1.0:
-                raise InvalidOperator(f"code weight {w} outside (0, 1]")
-            weights.append(float(w))
-            states.append(as_operator(rho))
-        if len({s.shape for s in states}) != 1:
+        members = list(members)
+        states = [np.asarray(rho, dtype=complex) for _, rho in members]
+        stack = np.stack(states) if len({s.shape for s in states}) == 1 else np.zeros(0)
+        square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+        if not (square and np.isfinite(stack).all() and all(0.0 < w <= 1.0 for w, _ in members)):
+            # the first member's error, as checking one member at a time finds it
+            for w, rho in members:
+                if not 0.0 < w <= 1.0:
+                    raise InvalidOperator(f"code weight {w} outside (0, 1]")
+                as_operator(rho)
             raise InvalidOperator("a generalized model needs at least one member, all on one space")
-        self.code_weights = np.array(weights)
+        self.code_weights = np.array([float(w) for w, _ in members])
         self.states = states
         self._tables: dict[ProjSystem, tuple] = {}
-        self.stored_traces = np.array(
-            [w * np.trace(s).real for w, s in zip(weights, states)]
-        )
+        self.stored_traces = self.code_weights * np.trace(stack, axis1=1, axis2=2).real
         check_kraft(self.code_weights)
 
     def __len__(self) -> int:

@@ -4,6 +4,11 @@ Infinite values are returned, never raised, so experiment code can average
 them. Every value carries its log-base tag: relative entropy defaults to bits
 (it composes with the 2^(-n eps) universality algebra), the Renyi divergence
 defaults to nats.
+
+Operator divergences read the spectra (w_k, V_k) = eigh(r_k), eigenvalues at or below
+TOL.support read as 0: S = sum w1 log w1 - sum_j (V2^H r1 V2)_jj log w2_j; the Renyi
+affinity Tr r1^lam r2^(1-lam) = w1^lam @ |V1^H V2|^2 @ w2^(1-lam) (+inf at or below
+TOL.support); He^2 = sum_ij |V1^H (r1 - r2) V2|_ij^2 / (sqrt w1_i + sqrt w2_j)^2.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .opcore import _LEAK_TOL, _rel_entropy_nats, as_operator, eigh, herm_power, herm_sqrt
+from .opcore import _LEAK_TOL, _below_support, _rel_entropy_nats, as_operator, eigh
 from .projlat import ProjSystem
 from .qsource import word_distribution
 from .typeclasses import logsumexp
@@ -55,28 +60,33 @@ def _base_factor(base: str) -> float:
 def rel_entropy(r1: np.ndarray, r2: np.ndarray, base: str = "bits") -> DivergenceValue:
     """Quantum relative entropy Tr(r1 log r1) - Tr(r1 log r2), support convention.
 
-    +inf when r1 carries mass outside the support of r2.
+    +inf when r1 carries mass above 1e-9 outside the support of r2.
     """
     r1, r2 = as_operator(r1), as_operator(r2)
     scale = _base_factor(base)
-    w1 = eigh(r1)[0]
+    w1 = eigh(r1, eigvals_only=True)
     w2, v2 = eigh(r2)
     nats, leak = _rel_entropy_nats(r1, w1, w2, v2)
     return DivergenceValue(math.inf if leak > _LEAK_TOL else nats / scale, base)
 
 
 def hellinger_sq(r1: np.ndarray, r2: np.ndarray) -> DivergenceValue:
-    """Squared Hellinger distance ||sqrt(r1) - sqrt(r2)||_T^2."""
-    s1, s2 = herm_sqrt(r1), herm_sqrt(r2)
-    value = float(np.sum(np.abs(s1 - s2) ** 2))
-    return DivergenceValue(value, "nats")
+    """Squared Hellinger distance ||sqrt(r1) - sqrt(r2)||_T^2, read from r1 - r2: no cancellation."""
+    (w1, v1), (w2, v2) = eigh(r1), eigh(r2)
+    diff = np.asarray(r1, dtype=complex) - np.asarray(r2, dtype=complex)
+    gap = v1.conj().T @ ((diff + diff.conj().T) / 2 - _below_support(w1, v1) + _below_support(w2, v2)) @ v2
+    den = np.add.outer(*(np.sqrt(np.where(w > TOL.support, w, 0.0)) for w in (w1, w2))) ** 2
+    terms = np.divide(np.abs(gap) ** 2, den, out=np.zeros_like(den), where=den > 0)
+    return DivergenceValue(float(terms.sum()), "nats")
 
 
 def renyi(lam: float, r1: np.ndarray, r2: np.ndarray, base: str = "nats") -> DivergenceValue:
     """Renyi divergence -(1/(1-lam)) log Tr(r1^lam r2^(1-lam)), lam in (0, 1)."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"Renyi order must lie in (0, 1), got {lam}")
-    a = np.trace(herm_power(r1, lam) @ herm_power(r2, 1.0 - lam)).real
+    (w1, v1), (w2, v2) = eigh(r1), eigh(r2)
+    f1, f2 = (np.where(w > TOL.support, w, 0.0) ** p for w, p in ((w1, lam), (w2, 1.0 - lam)))
+    a = f1 @ np.abs(v1.conj().T @ v2) ** 2 @ f2
     if a <= TOL.support:
         return DivergenceValue(np.inf, base)
     value = -math.log(a) / (1.0 - lam) / _base_factor(base)

@@ -149,10 +149,16 @@ def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:
     return out.reshape(kept, kept)
 
 
-def eigh(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a Hermitian operator."""
+def eigh(t: np.ndarray, eigvals_only: bool = False):
+    """Ascending eigenvalues and orthonormal eigenvector columns (eigvals_only: the eigenvalues alone)."""
     t = check_hermitian(t)
-    return np.linalg.eigh((t + t.conj().T) / 2)
+    return (np.linalg.eigvalsh if eigvals_only else np.linalg.eigh)((t + t.conj().T) / 2)
+
+
+def _below_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The part of eigh's (w, v) at or below TOL.support, which the support convention reads as 0."""
+    k = int(np.count_nonzero(w <= TOL.support))
+    return (v[:, :k] * w[:k]) @ v[:, :k].conj().T
 
 
 def _on_support(t: np.ndarray, g: Callable[[np.ndarray], np.ndarray], cutoff: float) -> np.ndarray:
@@ -178,12 +184,9 @@ def _rel_entropy_nats(r1: np.ndarray, w1: np.ndarray, w2: np.ndarray, v2: np.nda
     pair can sum the mass over its blocks first.
     """
     k = int(np.count_nonzero(w2 <= TOL.support))
-    kernel, support = v2[:, :k], v2[:, k:]
-    leak = float(np.trace(kernel.conj().T @ r1 @ kernel).real)
+    mass = np.einsum("ij,ij->j", v2.conj(), r1 @ v2).real  # on each eigenvector of r2
     w1 = w1[w1 > TOL.support]
-    term1 = float(np.sum(w1 * np.log(w1)))
-    term2 = float(np.real(np.diag(support.conj().T @ r1 @ support)) @ np.log(w2[k:]))
-    return term1 - term2, leak
+    return float(np.sum(w1 * np.log(w1))) - float(mass[k:] @ np.log(w2[k:])), float(mass[:k].sum())
 
 
 def herm_sqrt(t: np.ndarray) -> np.ndarray:

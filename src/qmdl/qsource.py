@@ -391,8 +391,9 @@ def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
 
     blocks yields (multiplicity, level block, member blocks): the level and
     each member's n-fold power are block diagonal on the same blocks, and each
-    block occurs multiplicity times. A dense level is one block of
-    multiplicity 1. The matrix margin is the smallest eigenvalue of
+    block occurs multiplicity times; member blocks come as [k, b, b] stacks in
+    member order. A dense level is one block of multiplicity 1, one member per
+    stack. The matrix margin is the smallest eigenvalue of
     level - 2^{-n eps} power over all blocks. The expected margin is
     n eps - S(power || level) in bits, S and the power's mass off the level's
     support each summed over the blocks with their multiplicities; it is -inf
@@ -403,16 +404,17 @@ def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
     for mult, lvl, powers in blocks:
         if mode == "matrix":
             eigs = []
-            for power in powers:
-                gap = lvl - scale * power
-                # in place: keep one temporary the size of the level
-                gap += gap.conj().T
+            for stack in powers:
+                gap = lvl - scale * stack
+                # in place: keep one temporary the size of the stack
+                gap += gap.conj().swapaxes(1, 2)
                 gap /= 2
-                eigs.append(np.linalg.eigvalsh(gap)[0])
-            smallest = np.minimum(smallest, eigs)
+                eigs.append(np.linalg.eigvalsh(gap)[:, 0])
+            smallest = np.minimum(smallest, np.concatenate(eigs))
         else:
             w, v = eigh(lvl)
-            value, off = np.array([_rel_entropy_nats(p, eigh(p)[0], w, v) for p in powers]).T
+            members = (p for stack in powers for p in stack)
+            value, off = np.array([_rel_entropy_nats(p, eigh(p, eigvals_only=True), w, v) for p in members]).T
             nats = nats + mult * value
             leak = leak + mult * off
     if mode == "matrix":
@@ -473,9 +475,9 @@ def universality_check(
     for n in ns:
         if on_blocks:
             mults = (math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1))
-            margins = _margins(zip(mults, (lvl[0] for lvl in levels[n]), powers[n]), n, eps, mode)
+            margins = _margins(zip(mults, (lvl[0] for lvl in levels[n]), ([p] for p in powers[n])), n, eps, mode)
         elif mode in ("matrix", "expected"):
-            margins = _margins([(1, src.level(n), (tensor_power(m, n) for m in members))], n, eps, mode)
+            margins = _margins([(1, src.level(n), (tensor_power(m, n)[None] for m in members))], n, eps, mode)
         else:
             margins = _q_margins(src, member_probs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))

@@ -29,6 +29,7 @@ from qmdl import BetaExampleSource, predict_step
 from qmdl.config import PROB_FLOOR
 from qmdl.estim import _member_scores, _score_table, _select, _two_part_scores
 from qmdl.typeclasses import compositions
+from conftest import random_density
 
 CB = computational_basis(2)
 
@@ -257,6 +258,62 @@ def test_score_table_logs_are_math_log_of_the_floored_probabilities():
 def test_generalized_model_kraft_guard():
     with pytest.raises(InvalidOperator):
         GeneralizedModel([(0.7, example_state(0.2)), (0.7, example_state(0.8))])
+
+
+def _one_at_a_time(members):
+    """The member checks of GeneralizedModel made one member at a time, in order."""
+    for w, rho in members:
+        if not 0.0 < w <= 1.0:
+            raise InvalidOperator(f"code weight {w} outside (0, 1]")
+        rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise InvalidOperator(f"expected a square matrix, got shape {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidOperator("operator entries must be finite")
+    if len({np.shape(rho) for _, rho in members}) != 1:
+        raise InvalidOperator("a generalized model needs at least one member, all on one space")
+
+
+def _error(build, members):
+    """The message of the InvalidOperator that build(members) raises, or None."""
+    try:
+        build(members)
+    except InvalidOperator as exc:
+        return str(exc)
+    return None
+
+
+def _faulty(rng, fault):
+    """A member with one fault: a bad weight, a bad shape or a non-finite entry."""
+    rho = example_state(float(rng.uniform()))
+    if fault == "weight":
+        return float(rng.choice([0.0, -0.5, 1.5, np.nan])), rho
+    if fault == "shape":
+        return 0.1, [rho[0], np.eye(3)[:2], np.zeros((2, 2, 2))][int(rng.integers(3))]
+    rho = rho.copy()
+    rho[int(rng.integers(2)), int(rng.integers(2))] = [np.nan, np.inf, complex(0, np.inf)][int(rng.integers(3))]
+    return 0.1, rho
+
+
+def test_generalized_model_raises_the_first_members_error(rng):
+    """The stack is validated at once; the error is the one a member-by-member check raises first."""
+    for _ in range(300):
+        members = [(0.1, example_state(float(t))) for t in rng.uniform(size=int(rng.integers(1, 6)))]
+        for fault in rng.choice(["weight", "shape", "finite", "space"], size=int(rng.integers(1, 3))):
+            i = int(rng.integers(len(members)))
+            members[i] = (0.1, np.eye(3) / 3) if fault == "space" else _faulty(rng, fault)
+        assert _error(GeneralizedModel, members) == _error(_one_at_a_time, members), members
+    assert _error(GeneralizedModel, []) == _error(_one_at_a_time, []) is not None
+
+
+def test_generalized_model_stored_traces_are_the_per_member_products(rng):
+    for d in (1, 2, 3, 8, 17):
+        for size in (1, 2, 199):
+            weights = rng.uniform(0.001, 1.0 / size, size)
+            states = [random_density(rng, d) * rng.uniform(0.5, 1.0) for _ in range(size)]
+            model = GeneralizedModel(list(zip(weights, states)))
+            expected = np.array([float(w) * np.trace(s).real for w, s in zip(weights, states)])
+            assert model.stored_traces.tobytes() == expected.tobytes(), (d, size)
 
 
 # --- alpha scaling ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Divergences: closed forms, support conventions, classical/quantum agreement."""
 
+import collections
 import itertools
 import math
 
@@ -20,12 +21,14 @@ from qmdl import (
     example_state,
     hellinger_sq,
     hellinger_sq_classical,
+    herm_sqrt,
     kl_classical,
     outcome_prob,
     rel_entropy,
     renyi,
     word_divergences,
 )
+from qmdl import infodist, opcore
 from conftest import random_density
 
 CB = computational_basis(2)
@@ -127,13 +130,152 @@ def _rel_entropy_pairs(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-def test_rel_entropy_is_bit_identical_to_the_reference(d, rng):
+def test_rel_entropy_matches_the_two_eigh_reference(d, rng):
+    """r1's spectrum comes from eigvalsh, whose eigenvalues differ from eigh's in
+    the last bits, so the values agree to round-off: within 1e-12 relative, with
+    an absolute floor of 1e-15 for values at zero. Finite and +inf agree exactly."""
     for kind, r1, r2 in _rel_entropy_pairs(rng, d):
         for base in ("bits", "nats"):
-            value = rel_entropy(r1, r2, base).value
-            assert value == _rel_entropy_reference(r1, r2, base), (kind, base)
+            value, reference = rel_entropy(r1, r2, base).value, _rel_entropy_reference(r1, r2, base)
+            assert math.isinf(value) == math.isinf(reference), (kind, base)
+            if not math.isinf(reference):
+                assert abs(value - reference) <= 1e-12 * abs(reference) + 1e-15, (kind, base)
             if kind != "edge":
                 assert math.isinf(value) == (kind == "leak"), (kind, base)
+
+
+def _direct_reference(r1, r2):
+    """He^2 as ||sqrt(r1) - sqrt(r2)||_F^2 from the two reconstructed square roots."""
+    return float(np.sum(np.abs(herm_sqrt(r1) - herm_sqrt(r2)) ** 2))
+
+
+def _hermitian(r):
+    """(r + r^H) / 2: an exactly Hermitian float matrix, so the library and the oracle read one operator."""
+    r = np.asarray(r, dtype=complex)
+    return (r + r.conj().T) / 2
+
+
+def _mp_divergences(r1, r2, lam):
+    """S in nats, the Renyi divergence of order lam in nats and He^2, at 50 digits.
+
+    Spectra from mp.eighe, with the library's conventions: eigenvalues at or
+    below TOL.support count as 0, S is +inf when r1's mass on the rest of r2's
+    eigenvectors exceeds 1e-9, the Renyi divergence is +inf when the affinity
+    is at most TOL.support, and He^2 is the direct ||sqrt(r1) - sqrt(r2)||_F^2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    d, cut = len(r1), mp.mpf(TOL.support)
+    m1, m2 = mp.matrix(r1.tolist()), mp.matrix(r2.tolist())
+    (e1, q1), (e2, q2) = mp.eighe(m1), mp.eighe(m2)
+
+    def spectral(e, q, f):
+        return q * mp.diag([f(e[i]) if e[i] > cut else mp.zero for i in range(d)]) * q.H
+
+    mass = [mp.re((q2[:, j].H * m1 * q2[:, j])[0, 0]) for j in range(d)]
+    if mp.fsum(mass[j] for j in range(d) if e2[j] <= cut) > 1e-9:
+        s = mp.inf
+    else:
+        s = mp.fsum(e1[i] * mp.log(e1[i]) for i in range(d) if e1[i] > cut)
+        s -= mp.fsum(mass[j] * mp.log(e2[j]) for j in range(d) if e2[j] > cut)
+    product = spectral(e1, q1, lambda x: x**lam) * spectral(e2, q2, lambda x: x ** (1 - lam))
+    affinity = mp.re(mp.fsum(product[i, i] for i in range(d)))
+    ren = mp.inf if affinity <= cut else -mp.log(affinity) / (1 - lam)
+    root_gap = spectral(e1, q1, mp.sqrt) - spectral(e2, q2, mp.sqrt)
+    he2 = mp.fsum(abs(root_gap[i, j]) ** 2 for i in range(d) for j in range(d))
+    return float(s), float(ren), float(he2)
+
+
+def _oracle_pairs(rng, d):
+    """(kind, r1, r2): full rank, rank deficient and edge spectra at dimension d >= 2."""
+    low = _unit(np.r_[rng.uniform(0.1, 1.0, d - 1), 0.0])
+    # eigenvalues at, just below, just above and minus TOL.support; the last entry makes the trace 1
+    near = np.r_[TOL.support, np.nextafter(TOL.support, 0.0), np.nextafter(TOL.support, 1.0), -TOL.support, 0.1]
+    edge = np.r_[near[: d - 1], 1.0 - near[: d - 1].sum()]
+    pairs = [
+        ("full", random_density(rng, d), random_density(rng, d)),
+        ("deficient", _spectral(rng, low), random_density(rng, d)),
+        ("deficient", random_density(rng, d), _spectral(rng, low)),  # S is +inf
+        ("deficient", _spectral(rng, low), _spectral(rng, low[::-1])),
+        # a diagonal matrix's eigenvalues are its entries, in floats and at 50 digits alike
+        ("edge", np.diag(edge), random_density(rng, d)),
+        ("edge", random_density(rng, d), np.diag(edge)),
+        ("edge", np.diag(edge), np.diag(edge[::-1])),
+        ("disjoint", np.diag(np.r_[1.0, np.zeros(d - 1)]), np.diag(np.r_[0.0, 1.0, np.zeros(d - 2)])),
+    ]
+    return [(kind, _hermitian(r1), _hermitian(r2)) for kind, r1, r2 in pairs]
+
+
+def _close(value, expected):
+    """Equal infinities, or within 1e-12 relative with an absolute floor of 1e-14."""
+    if math.isinf(expected):
+        return value == expected
+    return abs(value - expected) <= 1e-12 * abs(expected) + 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_operator_divergences_match_a_50_digit_oracle(d, rng):
+    lam = 0.37
+    for kind, r1, r2 in _oracle_pairs(rng, d):
+        s, ren, he2 = _mp_divergences(r1, r2, lam)
+        assert _close(rel_entropy(r1, r2, "nats").value, s), (kind, "S")
+        assert _close(renyi(lam, r1, r2).value, ren), (kind, "renyi")
+        assert _close(hellinger_sq(r1, r2).value, he2), (kind, "he2")
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_near_equal_pairs_against_a_50_digit_oracle(d, rng):
+    """r2 = (1 - delta) r1 + delta h: He^2 is of order delta^2, and its error
+    relative to the oracle is at most twice that of the direct form (or 1e-12).
+    S and the Renyi divergence keep the 1e-14 absolute floor of `_close`."""
+    lam = 0.37
+    for trial in range(4):
+        r1, h = _hermitian(random_density(rng, d)), random_density(rng, d)
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+            r2 = _hermitian((1 - delta) * r1 + delta * h)
+            s, ren, he2 = _mp_divergences(r1, r2, lam)
+            error = abs(hellinger_sq(r1, r2).value - he2) / he2
+            direct = abs(_direct_reference(r1, r2) - he2) / he2
+            assert error <= max(2 * direct, 1e-12), (trial, delta, error, direct)
+            assert _close(rel_entropy(r1, r2, "nats").value, s), (trial, delta)
+            assert _close(renyi(lam, r1, r2).value, ren), (trial, delta)
+
+
+def test_operator_divergences_read_the_hermitian_part(rng):
+    """An input within TOL.herm of Hermitian is read as (r + r^H) / 2, as eigh reads it."""
+    r1, r2 = random_density(rng, 4), random_density(rng, 4)
+    skew = 1e-11j * _hermitian(rng.standard_normal((4, 4)))  # i times a Hermitian matrix is anti-Hermitian
+    for divergence in (rel_entropy, hellinger_sq, lambda a, b: renyi(0.4, a, b)):
+        value = divergence(r1 + skew, r2 - skew).value
+        assert value == pytest.approx(divergence(_hermitian(r1), _hermitian(r2)).value, rel=1e-13, abs=0.0)
+
+
+def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rng):
+    """rel_entropy: one eigh and one eigvalsh. renyi, hellinger_sq: two eigh, no reconstruction."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for module in (opcore, infodist):
+        for name in ("herm_power", "herm_sqrt"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    r1, r2 = random_density(rng, 5), random_density(rng, 5)
+    for run, expected in [
+        (lambda: rel_entropy(r1, r2), {"eigh": 1, "eigvalsh": 1}),
+        (lambda: renyi(0.4, r1, r2), {"eigh": 2}),
+        (lambda: hellinger_sq(r1, r2), {"eigh": 2}),
+    ]:
+        calls.clear()
+        run()
+        assert calls == collections.Counter(expected)
 
 
 def test_rel_entropy_validates_r1_then_r2_before_the_leak_test():

@@ -458,6 +458,43 @@ def test_qubit_block_margins_match_the_dense_oracle(mode, top):
         assert (report.n0, report.passed) == (n0, n0 is not None), name
 
 
+def _loop_reference(blocks, n, eps):
+    """The matrix margins of `qsource._margins` with one eigvalsh per member and block."""
+    scale = 2.0 ** (-n * eps)
+    smallest = math.inf
+    for _, lvl, powers in blocks:
+        eigs = []
+        for power in powers:
+            gap = lvl - scale * power
+            gap += gap.conj().T
+            gap /= 2
+            eigs.append(np.linalg.eigvalsh(gap)[0])
+        smallest = np.minimum(smallest, eigs)
+    return smallest
+
+
+def test_block_matrix_margins_are_bit_identical_to_the_member_loop():
+    """One eigvalsh per Schur-Weyl block over the [members, b, b] stack of gaps
+    gives every member's margin, and so n0 and pass, bit for bit as the loop."""
+    ns = range(1, 11)
+    for name, src, _, model, eps in _qubit_cases():
+        mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
+        levels = qsource._sym_blocks(np.stack(mix.states), mix.weights[None], ns)
+        powers = qsource._sym_blocks(np.stack(model), np.eye(len(model)), ns)
+        reference = []
+        for n in ns:
+            mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
+            lvls = [lvl[0] for lvl in levels[n]]
+            batched = qsource._margins(zip(mults, lvls, ([p] for p in powers[n])), n, eps, "matrix")
+            loop = _loop_reference(zip(mults, lvls, powers[n]), n, eps)
+            assert batched.tobytes() == np.asarray(loop).tobytes(), (name, n)
+            reference.append((n, float(min(loop))))
+        report = universality_check(src, model, eps, ns, "matrix")
+        assert report.per_level == tuple(reference), name
+        n0 = next((n for n, _ in reference if min(m for k, m in reference if k >= n) >= qsource._MARGIN_FLOOR), None)
+        assert (report.n0, report.passed) == (n0, n0 is not None), name
+
+
 def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
     calls = []
     leggauss = np.polynomial.legendre.leggauss

@@ -17,6 +17,7 @@ from qmdl import (
     MixtureSource,
     computational_basis,
     example_state,
+    herm_sqrt,
     matrix_from_json,
     matrix_to_json,
     source_from_json,
@@ -368,7 +369,7 @@ def readme_examples():
 
 def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
     files, commands = readme_examples()
-    assert sorted(files) == ["b.json", "e.json", "p.json"]
+    assert sorted(files) == ["b.json", "d.json", "e.json", "p.json"]
     monkeypatch.chdir(tmp_path)
     for name, body in files.items():
         (tmp_path / name).write_text(body)
@@ -376,7 +377,7 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code = main(argv)
         runs[argv[0]] = (code, capsys.readouterr())
-    assert list(runs) == ["predict", "estimate", "bound"]
+    assert list(runs) == ["predict", "estimate", "bound", "divergence"]
 
     code, captured = runs["predict"]
     assert code == 0
@@ -390,6 +391,12 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
     code, captured = runs["bound"]
     assert code == 0 and captured.err == "# status: pass\n"
     assert (tmp_path / "bound.csv").read_text().startswith("experiment,n,replica,metric,value,base,seed\n")
+
+    code, captured = runs["divergence"]
+    config = json.loads(files["d.json"])
+    a, b = matrix_from_json(config["a"]), matrix_from_json(config["b"])
+    direct = float(np.sum(np.abs(herm_sqrt(a) - herm_sqrt(b)) ** 2))
+    assert code == 0 and json.loads(captured.out) == {"value": pytest.approx(direct, rel=1e-12), "base": "nats"}
 
 
 def test_a_reused_parser_keeps_no_state(tmp_path, monkeypatch):
