@@ -2,22 +2,25 @@
 
 The two-part estimator scores each model member by the projected likelihood of
 its code-weighted tensor-power level; ties fall back to the maximum stored
-trace, then to the lowest index.
+trace, then to the lowest index. Both models are the weighted family of
+qsource: GeneralizedModel's weights are code weights, ParamModel's are all 1.
+A score pays log w once per letter, where a source's level pays it once
+(ROADMAP item 1 chooses between the two readings).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PROB_FLOOR
 from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalSystem
-from .models import example_state
-from .opcore import as_operator, check_density, normalize
+from .models import example_states
+from .opcore import check_density, normalize
 from .projlat import ProjSystem
-from .qsource import outcome_probs, word_counts
+from .qsource import _Family, _unzip, word_counts
 from .typeclasses import compositions, log_multinomial
 
 __all__ = [
@@ -35,33 +38,20 @@ __all__ = [
 DEFAULT_GRID_POINTS = 1001
 
 
-@dataclass(frozen=True)
-class ParamModel:
-    """Finite family of candidate densities, optionally carrying parameters."""
+class ParamModel(_Family):
+    """Finite family of candidate densities, optionally carrying parameters; every weight is 1."""
 
-    states: tuple[np.ndarray, ...]
-    thetas: np.ndarray | None = None
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len({s.shape for s in self.states}) != 1:
-            raise InvalidOperator("a model needs at least one state, all on one space")
+    def __init__(self, states, thetas: np.ndarray | None = None):
+        super().__init__(np.ones(len(states)), states, thetas, top=1.0, bad_weight="",
+                         empty="a model needs at least one state, all on one space")
 
     @classmethod
     def example(cls, c: float = 0.0, grid: np.ndarray | None = None) -> "ParamModel":
-        """Built-in qubit family over a theta grid (default 1001 uniform nodes).
-
-        The states are views of one [N, 2, 2] stack holding example_state's
-        entries at every node, computed with the same float operations.
-        """
+        """Built-in qubit family over a theta grid (default 1001 uniform nodes), as one stack."""
         if grid is None:
             grid = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
         grid = np.asarray(grid, dtype=float)
-        # example_state raises for the first failing node: node 0 (theta or c), else the first bad theta
-        for t in grid[:1].tolist() + grid[~((grid >= 0.0) & (grid <= 1.0))][:1].tolist():
-            example_state(t, c)
-        s = np.sqrt(c * (grid - grid * grid))
-        return cls(tuple(np.stack([grid, s, s, 1.0 - grid], axis=-1).reshape(-1, 2, 2).astype(complex)), grid)
+        return cls(example_states(grid, c), grid)
 
     @classmethod
     def explicit(cls, states) -> "ParamModel":
@@ -75,33 +65,13 @@ def check_kraft(weights):
     return weights
 
 
-class GeneralizedModel:
+class GeneralizedModel(_Family):
     """Members (code weight, density); stored semi-densities w*rho obey Kraft."""
 
     def __init__(self, members):
-        members = list(members)
-        states = [np.asarray(rho, dtype=complex) for _, rho in members]
-        stack = np.stack(states) if len({s.shape for s in states}) == 1 else np.zeros(0)
-        square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
-        if not (square and np.isfinite(stack).all() and all(0.0 < w <= 1.0 for w, _ in members)):
-            # the first member's error, as checking one member at a time finds it
-            for w, rho in members:
-                if not 0.0 < w <= 1.0:
-                    raise InvalidOperator(f"code weight {w} outside (0, 1]")
-                as_operator(rho)
-            raise InvalidOperator("a generalized model needs at least one member, all on one space")
-        self.code_weights = np.array([float(w) for w, _ in members])
-        self.states = states
-        self._tables: dict[ProjSystem, tuple] = {}
-        self.stored_traces = self.code_weights * np.trace(stack, axis1=1, axis2=2).real
-        check_kraft(self.code_weights)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def members(self):
-        return list(zip(self.code_weights, self.states))
+        super().__init__(*_unzip(members), top=1.0, bad_weight="code weight {w} outside (0, 1]",
+                         empty="a generalized model needs at least one member, all on one space")
+        check_kraft(self.weights)
 
 
 @dataclass(frozen=True)
@@ -119,33 +89,20 @@ class EstimateResult:
     tie_path: TiePath
 
 
-def _score_table(model, system: ProjSystem):
-    """(p[i, a], log max(p[i, a], PROB_FLOOR), log w_i) for every member.
-
-    Built once per (model, system) and cached on the model, keyed by the
-    system; ParamModel members carry no code weight (log w = 0).
-    """
-    if system not in model._tables:
-        probs = outcome_probs(model.states, system)
-        clamped = np.maximum(probs, PROB_FLOOR).ravel().tolist()
-        logs = np.array(list(map(math.log, clamped))).reshape(probs.shape)
-        if isinstance(model, GeneralizedModel):
-            log_w = np.array([math.log(w) for w in model.code_weights])
-        else:
-            log_w = np.zeros(len(probs))
-        model._tables[system] = (probs, logs, log_w)
-    return model._tables[system]
-
-
 def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
     """n log w_i + sum_a k_a log p[i, a] per member; -inf if p[i, a] <= 0 at a seen a.
 
-    counts is one histogram [m] or a batch [C, m]; the scores are [members] or
-    [C, members]. Outcome columns are added one at a time in index order, so
-    each score is the same float as the per-member scalar sum taken in that
-    order; exact ties between members therefore survive vectorisation.
+    p is the model's letter table and log p is math.log of max(p, PROB_FLOOR);
+    a weight is paid once per letter (n log w). counts is one histogram [m]
+    or a batch [C, m]; the scores are [members] or [C, members]. Outcome
+    columns are added one at a time in index order, so each score is the
+    same float as the per-member scalar sum taken in that order; exact ties
+    between members therefore survive vectorisation.
     """
-    probs, logs, log_w = _score_table(model, system)
+    probs = model.letter_probs(system)
+    clamped = np.maximum(probs, PROB_FLOOR).ravel().tolist()
+    logs = np.array(list(map(math.log, clamped))).reshape(probs.shape)
+    log_w = np.array(list(map(math.log, model.weights.tolist())))
     counts = np.asarray(counts)[..., None]
     ll = np.zeros(counts.shape[:-2] + (len(probs),))
     dead = np.zeros(ll.shape, dtype=bool)
@@ -228,11 +185,9 @@ def alpha_scale(model: GeneralizedModel, alpha: float) -> GeneralizedModel:
     """Scale each stored member T by Tr(T)^(alpha - 1)."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    members = [
-        (w * t ** (alpha - 1.0), rho)
-        for (w, rho), t in zip(model.members, model.stored_traces)
-    ]
-    return GeneralizedModel(members)
+    return GeneralizedModel(
+        (w * t ** (alpha - 1.0), rho) for w, t, rho in zip(model.weights, model.stored_traces, model.states)
+    )
 
 
 def two_part_classes(model: GeneralizedModel, system: ProjSystem, n: int):

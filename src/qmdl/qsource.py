@@ -4,6 +4,12 @@ Levels rho_bar^(n) = sum_i w_i rho_i^(x)n are kept symbolic; dense
 materialization is an explicit capped operation. Outcome-word probabilities
 factorize through per-letter traces, so finite-n checks scale to large n via
 type-class enumeration.
+
+One weighted family {(w_i, rho_i)} serves as a source (MixtureSource) and as
+a model (estim.GeneralizedModel, estim.ParamModel). A level pays each weight
+once; a two-part score reads the code-weighted level (w_i rho_i)^(x)n and
+pays it once per letter (estim._member_scores). ROADMAP item 1 is the choice
+between these two readings.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     NotRegular,
     SupportMismatch,
 )
-from .models import example_state
+from .models import example_states
 from .opcore import (
     _LEAK_TOL,
     _rel_entropy_nats,
@@ -36,7 +42,7 @@ from .opcore import (
     sym_powers,
     tensor_power,
 )
-from .projlat import ProjSystem, q_project
+from .projlat import ProjSystem
 from .typeclasses import compositions, log_likelihoods, log_multinomial, logsumexp
 
 __all__ = [
@@ -62,7 +68,7 @@ __all__ = [
 
 def outcome_probs(states, system: ProjSystem) -> np.ndarray:
     """Outcome probabilities per state: p[i, a] = Tr(q_a rho_i)."""
-    s_stack = np.stack(states)[:, None]
+    s_stack = np.asarray(states)[:, None]
     # state blocks bound each [block, m, d, d] product to 8 MB, or to one state
     step = max(1, 2**19 // system.stack.size)
     return np.concatenate([
@@ -84,45 +90,39 @@ def word_counts(word, system: ProjSystem) -> np.ndarray:
     return np.bincount(idx, minlength=m)
 
 
-class MixtureSource:
-    """Weighted family {(w_i, rho_i)} with levels sum_i w_i rho_i^(x)n.
+class _Family:
+    """Weights [N], states as one [N, d, d] stack, optional thetas, stored_traces
+    w_i Tr rho_i and one outcome table per system; subclasses add a weight rule."""
 
-    kind = "source" demands sum w_i = 1 and unit-trace components, so every
-    level is a density matrix; kind = "generalized" only bounds the level-1
-    trace by 1 (it is nonincreasing in n from there).
-    """
+    def __init__(self, weights, states, thetas=None, *, top: float, bad_weight: str, empty: str, mixed=None):
+        """Check 0 < w <= top and one finite square stack at once. On failure raise what
+        a member-by-member check finds first: a member's bad_weight (formatted with w)
+        or as_operator error, then InvalidOperator(empty) for no member, else mixed
+        (default the same) for members on different spaces."""
+        try:
+            self.weights = np.asarray(weights, dtype=float)
+            self.states = np.asarray(states, dtype=complex)
+            shape = self.states.shape
+            valid = (
+                len(shape) == 3 and shape[0] > 0 and shape[1] == shape[2]
+                and np.isfinite(self.states).all()
+                and ((self.weights > 0.0) & (self.weights <= top)).all()
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            for w, rho in zip(weights, states):
+                if not 0.0 < w <= top:
+                    raise InvalidOperator(bad_weight.format(w=w))
+                as_operator(rho)
+            raise InvalidOperator(empty) if not len(states) or mixed is None else mixed
+        self.dim = shape[1]
+        self.thetas = thetas
+        self.stored_traces = self.weights * np.trace(self.states, axis1=1, axis2=2).real
+        self._tables: dict[ProjSystem, np.ndarray] = {}
 
-    kind: str
-
-    def __init__(self, components, kind: str = "source"):
-        if kind not in ("source", "generalized"):
-            raise InvalidOperator(f"unknown source kind {kind!r}")
-        weights = []
-        states = []
-        for w, rho in components:
-            if w <= 0:
-                raise InvalidOperator("mixture weights must be positive")
-            weights.append(float(w))
-            states.append(as_operator(rho))
-        if not states:
-            raise InvalidOperator("a mixture needs at least one component")
-        dims = {s.shape[0] for s in states}
-        if len(dims) != 1:
-            raise DimensionMismatch("mixture components live on different spaces")
-        self.weights = np.array(weights)
-        self.states = states
-        self.kind = kind
-        self.dim = dims.pop()
-        self._letter_cache: dict[ProjSystem, np.ndarray] = {}
-        traces = np.array([np.trace(s).real for s in states])
-        if kind == "source":
-            if abs(self.weights.sum() - 1.0) > 1e-9:
-                raise InvalidOperator("source weights must sum to 1")
-            if np.any(np.abs(traces - 1.0) > TOL.trace):
-                raise InvalidOperator("source components must have unit trace")
-        else:
-            if float(self.weights @ traces) > 1 + 1e-9:
-                raise InvalidOperator("generalized source has level-1 trace > 1")
+    def __len__(self) -> int:
+        return len(self.weights)
 
     @property
     def components(self):
@@ -136,12 +136,12 @@ class MixtureSource:
         return out
 
     def letter_probs(self, system: ProjSystem) -> np.ndarray:
-        """Outcome probabilities per component, p[i, a] = Tr(q_a rho_i), cached per system."""
+        """Outcome probabilities per member, p[i, a] = Tr(q_a rho_i), cached per system."""
         if system.dim != self.dim:
             raise DimensionMismatch("system dim does not match source dim")
-        if system not in self._letter_cache:
-            self._letter_cache[system] = outcome_probs(self.states, system)
-        return self._letter_cache[system]
+        if system not in self._tables:
+            self._tables[system] = outcome_probs(self.states, system)
+        return self._tables[system]
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
@@ -164,6 +164,37 @@ class MixtureSource:
         if log_total == -np.inf:
             raise ZeroDivisionError("conditioning word has probability 0")
         return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
+
+
+def _unzip(members) -> tuple[list, list]:
+    """The weights and the states of a list of (weight, state) pairs."""
+    members = list(members)
+    return [w for w, _ in members], [rho for _, rho in members]
+
+
+class MixtureSource(_Family):
+    """Weighted family {(w_i, rho_i)} with levels sum_i w_i rho_i^(x)n.
+
+    kind = "source" demands sum w_i = 1 and unit-trace components, so every
+    level is a density matrix; kind = "generalized" only bounds the level-1
+    trace by 1 (it is nonincreasing in n from there).
+    """
+
+    def __init__(self, components, kind: str = "source"):
+        if kind not in ("source", "generalized"):
+            raise InvalidOperator(f"unknown source kind {kind!r}")
+        super().__init__(*_unzip(components), top=math.inf, bad_weight="mixture weights must be positive",
+                         empty="a mixture needs at least one component",
+                         mixed=DimensionMismatch("mixture components live on different spaces"))
+        self.kind = kind
+        traces = np.trace(self.states, axis1=1, axis2=2).real
+        if kind == "source":
+            if abs(self.weights.sum() - 1.0) > 1e-9:
+                raise InvalidOperator("source weights must sum to 1")
+            if np.any(np.abs(traces - 1.0) > TOL.trace):
+                raise InvalidOperator("source components must have unit trace")
+        elif float(self.weights @ traces) > 1 + 1e-9:
+            raise InvalidOperator("generalized source has level-1 trace > 1")
 
 
 def SimpleSource(base: np.ndarray) -> MixtureSource:
@@ -232,9 +263,7 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> MixtureSource:
     """Gauss-Legendre discretization of the uniform-prior mixture over theta."""
     x, w = _gauss_legendre(nodes)
-    thetas = (x + 1.0) / 2.0
-    weights = w / 2.0
-    return MixtureSource([(u, example_state(t, c)) for t, u in zip(thetas, weights)])
+    return MixtureSource(zip(w / 2.0, example_states((x + 1.0) / 2.0, c)))
 
 
 def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:
@@ -242,9 +271,7 @@ def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:
     u = as_operator(u)
     if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-9:
         raise InvalidOperator("conjugation requires a unitary")
-    return MixtureSource(
-        [(w, u @ rho @ u.conj().T) for w, rho in src.components], kind=src.kind
-    )
+    return MixtureSource(zip(src.weights, u @ src.states @ u.conj().T), kind=src.kind)
 
 
 def bullet(t1: np.ndarray, t: np.ndarray, dim2: int) -> np.ndarray:
@@ -313,9 +340,10 @@ def predict_step(src, system: ProjSystem, word) -> np.ndarray:
 
 def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
     """Pinch every component; levels become Q^(n)-projections of the originals."""
-    return MixtureSource(
-        [(w, q_project(rho, system)) for w, rho in src.components], kind=src.kind
-    )
+    if system.dim != src.dim:
+        raise DimensionMismatch(f"operator dim {src.dim} vs system dim {system.dim}")
+    pinched = (system.stack @ src.states[:, None] @ system.stack).sum(axis=1)
+    return MixtureSource(zip(src.weights, pinched), kind=src.kind)
 
 
 def word_distribution(src, system: ProjSystem, n: int):
@@ -469,7 +497,7 @@ def universality_check(
         for n in ns:
             check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
         mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
-        levels = _sym_blocks(np.stack(mix.states), mix.weights[None], ns)
+        levels = _sym_blocks(mix.states, mix.weights[None], ns)
         powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
     per_level = []
     for n in ns:
@@ -494,14 +522,11 @@ def convex_combine(sources: list[MixtureSource], weights) -> MixtureSource:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(sources):
         raise InvalidOperator("one weight per source required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+    if not (weights >= 0).all() or abs(weights.sum() - 1.0) > 1e-9:
         raise InvalidOperator("weights must be nonnegative and sum to 1")
     kinds = {s.kind for s in sources}
     if len(kinds) != 1:
         raise InvalidOperator("cannot combine sources of different kinds")
-    comps = []
-    for alpha, src in zip(weights, sources):
-        if alpha == 0.0:
-            continue
-        comps.extend((alpha * w, rho) for w, rho in src.components)
-    return MixtureSource(comps, kind=kinds.pop())
+    live = [(alpha, src) for alpha, src in zip(weights, sources) if alpha != 0.0]
+    scaled = np.concatenate([alpha * src.weights for alpha, src in live])
+    return MixtureSource(zip(scaled, np.concatenate([src.states for _, src in live])), kind=kinds.pop())

@@ -160,6 +160,8 @@ MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
         ("lattice", {"systems": [Z3, Z]}, "systems"),
         ("universality-check", dict(UNIVERSALITY, mode="q-restricted", system=[matrix_to_json(np.eye(2))]),
          "system"),
+        # a bare NaN, which Python's json reads, passed the weight checks
+        ("predict", {"source": {"components": [{"weight": float("nan"), "matrix": RHO}]}}, "source"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):

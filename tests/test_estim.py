@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmdl import (
     AllZeroLikelihood,
+    DimensionMismatch,
     GeneralizedModel,
     InvalidOperator,
     InvalidWord,
@@ -21,13 +22,14 @@ from qmdl import (
     computational_basis,
     example_state,
     example_uniform_source,
+    haar_random_system,
     lambda_sum,
     mle,
+    outcome_probs,
     two_part,
 )
 from qmdl import BetaExampleSource, predict_step
-from qmdl.config import PROB_FLOOR
-from qmdl.estim import _member_scores, _score_table, _select, _two_part_scores
+from qmdl.estim import _member_scores, _select, _two_part_scores
 from qmdl.typeclasses import compositions
 from conftest import random_density
 
@@ -194,35 +196,40 @@ def test_kernel_scores_equal_scalar_loop(case):
     states = [np.diag(np.array(row, dtype=complex)) for row in rows]
     two = GeneralizedModel(list(zip(weights, states)))
     got = _two_part_scores(two, system, counts)
-    assert got.tolist() == reference_scores(two.members, system, counts)
+    assert got.tolist() == reference_scores(two.components, system, counts)
     grid = ParamModel(tuple(states))
     got = _member_scores(grid, system, counts)
     assert got.tolist() == reference_scores([(None, s) for s in states], system, counts)
     # every member listed twice: each winner ties with its copy
-    doubled = GeneralizedModel([(w / 2, s) for w, s in two.members] * 2)
-    scores = reference_scores(doubled.members, system, counts)
+    doubled = GeneralizedModel([(w / 2, s) for w, s in two.components] * 2)
+    scores = reference_scores(doubled.components, system, counts)
     if max(scores) > -np.inf:
         tie = _select(doubled, _two_part_scores(doubled, system, counts))
         assert (tie.maxima, tie.trace_ties, tie.chosen) == reference_tie_path(doubled, scores)
         assert tie.maxima >= 2
 
 
-def test_score_table_is_cached_per_system():
+def test_score_table_is_cached_per_system(rng):
+    """two_part reads one letter table per (model, system)."""
     model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, example_state(0.8))])
     two_part(model, CB, (0, 1))
-    table = model._tables[CB]
+    table = model.letter_probs(CB)
     two_part(model, CB, (1, 1))
-    assert model._tables[CB] is table
+    assert model.letter_probs(CB) is table
     # an equal-valued second system is a second key
     other = computational_basis(2)
     two_part(model, other, (0,))
-    assert len(model._tables) == 2
-    assert model._tables[other] is not table
+    assert model.letter_probs(other) is not table
+    assert model.letter_probs(other).tobytes() == table.tobytes()
+    assert model.letter_probs(CB) is table
+    haar = haar_random_system(2, rng)
+    two_part(model, haar, (0, 1, 1))
+    assert model.letter_probs(haar).tobytes() == outcome_probs(model.states, haar).tobytes()
 
 
 @pytest.mark.parametrize("c", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize(
-    "grid", [None, np.array([0.0, 1.0]), np.array([1.0, 0.3, 0.0, 1e-300, 1 - 2**-53, 0.5])]
+    "grid", [None, np.array([0.0, 1.0]), np.array([1.0, 0.3, 0.0, -0.0, 1e-300, 1 - 2**-53, 0.5])]
 )
 def test_example_family_is_bit_equal_to_example_state(c, grid):
     model = ParamModel.example(c, grid)
@@ -246,41 +253,59 @@ def test_example_family_raises_what_example_state_raises(c, grid):
     assert str(err.value) == str(expected.value)
 
 
-def test_score_table_logs_are_math_log_of_the_floored_probabilities():
-    model = ParamModel.example(0.4, np.array([0.0, 1e-310, 0.25, 0.5, 0.999, 1.0]))
-    probs, logs, log_w = _score_table(model, CB)
-    assert (probs == 0.0).any()
-    expected = np.array([[math.log(max(p, PROB_FLOOR)) for p in row] for row in probs])
-    assert logs.tobytes() == expected.tobytes()
-    assert not log_w.any()
-
-
 def test_generalized_model_kraft_guard():
     with pytest.raises(InvalidOperator):
         GeneralizedModel([(0.7, example_state(0.2)), (0.7, example_state(0.8))])
 
 
-def _one_at_a_time(members):
-    """The member checks of GeneralizedModel made one member at a time, in order."""
+def _one_at_a_time(members, weight_ok, bad_weight, empty, mixed):
+    """The first error of checking members one at a time, in order, as (type, message); None if none."""
     for w, rho in members:
-        if not 0.0 < w <= 1.0:
-            raise InvalidOperator(f"code weight {w} outside (0, 1]")
+        if not weight_ok(w):
+            return InvalidOperator, bad_weight.format(w=w)
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise InvalidOperator(f"expected a square matrix, got shape {rho.shape}")
+            return InvalidOperator, f"expected a square matrix, got shape {rho.shape}"
         if not np.all(np.isfinite(rho)):
-            raise InvalidOperator("operator entries must be finite")
+            return InvalidOperator, "operator entries must be finite"
+    if not members:
+        return empty
     if len({np.shape(rho) for _, rho in members}) != 1:
-        raise InvalidOperator("a generalized model needs at least one member, all on one space")
+        return mixed
+    return None
 
 
 def _error(build, members):
-    """The message of the InvalidOperator that build(members) raises, or None."""
+    """(type, message) of the library error that build(members) raises, or None."""
     try:
         build(members)
-    except InvalidOperator as exc:
-        return str(exc)
+    except (InvalidOperator, DimensionMismatch) as exc:
+        return type(exc), str(exc)
     return None
+
+
+MODEL_END = (InvalidOperator, "a generalized model needs at least one member, all on one space")
+GRID_END = (InvalidOperator, "a model needs at least one state, all on one space")
+POSITIVE = "mixture weights must be positive"
+MIXTURE_END = (InvalidOperator, "a mixture needs at least one component")
+MIXED_SPACES = (DimensionMismatch, "mixture components live on different spaces")
+# constructor, weight rule and message, errors for no member and for mixed spaces,
+# and the errors a family of valid members may still raise as a whole
+FAMILIES = {
+    "generalized-model": (
+        GeneralizedModel, lambda w: 0.0 < w <= 1.0, "code weight {w} outside (0, 1]", MODEL_END, MODEL_END,
+        [(InvalidOperator, "code weights violate the Kraft-style mass bound")],
+    ),
+    "source": (
+        MixtureSource, lambda w: w > 0.0, POSITIVE, MIXTURE_END, MIXED_SPACES,
+        [(InvalidOperator, "source weights must sum to 1"), (InvalidOperator, "source components must have unit trace")],
+    ),
+    "generalized-source": (
+        lambda members: MixtureSource(members, kind="generalized"), lambda w: w > 0.0, POSITIVE, MIXTURE_END,
+        MIXED_SPACES, [(InvalidOperator, "generalized source has level-1 trace > 1")],
+    ),
+    "grid": (lambda members: ParamModel([rho for _, rho in members]), lambda w: True, "", GRID_END, GRID_END, []),
+}
 
 
 def _faulty(rng, fault):
@@ -296,14 +321,25 @@ def _faulty(rng, fault):
 
 
 def test_generalized_model_raises_the_first_members_error(rng):
-    """The stack is validated at once; the error is the one a member-by-member check raises first."""
+    """Every family constructor validates its stack at once and raises the error
+    that a member-by-member check raises first."""
     for _ in range(300):
-        members = [(0.1, example_state(float(t))) for t in rng.uniform(size=int(rng.integers(1, 6)))]
+        size = int(rng.integers(1, 6))
+        # weights 1/size: a family of valid members passes every whole-family check
+        members = [(1.0 / size, example_state(float(t))) for t in rng.uniform(size=size)]
         for fault in rng.choice(["weight", "shape", "finite", "space"], size=int(rng.integers(1, 3))):
             i = int(rng.integers(len(members)))
-            members[i] = (0.1, np.eye(3) / 3) if fault == "space" else _faulty(rng, fault)
-        assert _error(GeneralizedModel, members) == _error(_one_at_a_time, members), members
-    assert _error(GeneralizedModel, []) == _error(_one_at_a_time, []) is not None
+            members[i] = (1.0 / size, np.eye(3) / 3) if fault == "space" else _faulty(rng, fault)
+        for name, (build, weight_ok, bad_weight, empty, mixed, whole) in FAMILIES.items():
+            expected = _one_at_a_time(members, weight_ok, bad_weight, empty, mixed)
+            got = _error(build, members)
+            assert got == expected or (expected is None and got in whole), (name, members, got)
+    # a NaN weight fails every weight rule, alone or after a valid member
+    nan_weights = [[(math.nan, example_state(0.3))], [(0.5, example_state(0.3)), (math.nan, example_state(0.6))]]
+    for name, (build, weight_ok, bad_weight, empty, mixed, _) in FAMILIES.items():
+        assert _error(build, []) == empty, name
+        for members in nan_weights:
+            assert _error(build, members) == _one_at_a_time(members, weight_ok, bad_weight, empty, mixed), name
 
 
 def test_generalized_model_stored_traces_are_the_per_member_products(rng):
@@ -350,7 +386,7 @@ def brute_force_lambda_sum(model, n, select_model=None):
     total = 0.0
     for word in itertools.product(range(2), repeat=n):
         scores = []
-        for (w, _), probs in zip(scorer.members, weights):
+        for (w, _), probs in zip(scorer.components, weights):
             p = w**n
             for i in word:
                 p *= probs[i]

@@ -523,16 +523,21 @@ def test_outcome_probs_equal_the_per_pair_trace(rng):
 
 
 def test_letter_probs_are_cached_per_system(rng):
+    """One table per (source, system), read by log_prob."""
     src = MixtureSource([(0.5, example_state(0.2, 0.5)), (0.5, example_state(0.8, 0.5))])
+    src.log_prob(CB, np.array([[1, 2]]))
     probs = src.letter_probs(CB)
+    src.log_prob(CB, np.array([[2, 1]]))
     assert src.letter_probs(CB) is probs
     # an equal-valued second system is a second key
     other = computational_basis(2)
+    src.log_prob(other, np.array([[1, 2]]))
     assert src.letter_probs(other) is not probs
-    assert np.array_equal(src.letter_probs(other), probs)
-    assert len(src._letter_cache) == 2
+    assert src.letter_probs(other).tobytes() == probs.tobytes()
+    assert src.letter_probs(CB) is probs
     haar = haar_random_system(2, rng)
-    assert np.array_equal(src.letter_probs(haar), outcome_probs(src.states, haar))
+    src.log_prob(haar, np.array([[1, 2]]))
+    assert src.letter_probs(haar).tobytes() == outcome_probs(src.states, haar).tobytes()
 
 
 def test_q_restricted_universality_needs_system():
@@ -556,5 +561,6 @@ def test_convex_combination_of_passing_sources_passes(rng):
 
 def test_convex_combine_validates_weights(rng):
     src = random_mixture(rng)
-    with pytest.raises(InvalidOperator):
-        convex_combine([src, src], [0.7, 0.7])
+    for weights in ([0.7, 0.7], [math.nan, math.nan], [1.0, math.nan], [-0.5, 1.5]):
+        with pytest.raises(InvalidOperator, match="weights must be nonnegative and sum to 1"):
+            convex_combine([src, src], weights)

@@ -369,30 +369,36 @@ def readme_examples():
 
 def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
     files, commands = readme_examples()
-    assert sorted(files) == ["b.json", "d.json", "e.json", "p.json"]
+    assert sorted(files) == ["b.json", "d.json", "e.json", "p.json", "s.json"]
     monkeypatch.chdir(tmp_path)
     for name, body in files.items():
         (tmp_path / name).write_text(body)
     runs = {}
     for argv in commands:
         code = main(argv)
-        runs[argv[0]] = (code, capsys.readouterr())
-    assert list(runs) == ["predict", "estimate", "bound", "divergence"]
+        runs[argv[0], argv[2]] = (code, capsys.readouterr())
+    assert [command for command, _ in runs] == ["predict", "estimate", "bound", "divergence", "predict"]
 
-    code, captured = runs["predict"]
+    code, captured = runs["predict", "p.json"]
     assert code == 0
     assert json.loads(captured.out)["probs"] == [0.6666666666666666, 0.3333333333333333]
 
-    code, captured = runs["estimate"]
+    # posterior weights 0.5 * 0.9^2 * 0.1 and 0.5 * 0.2^2 * 0.8, then their letter laws
+    code, captured = runs["predict", "s.json"]
+    post = np.array([0.9**2 * 0.1, 0.2**2 * 0.8])
+    direct = post @ np.array([[0.9, 0.1], [0.2, 0.8]]) / post.sum()
+    assert code == 0 and json.loads(captured.out)["probs"] == pytest.approx(direct.tolist(), rel=1e-12)
+
+    code, captured = runs["estimate", "e.json"]
     out = json.loads(captured.out)
     assert code == 0 and out["tie_path"]["chosen"] == 0
     assert np.array_equal(matrix_from_json(out["state"]), example_state(0.2))
 
-    code, captured = runs["bound"]
+    code, captured = runs["bound", "b.json"]
     assert code == 0 and captured.err == "# status: pass\n"
     assert (tmp_path / "bound.csv").read_text().startswith("experiment,n,replica,metric,value,base,seed\n")
 
-    code, captured = runs["divergence"]
+    code, captured = runs["divergence", "d.json"]
     config = json.loads(files["d.json"])
     a, b = matrix_from_json(config["a"]), matrix_from_json(config["b"])
     direct = float(np.sum(np.abs(herm_sqrt(a) - herm_sqrt(b)) ** 2))

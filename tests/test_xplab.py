@@ -360,6 +360,27 @@ def test_bound_two_member_inequality_with_slack():
         assert lhs <= rhs + 1e-7
 
 
+BOUND_CONFIGS = {
+    "readme": {"theta_star": 0.3, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.25],
+               "alphas": [2.0, 4.0], "n_schedule": list(range(2, 13))},
+    "unequal-weights": {"theta_star": 0.3, "model_thetas": [0.1, 0.3, 0.5, 0.7, 0.9],
+                        "code_weights": [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32], "alphas": [2.0],
+                        "n_schedule": [1, 2, 5, 25, 100, 400, 1000, 1080]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CONFIGS))
+def test_he2_row_stays_below_the_renyi_row(name):
+    """2(1 - BC^n) <= -2 ln BC^n: lhs_he2 (nats) <= ln 2 * lhs_renyi[alpha=2] (bits) at every n,
+    so a He^2 gate against rhs could never fail a run that the Renyi gate passes."""
+    config = BOUND_CONFIGS[name]
+    result = bound_run(BoundConfig.from_dict(config))
+    for n in config["n_schedule"]:
+        (he2,) = result.metric_values("lhs_he2[alpha=2]", n)
+        (renyi,) = result.metric_values("lhs_renyi[alpha=2]", n)
+        assert 0.0 <= he2 <= math.log(2.0) * renyi * (1 + 1e-12), (n, he2, renyi)
+
+
 def test_bound_rhs_is_infinite_when_no_member_explains_a_truth_class():
     # the one member (theta 0) emits only the all-ones word; the truth (theta
     # 0.3) emits every class, so the winner envelope is 0 on classes of mass
