@@ -26,10 +26,6 @@ TOL = Tolerances()
 
 DEFAULT_DENSE_CAP = 8192
 
-# Probabilities are floored here in log-space scoring; exact zeros still
-# raise AllZeroLikelihood at the call sites that care.
-PROB_FLOOR = 1e-300
-
 
 def dense_cap() -> int:
     """Largest dimension any densely materialized operator may have.

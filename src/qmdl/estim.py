@@ -4,8 +4,9 @@ The two-part estimator scores each model member by the projected likelihood of
 its code-weighted tensor-power level; ties fall back to the maximum stored
 trace, then to the lowest index. Both models are the weighted family of
 qsource: GeneralizedModel's weights are code weights, ParamModel's are all 1.
-A score pays log w once per letter, where a source's level pays it once
-(ROADMAP item 1 chooses between the two readings).
+Models score and sources emit: a model is read only through _member_scores,
+which pays log w once per letter (a source's level pays it once; ROADMAP item 1)
+on top of typeclasses.log_likelihoods, the library's one log-likelihood rule.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PROB_FLOOR
 from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalSystem
 from .models import example_states
 from .opcore import check_density, normalize
 from .projlat import ProjSystem
 from .qsource import _Family, _unzip, word_counts
-from .typeclasses import compositions, log_multinomial
+from .typeclasses import compositions, log_likelihoods, log_multinomial
 
 __all__ = [
     "ParamModel",
@@ -90,27 +90,16 @@ class EstimateResult:
 
 
 def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-    """n log w_i + sum_a k_a log p[i, a] per member; -inf if p[i, a] <= 0 at a seen a.
+    """n log w_i + log_likelihoods(letter table, counts) per member: a model's scores.
 
-    p is the model's letter table and log p is math.log of max(p, PROB_FLOOR);
-    a weight is paid once per letter (n log w). counts is one histogram [m]
-    or a batch [C, m]; the scores are [members] or [C, members]. Outcome
-    columns are added one at a time in index order, so each score is the
-    same float as the per-member scalar sum taken in that order; exact ties
-    between members therefore survive vectorisation.
+    Models score and sources emit; this is the one reading of a model, paying a
+    weight per letter. The one log-likelihood rule (math.log, index order, -inf at
+    p <= 0 with a positive count, no floor) keeps each score the scalar sum's float,
+    so exact ties survive. counts [m] or [C, m] give [members] or [C, members]; the
+    weight term is added in place, keeping one [C, members] array fewer alive.
     """
-    probs = model.letter_probs(system)
-    clamped = np.maximum(probs, PROB_FLOOR).ravel().tolist()
-    logs = np.array(list(map(math.log, clamped))).reshape(probs.shape)
-    log_w = np.array(list(map(math.log, model.weights.tolist())))
-    counts = np.asarray(counts)[..., None]
-    ll = np.zeros(counts.shape[:-2] + (len(probs),))
-    dead = np.zeros(ll.shape, dtype=bool)
-    for a in range(counts.shape[-2]):
-        ll += counts[..., a, :] * logs[:, a]
-        dead |= (counts[..., a, :] > 0) & (probs[:, a] <= 0.0)
-    scores = counts.sum(axis=-2) * log_w + ll
-    scores[dead] = -np.inf
+    scores = log_likelihoods(model.letter_probs(system), counts)
+    scores += np.sum(counts, axis=-1)[..., None] * np.array(list(map(math.log, model.weights.tolist())))
     return scores
 
 
@@ -139,7 +128,8 @@ def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
 def _two_part_scores(
     model: GeneralizedModel, system: ProjSystem, counts: np.ndarray
 ) -> np.ndarray:
-    """Two-part scores for one histogram (kept apart from mle: perfbench counts calls here)."""
+    """Two-part scores of one word [m], consistency_run's replicas [R, m] or a class table
+    [C, m] of two_part_classes (kept apart from mle: perfbench counts calls here)."""
     return _member_scores(model, system, counts)
 
 

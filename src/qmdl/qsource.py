@@ -5,11 +5,12 @@ materialization is an explicit capped operation. Outcome-word probabilities
 factorize through per-letter traces, so finite-n checks scale to large n via
 type-class enumeration.
 
-One weighted family {(w_i, rho_i)} serves as a source (MixtureSource) and as
-a model (estim.GeneralizedModel, estim.ParamModel). A level pays each weight
-once; a two-part score reads the code-weighted level (w_i rho_i)^(x)n and
-pays it once per letter (estim._member_scores). ROADMAP item 1 is the choice
-between these two readings.
+One weighted family {(w_i, rho_i)} underlies sources and models. Sources
+(MixtureSource) emit: level, log_prob and predict read sum_i w_i rho_i^(x)n,
+paying each weight once. Models (estim) only score, paying log w_i once per
+letter (ROADMAP item 1 chooses between the readings). A word's log-likelihood
+has one rule, typeclasses.log_likelihoods: math.log, index order, -inf at a
+letter with p <= 0 and a positive count, no floor.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def word_counts(word, system: ProjSystem) -> np.ndarray:
 
 class _Family:
     """Weights [N], states as one [N, d, d] stack, optional thetas, stored_traces
-    w_i Tr rho_i and one outcome table per system; subclasses add a weight rule."""
+    w_i Tr rho_i and one outcome table per system; subclasses add a weight rule.
+    Only MixtureSource emits (level, log_prob, predict); models are scored by estim."""
 
     def __init__(self, weights, states, thetas=None, *, top: float, bad_weight: str, empty: str, mixed=None):
         """Check 0 < w <= top and one finite square stack at once. On failure raise what
@@ -128,13 +130,6 @@ class _Family:
     def components(self):
         return list(zip(self.weights, self.states))
 
-    def level(self, n: int) -> np.ndarray:
-        check_cap(self.dim ** max(n, 1))
-        out = np.zeros((self.dim**n, self.dim**n), dtype=complex)
-        for w, rho in zip(self.weights, self.states):
-            out += w * tensor_power(rho, n)
-        return out
-
     def letter_probs(self, system: ProjSystem) -> np.ndarray:
         """Outcome probabilities per member, p[i, a] = Tr(q_a rho_i), cached per system."""
         if system.dim != self.dim:
@@ -142,28 +137,6 @@ class _Family:
         if system not in self._tables:
             self._tables[system] = outcome_probs(self.states, system)
         return self._tables[system]
-
-    def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-        """log probability of one word of each class in counts[C, m]."""
-        probs = self.letter_probs(system)
-        log_w = np.log(self.weights)
-        # class blocks bound each [classes, components] intermediate to 8 MB
-        step = max(1, 2**20 // len(log_w))
-        return np.concatenate(
-            [
-                logsumexp(log_w + log_likelihoods(probs, counts[i : i + step]))
-                for i in range(0, len(counts), step)
-            ]
-        )
-
-    def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-        """Posterior-weighted letter law after a word with histogram counts."""
-        probs = self.letter_probs(system)
-        log_post = np.log(self.weights) + log_likelihoods(probs, counts[None])[0]
-        log_total = logsumexp(log_post)
-        if log_total == -np.inf:
-            raise ZeroDivisionError("conditioning word has probability 0")
-        return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
 
 
 def _unzip(members) -> tuple[list, list]:
@@ -195,6 +168,30 @@ class MixtureSource(_Family):
                 raise InvalidOperator("source components must have unit trace")
         elif float(self.weights @ traces) > 1 + 1e-9:
             raise InvalidOperator("generalized source has level-1 trace > 1")
+
+    def level(self, n: int) -> np.ndarray:
+        check_cap(self.dim ** max(n, 1))
+        out = np.zeros((self.dim**n, self.dim**n), dtype=complex)
+        for w, rho in zip(self.weights, self.states):
+            out += w * tensor_power(rho, n)
+        return out
+
+    def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """log probability of one word of each class in counts[C, m]."""
+        probs, log_w = self.letter_probs(system), np.log(self.weights)
+        # class blocks bound each [classes, components] intermediate to 8 MB
+        step = max(1, 2**20 // len(log_w))
+        blocks = (log_likelihoods(probs, counts[i : i + step]) for i in range(0, len(counts), step))
+        return np.concatenate([logsumexp(log_w + ll) for ll in blocks])
+
+    def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """Posterior-weighted letter law after a word with histogram counts."""
+        probs = self.letter_probs(system)
+        log_post = np.log(self.weights) + log_likelihoods(probs, counts)
+        log_total = logsumexp(log_post)
+        if log_total == -np.inf:
+            raise ZeroDivisionError("conditioning word has probability 0")
+        return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
 
 
 def SimpleSource(base: np.ndarray) -> MixtureSource:
@@ -266,8 +263,16 @@ def example_uniform_source(c: float = 0.0, nodes: int = 2048) -> MixtureSource:
     return MixtureSource(zip(w / 2.0, example_states((x + 1.0) / 2.0, c)))
 
 
+def _need_mixtures(op: str, *sources) -> None:
+    """Raise InvalidOperator unless every source is a MixtureSource, whose stacks op reads."""
+    for src in sources:
+        if not isinstance(src, MixtureSource):
+            raise InvalidOperator(f"{op} needs a MixtureSource, got {type(src).__name__}")
+
+
 def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:
     """Map every component to U rho U^dagger; the marginal law is preserved."""
+    _need_mixtures("conjugate", src)
     u = as_operator(u)
     if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-9:
         raise InvalidOperator("conjugation requires a unitary")
@@ -340,6 +345,7 @@ def predict_step(src, system: ProjSystem, word) -> np.ndarray:
 
 def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
     """Pinch every component; levels become Q^(n)-projections of the originals."""
+    _need_mixtures("q_restrict", src)
     if system.dim != src.dim:
         raise DimensionMismatch(f"operator dim {src.dim} vs system dim {system.dim}")
     pinched = (system.stack @ src.states[:, None] @ system.stack).sum(axis=1)
@@ -519,6 +525,7 @@ def universality_check(
 
 def convex_combine(sources: list[MixtureSource], weights) -> MixtureSource:
     """Convex combination of sources: concatenated components, scaled weights."""
+    _need_mixtures("convex_combine", *sources)
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(sources):
         raise InvalidOperator("one weight per source required")

@@ -11,7 +11,7 @@ take the closed form; log k! comes from one module table that grows on demand.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from math import comb, lgamma
+from math import comb, lgamma, log
 
 import numpy as np
 
@@ -65,16 +65,22 @@ def log_multinomial(counts) -> np.ndarray:
 
 
 def log_likelihoods(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sum_a k_a log p[i, a] for every class and law, as [C, I].
+    """sum_a k_a log p[i, a] for every law i: [I] for counts [m], [C, I] for counts [C, m].
 
-    Support convention: a symbol with p <= 0 contributes nothing at count 0
-    and makes the class impossible (-inf) at a positive count.
+    The library's one log-likelihood rule: math.log of each positive p, no
+    floor; outcome columns added in index order from 0.0, so each value is the
+    scalar loop's float and exact ties between laws survive; a letter with
+    p <= 0 adds nothing at count 0 and gives -inf at a positive count.
     """
     probs = np.asarray(probs, dtype=float)
     support = probs > 0.0
-    logs = np.log(np.where(support, probs, 1.0))
-    out = counts @ logs.T
-    out[(counts > 0).astype(np.int64) @ (~support).T.astype(np.int64) > 0] = -np.inf
+    logs = np.array(list(map(log, np.where(support, probs, 1.0).ravel().tolist()))).reshape(probs.shape)
+    counts = np.asarray(counts)
+    out = np.zeros(counts.shape[:-1] + (len(probs),))
+    for a in range(probs.shape[1]):
+        out += counts[..., a, None] * logs[:, a]
+    if not support.all():
+        out[(counts > 0) @ ~support.T] = -np.inf
     return out
 
 

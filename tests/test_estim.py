@@ -30,7 +30,7 @@ from qmdl import (
 )
 from qmdl import BetaExampleSource, predict_step
 from qmdl.estim import _member_scores, _select, _two_part_scores
-from qmdl.typeclasses import compositions
+from qmdl.typeclasses import compositions, log_likelihoods
 from conftest import random_density
 
 CB = computational_basis(2)
@@ -146,7 +146,7 @@ def reference_loglik(probs, counts):
             continue
         if p <= 0.0:
             return -np.inf
-        total += k * math.log(max(p, 1e-300))
+        total += k * math.log(p)
     return total
 
 
@@ -172,7 +172,7 @@ def reference_tie_path(model, scores):
     return (len(winners), len(trace_winners), trace_winners[0])
 
 
-# exact zeros, negative round-off and values below the 1e-300 clamp
+# exact zeros, negative round-off and subnormal letters (no floor: 1e-310 scores k log 1e-310)
 LETTER_PROB = st.one_of(
     st.sampled_from([0.0, -1e-17, -0.0, 1e-310, 1e-300, 1.0]),
     st.floats(1e-12, 1.0),
@@ -192,6 +192,12 @@ def scoring_cases(draw):
 @given(scoring_cases())
 def test_kernel_scores_equal_scalar_loop(case):
     m, rows, weights, counts = case
+    # the kernel itself, on one histogram [m] and on a batch [C, m]
+    table = np.array(rows)
+    assert log_likelihoods(table, counts).tolist() == [reference_loglik(row, counts) for row in rows]
+    batch = np.stack([counts, counts[::-1], np.zeros_like(counts)])
+    got = log_likelihoods(table, batch).tolist()
+    assert got == [[reference_loglik(row, c) for row in rows] for c in batch]
     system = computational_basis(m)
     states = [np.diag(np.array(row, dtype=complex)) for row in rows]
     two = GeneralizedModel(list(zip(weights, states)))
@@ -200,6 +206,9 @@ def test_kernel_scores_equal_scalar_loop(case):
     grid = ParamModel(tuple(states))
     got = _member_scores(grid, system, counts)
     assert got.tolist() == reference_scores([(None, s) for s in states], system, counts)
+    # models score and never emit: a weight is read one way per type
+    for model in (two, grid):
+        assert not any(hasattr(model, name) for name in ("level", "log_prob", "predict"))
     # every member listed twice: each winner ties with its copy
     doubled = GeneralizedModel([(w / 2, s) for w, s in two.components] * 2)
     scores = reference_scores(doubled.components, system, counts)

@@ -122,6 +122,11 @@ def test_conjugate_rejects_non_unitary(rng):
         conjugate(src, np.diag([2.0, 1.0]))
 
 
+def test_conjugate_needs_a_mixture():
+    with pytest.raises(InvalidOperator, match="conjugate needs a MixtureSource, got BetaExampleSource"):
+        conjugate(BetaExampleSource(), np.eye(2))
+
+
 # --- word probabilities -----------------------------------------------------
 
 
@@ -277,6 +282,11 @@ def test_q_restrict_preserves_minimal_word_probs(rng):
         ) < 1e-10
     lvl = pinched.level(1)
     assert np.allclose(lvl, q_project(src.level(1), system), atol=1e-10)
+
+
+def test_q_restrict_needs_a_mixture():
+    with pytest.raises(InvalidOperator, match="q_restrict needs a MixtureSource, got BetaExampleSource"):
+        q_restrict(BetaExampleSource(), CB)
 
 
 # --- universality -----------------------------------------------------------
@@ -564,3 +574,9 @@ def test_convex_combine_validates_weights(rng):
     for weights in ([0.7, 0.7], [math.nan, math.nan], [1.0, math.nan], [-0.5, 1.5]):
         with pytest.raises(InvalidOperator, match="weights must be nonnegative and sum to 1"):
             convex_combine([src, src], weights)
+
+
+def test_convex_combine_needs_a_mixture(rng):
+    sources = [BetaExampleSource(), random_mixture(rng)]
+    with pytest.raises(InvalidOperator, match="convex_combine needs a MixtureSource, got BetaExampleSource"):
+        convex_combine(sources, [0.5, 0.5])
