@@ -44,7 +44,7 @@ from .opcore import (
     tensor_power,
 )
 from .projlat import ProjSystem
-from .typeclasses import compositions, log_likelihoods, log_multinomial, logsumexp
+from .typeclasses import compositions, letter_logs, log_likelihoods, log_multinomial, logsumexp, summed_logs
 
 __all__ = [
     "MixtureSource",
@@ -178,10 +178,10 @@ class MixtureSource(_Family):
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
-        probs, log_w = self.letter_probs(system), np.log(self.weights)
+        logs, log_w = letter_logs(self.letter_probs(system)), np.log(self.weights)
         # class blocks bound each [classes, components] intermediate to 8 MB
         step = max(1, 2**20 // len(log_w))
-        blocks = (log_likelihoods(probs, counts[i : i + step]) for i in range(0, len(counts), step))
+        blocks = (summed_logs(logs, counts[i : i + step]) for i in range(0, len(counts), step))
         return np.concatenate([logsumexp(log_w + ll) for ll in blocks])
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:

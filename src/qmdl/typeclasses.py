@@ -18,6 +18,8 @@ import numpy as np
 __all__ = [
     "compositions",
     "log_multinomial",
+    "letter_logs",
+    "summed_logs",
     "log_likelihoods",
     "logsumexp",
 ]
@@ -64,24 +66,41 @@ def log_multinomial(counts) -> np.ndarray:
     return log_fact[n] - log_fact[counts].sum(axis=-1)
 
 
-def log_likelihoods(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sum_a k_a log p[i, a] for every law i: [I] for counts [m], [C, I] for counts [C, m].
-
-    The library's one log-likelihood rule: math.log of each positive p, no
-    floor; outcome columns added in index order from 0.0, so each value is the
-    scalar loop's float and exact ties between laws survive; a letter with
-    p <= 0 adds nothing at count 0 and gives -inf at a positive count.
-    """
+def letter_logs(probs: np.ndarray) -> np.ndarray:
+    """math.log of each positive entry of a letter table p[I, m], -inf where p <= 0:
+    the table summed_logs reads. One table serves any number of count blocks."""
     probs = np.asarray(probs, dtype=float)
     support = probs > 0.0
     logs = np.array(list(map(log, np.where(support, probs, 1.0).ravel().tolist()))).reshape(probs.shape)
+    logs[~support] = -np.inf
+    return logs
+
+
+def summed_logs(logs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_a k_a logs[i, a] for every law i: [I] for counts [m], [C, I] for counts [C, m].
+
+    Outcome columns are added in index order from 0.0, so each value is the
+    scalar loop's float and exact ties between laws survive; a letter with log
+    -inf adds nothing at count 0 and gives -inf at a positive count.
+    """
+    support = logs > -np.inf
+    finite = np.where(support, logs, 0.0)
     counts = np.asarray(counts)
-    out = np.zeros(counts.shape[:-1] + (len(probs),))
-    for a in range(probs.shape[1]):
-        out += counts[..., a, None] * logs[:, a]
+    out = np.zeros(counts.shape[:-1] + (len(logs),))
+    for a in range(logs.shape[1]):
+        out += counts[..., a, None] * finite[:, a]
     if not support.all():
         out[(counts > 0) @ ~support.T] = -np.inf
     return out
+
+
+def log_likelihoods(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_a k_a log p[i, a] for every law i: [I] for counts [m], [C, I] for counts [C, m].
+
+    The library's one log-likelihood rule, summed_logs(letter_logs(probs), counts):
+    math.log of each positive p, no floor, and summed_logs's order and -inf rule.
+    """
+    return summed_logs(letter_logs(probs), counts)
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -82,11 +82,98 @@ def _config_hash(payload: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _replica_rng(seed: int, replica: int, n: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by (seed, replica, n)."""
-    return np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence([seed, replica, n]))
-    )
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe): pool hashing, output
+# hashing and pool mixing, all on 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A nonnegative integer's 32-bit words, least significant first (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 columns, with its running hash constant."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> np.uint32(16)
+
+
+def _philox_keys(seed: int, replicas: int, n: int) -> np.ndarray:
+    """The Philox keys of SeedSequence([seed, r, n]) for r < replicas, as [replicas, 2] uint64.
+
+    numpy's SeedSequence run once on [replicas] columns of uint32 words, which
+    wrap as its C code does: the entropy words (seed's, then r, then n's, each
+    least significant first) are hashed into a 4-word pool, the pool words are
+    mixed pairwise, entropy beyond 4 words is mixed into every pool word, and
+    generate_state(2, uint64) hashes the pool out into little-endian pairs.
+    """
+    def column(word: int) -> np.ndarray:
+        return np.full(replicas, word, dtype=np.uint32)
+
+    entropy = [*map(column, _uint32_words(seed)), np.arange(replicas, dtype=np.uint32),
+               *map(column, _uint32_words(n))]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else column(0)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashout = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashout(word) for word in pool], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replica_uniforms(seed: int, n: int, replicas: int):
+    """Each replica's n uniforms from its Philox stream keyed by (seed, replica, n).
+
+    One generator is re-keyed per replica through its documented state (counter
+    0, empty buffer), so replica r reads what Generator(Philox(SeedSequence([seed,
+    r, n]))).random(n) reads. The [n] buffer is reused: read it before the next.
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    u = np.empty(n)
+    for key in _philox_keys(seed, replicas, n):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=u)
+        yield u
+
+
+def _letter_cdf(true_state, system: ProjSystem) -> np.ndarray:
+    """Cumulative outcome law of Tr(q rho q), normalised as Generator.choice does."""
+    probs = np.clip(outcome_probs([as_operator(true_state)], system)[0], 0.0, None)
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"outcome probabilities sum to {total}, not 1")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def sample_words(
@@ -96,19 +183,28 @@ def sample_words(
     replicas: int,
     seed: int,
 ) -> list[np.ndarray]:
-    """i.i.d. outcome words drawn from Tr(q rho q); one word per replica."""
-    return list(_replica_words(true_state, system, n, replicas, seed))
+    """i.i.d. outcome words drawn from Tr(q rho q); one word per replica.
+
+    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox
+    stream keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there.
+    """
+    cdf = _letter_cdf(true_state, system)
+    return [cdf.searchsorted(u, side="right") for u in _replica_uniforms(seed, n, replicas)]
 
 
-def _replica_words(true_state, system: ProjSystem, n: int, replicas: int, seed: int):
-    """The words of sample_words as an iterator: each is drawn when it is read."""
-    rho = as_operator(true_state)
-    probs = np.clip(outcome_probs([rho], system)[0], 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    probs = probs / total
-    return (_replica_rng(seed, r, n).choice(len(probs), size=n, p=probs) for r in range(replicas))
+def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed: int) -> np.ndarray:
+    """The outcome counts [replicas, m] of sample_words's words, without forming a word.
+
+    A word's letter is <= a exactly where its uniform is < cdf[a], so the counts
+    are the differences of those tallies; the last tally is n.
+    """
+    cdf = _letter_cdf(true_state, system)
+    inner = cdf[:-1].tolist()
+    below = np.array(
+        [[np.count_nonzero(u < c) for c in inner] + [n] for u in _replica_uniforms(seed, n, replicas)],
+        dtype=np.int64,
+    )
+    return np.diff(below, axis=1, prepend=0)
 
 
 def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
@@ -163,6 +259,14 @@ def _code_weights(value) -> tuple[float, ...]:
     return check_kraft(each(interval("(0, 1]"))(value))
 
 
+def _replicas(value) -> int:
+    """A replica count whose indices each fit the one 32-bit entropy word of their stream key."""
+    count = integer(1)(value)
+    if count > 2**32:
+        raise ValueError(f"must be at most 2^32, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class ConsistencyConfig:
     theta_star: float
@@ -189,7 +293,7 @@ class ConsistencyConfig:
             code_weights=weights,
             estimator=read(data, "estimator", choice("two-part", "laplace"), path, "two-part"),
             n_schedule=read(data, "n_schedule", _schedule, path),
-            replicas=read(data, "replicas", integer(1), path),
+            replicas=read(data, "replicas", _replicas, path),
             seed=read(data, "seed", integer(0), path),
             competitor_thetas=read(data, "competitor_thetas", each(unit), path, ()),
             deltas=read(data, "deltas", each(interval("(0, inf)")), path, ()),
@@ -201,7 +305,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
 
     Per (n, replica): sample a word from the true state, estimate (two-part or
     Laplace-predictive), report He^2 and S between the pinched estimate and the
-    pinched truth. Each word is reduced to its outcome counts as it is drawn;
+    pinched truth. Only each word's outcome counts are drawn (_replica_counts);
     the replicas of one n are estimated as one count batch, and He^2 and S are
     taken once per distinct estimate. Declared competitors additionally get exact
     distinguishability masses per n.
@@ -214,8 +318,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
     ref_src = MixtureSource([(1.0, truth)])
     for n in config.n_schedule:
-        words = _replica_words(truth, system, n, config.replicas, config.seed)
-        counts = np.array([np.bincount(word, minlength=2) for word in words])
+        counts = _replica_counts(truth, system, n, config.replicas, config.seed)
         if config.estimator == "two-part":
             # row r's scores are the floats two_part gets for replica r's word
             keys = _select(model, _two_part_scores(model, system, counts)).chosen.tolist()

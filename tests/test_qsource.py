@@ -38,6 +38,8 @@ from qmdl import (
     word_distribution,
 )
 from qmdl import qsource
+from qmdl.models import example_states
+from qmdl.typeclasses import compositions, letter_logs, log_likelihoods, logsumexp
 from conftest import random_density
 
 CB = computational_basis(2)
@@ -548,6 +550,21 @@ def test_letter_probs_are_cached_per_system(rng):
     haar = haar_random_system(2, rng)
     src.log_prob(haar, np.array([[1, 2]]))
     assert src.letter_probs(haar).tobytes() == outcome_probs(src.states, haar).tobytes()
+
+
+def test_log_prob_logs_the_letter_table_once_across_class_blocks(monkeypatch, rng):
+    """4,096 components at n = 1000: 1,001 classes in four blocks of 256, one log table."""
+    thetas = np.linspace(0.0, 1.0, 4096)
+    src = MixtureSource(zip(np.full(4096, 1 / 4096), example_states(thetas, 0.3)))
+    system = haar_random_system(2, rng)
+    counts = compositions(1000, 2)
+    calls = []
+    monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
+    blocked = src.log_prob(system, counts)
+    assert len(calls) == 1
+    probs, log_w = src.letter_probs(system), np.log(src.weights)
+    rows = [logsumexp(log_w + log_likelihoods(probs, row)) for row in counts]
+    assert blocked.tobytes() == np.array(rows).tobytes()
 
 
 def test_q_restricted_universality_needs_system():

@@ -1,5 +1,6 @@
 """Experiment harness: sampling, exceedance masses, runners, reproducibility."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -25,6 +26,7 @@ from qmdl import (
     distinguishability_mass,
     example_state,
     example_uniform_source,
+    haar_random_system,
     hellinger_sq_classical,
     kl_classical,
     lambda_sum,
@@ -39,9 +41,20 @@ from qmdl import (
     word_divergences,
 )
 from qmdl.cli import main
-from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios
+from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios, _philox_keys, _replica_counts
+from conftest import random_density
 
 CB = computational_basis(2)
+
+
+def choice_words(true_state, system, n, replicas, seed):
+    """The documented sampling scheme as numpy states it: Generator.choice on the
+    Philox stream of SeedSequence([seed, r, n]) for each replica r."""
+    probs = np.clip(outcome_probs([true_state], system)[0], 0.0, None)
+    probs = probs / probs.sum()
+    for r in range(replicas):
+        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed, r, n])))
+        yield rng.choice(len(probs), size=n, p=probs)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -70,6 +83,38 @@ def test_sample_words_empirical_frequency():
     (word,) = sample_words(example_state(0.3), CB, 10_000, 1, seed=11)
     freq = np.mean(word == 0)
     assert abs(freq - 0.3) < 0.02
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 - 1, 2**70 + 3])
+@pytest.mark.parametrize("n", [1, 25, 1600, 2**33 + 1])
+def test_philox_keys_equal_numpy_seed_sequences(seed, n):
+    # seeds and word lengths of one to three 32-bit words: the entropy fills the
+    # four-word pool, or overflows it and is mixed in afterwards
+    expected = [np.random.SeedSequence([seed, r, n]).generate_state(2, np.uint64) for r in range(300)]
+    keys = _philox_keys(seed, 300, n)
+    assert keys.dtype == np.uint64 and np.array_equal(keys, expected)
+
+
+@pytest.mark.parametrize("case", [
+    # a zero-probability letter first, inside and last
+    [0.0, 0.5, 0.3, 0.2], [0.5, 0.0, 0.3, 0.2], [0.6, 0.4, 0.0], [0.37, 0.63],
+    # Haar systems of m outcomes on a random state
+    3, 4, 5,
+])
+def test_sampler_equals_generator_choice(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        system, rho = haar_random_system(case, rng), random_density(rng, case)
+    else:
+        system, rho = computational_basis(len(case)), np.diag(case).astype(complex)
+    m = len(system)
+    for seed, n, replicas in [(7, 1, 5), (2**32 + 9, 57, 40), (2**70 + 3, 400, 12)]:
+        expected = list(choice_words(rho, system, n, replicas, seed))
+        words = sample_words(rho, system, n, replicas, seed)
+        assert len(words) == replicas and all(w.dtype == e.dtype and np.array_equal(w, e) for w, e in zip(words, expected))
+        counts = _replica_counts(rho, system, n, replicas, seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, [np.bincount(e, minlength=m) for e in expected])
 
 
 # --- distinguishability -----------------------------------------------------
@@ -179,7 +224,8 @@ def test_consistency_competitor_masses_emitted():
 
 def _loop_reference(config):
     """consistency_run as it was before replicas were scored as one count batch:
-    one two_part call and one He^2 / S pair per replica's word."""
+    one two_part call and one He^2 / S pair per replica's word, drawn by
+    Generator.choice (choice_words), not by the library's sampler."""
     system = computational_basis(2)
     truth = example_state(config.theta_star, config.c)
     truth_probs = outcome_probs([truth], system)[0]
@@ -190,7 +236,7 @@ def _loop_reference(config):
     result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
     ref_src = MixtureSource([(1.0, truth)])
     for n in config.n_schedule:
-        for r, word in enumerate(sample_words(truth, system, n, config.replicas, config.seed)):
+        for r, word in enumerate(choice_words(truth, system, n, config.replicas, config.seed)):
             if config.estimator == "two-part":
                 est = two_part(model, system, word).state
                 est_probs = outcome_probs([est], system)[0]
@@ -249,6 +295,39 @@ def test_consistency_batch_csv_equals_the_per_replica_loop():
         assert consistency_run(config).csv_lines() == _loop_reference(config).csv_lines(), config
 
 
+_GRID = [round(0.005 * i, 3) for i in range(1, 200)]
+
+# sha256 of each config's CSV as computed before the sampler drew from uniforms
+# (one SeedSequence, Philox and Generator.choice per replica)
+GOLDEN_CSV = [
+    ({"theta_star": 0.37, "model_thetas": _GRID, "n_schedule": [25, 100, 400, 1600], "replicas": 60, "seed": 7},
+     "4b9afe9c535a817b915324730307eda44a810ced7c189ff57f13a50d3669dd67"),
+    ({"theta_star": 0.81, "c": 0.5, "model_thetas": [0.5], "estimator": "laplace", "n_schedule": [1, 13, 250],
+      "replicas": 40, "seed": 2**40 + 5},
+     "71a687a6eac5fd38221e89d5a4f4868ca72d315ee68f12b53901115f7d333cdd"),
+    ({"theta_star": 0.3, "model_thetas": [0.1, 0.3, 0.5, 0.7, 0.9], "code_weights": [0.4, 0.2, 0.1, 0.1, 0.1],
+      "n_schedule": [5, 40, 200], "replicas": 25, "seed": 2**64 + 17, "competitor_thetas": [0.55, 0.8],
+      "deltas": [0.5, 1.0, 4.0]},
+     "f4d0b81652efd7d6fe76d9c2bbd154b536ec5e8d55225de409b5f51c90b8ef4b"),
+]
+
+
+@pytest.mark.parametrize("data,digest", GOLDEN_CSV, ids=["two-part", "laplace", "competitors"])
+def test_consistency_csv_matches_its_pinned_digest(tmp_path, data, digest):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["consistency", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
+
+
+def test_consistency_replicas_fit_one_entropy_word(tmp_path):
+    data = {"theta_star": 0.3, "model_thetas": [0.3], "n_schedule": [5], "replicas": 2**32, "seed": 1}
+    assert ConsistencyConfig.from_dict(data).replicas == 2**32
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(data, replicas=2**32 + 1)))
+    assert main(["consistency", "--config", str(path)]) == 4
+
+
 def test_consistency_word_no_member_explains_raises(tmp_path):
     # members emit only outcome 0 or only outcome 1; a fair truth soon draws a word with both
     data = {"theta_star": 0.5, "model_thetas": [0.0, 1.0], "n_schedule": [1, 6], "replicas": 4, "seed": 5}
@@ -269,6 +348,7 @@ def test_consistency_word_no_member_explains_raises(tmp_path):
         ({"n_schedule": [5, 5]}, "config.n_schedule"),
         ({"deltas": [-1.0]}, "config.deltas"),
         ({"code_weights": [1.0]}, "config.code_weights"),
+        ({"replicas": 2**32 + 1}, "config.replicas"),
     ],
 )
 def test_consistency_config_errors_carry_field_paths(patch, field):
