@@ -52,17 +52,24 @@ def as_operator(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def check_hermitian(t: np.ndarray) -> np.ndarray:
-    t = as_operator(t)
-    dev = np.max(np.abs(t - t.conj().T)) if t.size else 0.0
+def _hermitian_gap(t: np.ndarray) -> np.ndarray:
+    """T - T^dagger of an operator from as_operator; InvalidOperator where an entry exceeds TOL.herm."""
+    gap = t - t.conj().T
+    dev = np.abs(gap).max(initial=0.0)
     if dev > TOL.herm:
         raise InvalidOperator(f"not Hermitian: max deviation {dev:.3e} > {TOL.herm:.1e}")
+    return gap
+
+
+def check_hermitian(t: np.ndarray) -> np.ndarray:
+    t = as_operator(t)
+    _hermitian_gap(t)
     return t
 
 
 def check_semi_density(t: np.ndarray) -> np.ndarray:
-    t = check_hermitian(t)
-    w = np.linalg.eigvalsh((t + t.conj().T) / 2)
+    t = as_operator(t)
+    w = _eigh(t, eigvals_only=True)
     if w.size and w[0] < -TOL.psd:
         raise InvalidOperator(f"not PSD: min eigenvalue {w[0]:.3e}")
     tr = np.trace(t)
@@ -151,8 +158,18 @@ def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:
 
 def eigh(t: np.ndarray, eigvals_only: bool = False):
     """Ascending eigenvalues and orthonormal eigenvector columns (eigvals_only: the eigenvalues alone)."""
-    t = check_hermitian(t)
-    return (np.linalg.eigvalsh if eigvals_only else np.linalg.eigh)((t + t.conj().T) / 2)
+    return _eigh(as_operator(t), eigvals_only)
+
+
+def _eigh(t: np.ndarray, eigvals_only: bool = False):
+    """eigh of (T + T^dagger) / 2 for an operator from as_operator.
+
+    Where T - T^dagger is +0.0 in every entry, (T + T^dagger) / 2 is T bit for bit,
+    signed zeros included, and T goes to LAPACK as it is: no copy.
+    """
+    if _hermitian_gap(t).view(np.uint64).any():
+        t = (t + t.conj().T) / 2
+    return (np.linalg.eigvalsh if eigvals_only else np.linalg.eigh)(t)
 
 
 def _below_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -47,24 +47,36 @@ class ProjSystem:
     stack: np.ndarray = field(init=False, repr=False)  # [m, dim, dim]
     dim: int = field(init=False)
     minimal: bool = field(init=False)
+    # [m, dim] read-only, P_i = v_i v_i^H, for a system built from vectors; else None
+    _vectors: np.ndarray | None = field(init=False, repr=False)
 
-    def __init__(self, projectors):
-        projs = [as_operator(p) for p in projectors]
-        if not projs:
-            raise InvalidOperator("a projection system needs at least one projector")
-        dim = projs[0].shape[0]
-        if dim == 0:
-            raise InvalidOperator("projectors act on the zero-dimensional space C^0")
-        # projectors before the first one on another space are checked first
-        split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
-        stack = np.stack(projs[:split])
-        m, tol = len(stack), TOL.projector
+    def __init__(self, projectors, *, _vectors: np.ndarray | None = None):
+        # _vectors: the rows v_i of a finite [m, d] array, projectors their entrywise products v_i v_i^H
+        norms = None if _vectors is None else _vector_norms(projectors, _vectors)
+        if norms is None:
+            _vectors = None
+            projs = [as_operator(p) for p in projectors]
+            if not projs:
+                raise InvalidOperator("a projection system needs at least one projector")
+            dim = projs[0].shape[0]
+            if dim == 0:
+                raise InvalidOperator("projectors act on the zero-dimensional space C^0")
+            # projectors before the first one on another space are checked first
+            split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
+            stack, mixed = np.stack(projs[:split]), split < len(projs)
+            herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
+            norms = _factor_norms(stack)
+        else:
+            stack, mixed = projectors, False
+            herm = np.zeros(len(stack), dtype=bool)
+            _vectors.flags.writeable = False
+        ranks, delta, g = norms
+        m, dim = stack.shape[:2]
+        tol = TOL.projector
         cut = tol * (1 - _BOUND_SLACK)
-        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
         # A bound below the cut decides a predicate: one bound for the whole system
         # first, then one per projector and pair; the dense test runs where neither
         # does. Every test reads `not bound < cut`, so a NaN bound stays open.
-        ranks, delta, g = _factor_norms(stack)
         g_top, d_top = g.max(), delta.max()
         idem = np.zeros(m, dtype=bool)  # projectors that are not idempotent
         orth = np.zeros((m, m), dtype=bool)  # pairs j < i whose bound is open
@@ -77,9 +89,10 @@ class ProjSystem:
                 loose = stack[idem]
                 with np.errstate(over="ignore", invalid="ignore"):
                     product = loose @ loose - loose
-                if not np.isfinite(product).all():  # overflow: norm_exceeds names the whole stack
-                    product, idem[:] = stack @ stack - stack, True
-                idem[idem] = norm_exceeds(product, tol)
+                # a P whose P^2 overflows has ||P^2 - P|| >= ||P||^2 - ||P|| > tol
+                exceeds = ~np.isfinite(product).all(axis=(1, 2))
+                exceeds[~exceeds] = norm_exceeds(product[~exceeds], tol)
+                idem[idem] = exceeds
             orth = np.triu(~(pair < cut), 1)
             suspects = herm | idem | orth.any(axis=0)
         for i in np.flatnonzero(suspects):
@@ -91,7 +104,7 @@ class ProjSystem:
             overlaps = js[norm_exceeds(stack[js] @ stack[i], tol)]
             if overlaps.size:
                 raise InvalidOperator(f"projectors {overlaps[0]} and {i} are not orthogonal")
-        if split < len(projs):
+        if mixed:
             raise DimensionMismatch("projectors live on different spaces")
         if norm_exceeds(stack.sum(axis=0) - np.eye(dim), tol):
             raise InvalidOperator("projectors do not sum to the identity")
@@ -110,6 +123,7 @@ class ProjSystem:
         object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "_vectors", _vectors)
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -129,31 +143,34 @@ class ProjSystem:
 # Relative margin by which a bound must clear a tolerance to decide a predicate;
 # it exceeds the relative round-off of the dense test's SVD or eigvalsh.
 _BOUND_SLACK = 1e-9
+_EPS = np.finfo(float).eps
 # Per unit of d * max rank: the allowance added to each norm of _factor_norms.
 # It covers the round-off of the factor, the Gram product and the dense products.
-_ROUNDOFF = 64 * np.finfo(float).eps
+_ROUNDOFF = 64 * _EPS
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves its bounds open
+def _ranks(stack: np.ndarray) -> np.ndarray:
+    """r_i = round(Re Tr P_i), clipped to [0, d], as floats."""
+    return np.fmin(np.fmax(np.rint(stack.trace(axis1=1, axis2=2).real), 0), stack.shape[1])
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _factor_norms(stack: np.ndarray):
     """Norms of one factorisation of a [m, d, d] stack that bound its predicates.
 
-    Each P_i takes r_i = round(Re Tr P_i) pivoted-Cholesky steps (pivot on the
-    largest residual diagonal entry), P_i = F_i F_i^H + R_i, and one Gram product
-    G = F^H F serves every pair. Returns r [m], delta [m] >= ||R_i|| and g [m, m]
-    with g_ji >= ||G_ji|| and e_i = g_ii >= ||G_ii - I||: Frobenius norms plus a
-    round-off allowance, NaN or infinite where the stack's entries overflow.
-    With q_i = 1 + e_i >= ||F_i||^2, _pair_bound bounds ||P_j P_i||; at j = i,
-    plus delta_i, it bounds ||P_i^2 - P_i||. The second eigenvalue of Herm(P_i)
-    lies within delta_i of that of F_i F_i^H, which is 0 for r_i <= 1 and at
-    least 1 - e_i for r_i >= 2.
+    Each P_i takes r_i = _ranks pivoted-Cholesky steps (pivot on the largest
+    residual diagonal entry), P_i = F_i F_i^H + R_i, and _gram_norms bounds the
+    Gram product of the factor. Returns r [m], delta [m] >= ||R_i|| and g [m, m]:
+    Frobenius norms plus a round-off allowance, NaN or infinite where the stack's
+    entries overflow.
 
     Ranks stay floats and pivots come from max and nonzero, not argsort, argmax
     or integer arithmetic: the first call of each of those maps 64-320 KB of
     numpy code that a run of the operator layer may not otherwise map.
     """
     m, d = stack.shape[:2]
-    ranks = np.fmin(np.fmax(np.rint(stack.trace(axis1=1, axis2=2).real), 0), d)
+    ranks = _ranks(stack)
     # higher ranks first: the projectors still factoring form a prefix
     order = sorted(range(m), key=ranks.tolist().__getitem__, reverse=True)
     steps = ranks[order].tolist()
@@ -178,13 +195,44 @@ def _factor_norms(stack: np.ndarray):
     delta = np.empty(m)
     delta[order] = np.sqrt(np.einsum("ki,ki->k", parts, parts)) + allowance
     factor = np.concatenate(cols) if cols else np.empty((0, d), dtype=complex)  # F^T
+    return ranks, delta, _gram_norms(factor, np.array(owners, dtype=float), m, allowance)
+
+
+def _vector_norms(stack: np.ndarray, vectors: np.ndarray):
+    """_factor_norms of the entrywise products P_i = v_i v_i^H of the rows of a finite [m, d] array.
+
+    The rows are the factor, and P_i - v_i v_i^H is the products' round-off, within
+    the allowance. None where some rank is not 1 (the rows are not unit vectors) or
+    the Hermitian bound is open (the products may overflow): the caller then takes
+    the general path.
+    """
+    m, d = vectors.shape
+    ranks = _ranks(stack)
+    # |P_jk - conj(P_kj)| <= 8 eps |v_j| |v_k|: each side is one rounded complex product
+    top = float(np.abs(vectors).max(initial=0.0))
+    if not (m and (ranks == 1).all() and 8 * _EPS * top * top < TOL.herm * (1 - _BOUND_SLACK)):
+        return None
+    allowance = _ROUNDOFF * d
+    return ranks, np.full(m, allowance), _gram_norms(vectors, np.arange(m, dtype=float), m, allowance)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gram_norms(factor: np.ndarray, owners: np.ndarray, m: int, allowance: float) -> np.ndarray:
+    """g [m, m] with g_ji >= ||G_ji|| and e_i = g_ii >= ||G_ii - I||, G = F^H F.
+
+    Row k of `factor` (F^T) is a column of F_i, i = owners[k] (floats). The norms
+    are Frobenius norms plus the allowance, which covers the round-off of the
+    factor, the Gram product and the dense products. With q_i = 1 + e_i >=
+    ||F_i||^2, _pair_bound bounds ||P_j P_i||; at j = i, plus delta_i >= ||P_i -
+    F_i F_i^H||, it bounds ||P_i^2 - P_i||. The second eigenvalue of Herm(P_i)
+    lies within delta_i of that of F_i F_i^H, which is 0 for r_i <= 1 and at
+    least 1 - e_i for r_i >= 2.
+    """
     gram = factor.conj() @ factor.T
     gram.ravel()[:: len(gram) + 1] -= 1
-    owner = np.array(owners, dtype=float)
-    g = np.sqrt(np.bincount(
-        (owner[:, None] * m + owner).ravel().astype(np.intp), np.abs(gram).ravel() ** 2, m * m
+    return np.sqrt(np.bincount(
+        (owners[:, None] * m + owners).ravel().astype(np.intp), np.abs(gram).ravel() ** 2, m * m
     )).reshape(m, m) + allowance
-    return ranks, delta, g
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -199,9 +247,9 @@ def computational_basis(dim: int) -> ProjSystem:
 
 
 def system_from_unitary(u: np.ndarray) -> ProjSystem:
-    """Rank-1 system built from the columns of a unitary."""
-    cols = as_operator(u).T
-    return ProjSystem(cols[:, :, None] * cols.conj()[:, None, :])
+    """Rank-1 system built from the columns of a unitary, which it keeps as its vectors."""
+    cols = as_operator(u).T.copy()
+    return ProjSystem(cols[:, :, None] * cols.conj()[:, None, :], _vectors=cols)
 
 
 def haar_random_system(dim: int, rng: np.random.Generator) -> ProjSystem:
@@ -323,6 +371,11 @@ def q_project(t: np.ndarray, system: ProjSystem) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dim {t.shape[0]} vs system dim {system.dim}"
         )
+    v = system._vectors
+    if v is not None:
+        # sum_i (v_i^H T v_i) v_i v_i^H; + 0.0 turns -0.0 into 0.0, as the loop's sum does
+        c = ((v.conj() @ t) * v).sum(axis=1)
+        return v.T @ (c[:, None] * v.conj()) + 0.0
     out = np.zeros_like(t)
     for q in system:
         out += q @ t @ q

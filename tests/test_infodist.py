@@ -252,7 +252,8 @@ def test_operator_divergences_read_the_hermitian_part(rng):
 
 
 def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rng):
-    """rel_entropy: one eigh and one eigvalsh. renyi, hellinger_sq: two eigh, no reconstruction."""
+    """rel_entropy: one eigh and one eigvalsh. renyi, hellinger_sq: two eigh, no reconstruction.
+    Each validates each operator once."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -264,14 +265,14 @@ def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rn
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for module in (opcore, infodist):
-        for name in ("herm_power", "herm_sqrt"):
+        for name in ("herm_power", "herm_sqrt", "as_operator"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     r1, r2 = random_density(rng, 5), random_density(rng, 5)
     for run, expected in [
-        (lambda: rel_entropy(r1, r2), {"eigh": 1, "eigvalsh": 1}),
-        (lambda: renyi(0.4, r1, r2), {"eigh": 2}),
-        (lambda: hellinger_sq(r1, r2), {"eigh": 2}),
+        (lambda: rel_entropy(r1, r2), {"eigh": 1, "eigvalsh": 1, "as_operator": 2}),
+        (lambda: renyi(0.4, r1, r2), {"eigh": 2, "as_operator": 2}),
+        (lambda: hellinger_sq(r1, r2), {"eigh": 2, "as_operator": 2}),
     ]:
         calls.clear()
         run()

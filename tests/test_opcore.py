@@ -128,6 +128,44 @@ def test_eigh_reconstructs(rng):
     assert np.all(np.diff(w) >= 0)
 
 
+def _exact_hermitian_inputs(rng):
+    """Exactly Hermitian matrices, signed zeros included: T - T^dagger is 0 in every entry."""
+    for d in (1, 2, 5, 16, 64):
+        a = rng.standard_normal((d, 2 * d)).view(complex)
+        h = (a + a.conj().T) / 2
+        sparse = np.where(rng.random((d, d)) < 0.5, 0.0, h.real)
+        sparse = sparse + sparse.T
+        yield h
+        yield h.real.astype(complex)
+        yield h.real.astype(complex).conj()  # imaginary parts -0.0
+        yield -sparse.astype(complex)  # zeros -0.0 - 0.0j
+        yield np.diag(rng.standard_normal(d)).astype(complex)
+        yield random_density(rng, d)
+
+
+@pytest.mark.parametrize("off", [0.0, 1e-12])
+def test_eigh_equals_the_symmetrised_call_bit_for_bit(off):
+    """eigh(T) is LAPACK on (T + T^dagger) / 2, on exactly Hermitian inputs and 1e-12 off them."""
+    rng = np.random.default_rng(20261019)
+    for t in _exact_hermitian_inputs(rng):
+        if off:  # t + 0.0 * noise would turn the inputs' -0.0 into 0.0
+            t = t + off * rng.standard_normal((len(t), 2 * len(t))).view(complex)
+        sym = (t + t.conj().T) / 2
+        assert eigh(t, eigvals_only=True).tobytes() == np.linalg.eigvalsh(sym).tobytes()
+        got, want = eigh(t), np.linalg.eigh(sym)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_eigh_hands_an_exactly_hermitian_operator_to_lapack_as_it_is(monkeypatch, rng):
+    seen = []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or inner(a))
+    t = random_density(rng, 8)
+    eigh(t, eigvals_only=True)
+    eigh(t + 1e-12j * np.eye(8), eigvals_only=True)
+    assert seen[0] is t and seen[1] is not t
+
+
 def test_herm_sqrt_squares_back(rng):
     rho = random_density(rng, 4)
     s = herm_sqrt(rho)

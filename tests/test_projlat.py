@@ -1,6 +1,8 @@
 """Projection systems, the refinement lattice, pinching, and classification."""
 
+import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from qmdl import (
 from qmdl import projlat
 from qmdl.config import TOL
 from qmdl.opcore import as_operator, norm_exceeds
+from qmdl.serial import matrix_to_json
 from conftest import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -154,7 +157,11 @@ def _dense_reference(projectors):
         stack = np.stack(projs[:split])
         tol = TOL.projector
         herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
-        idem = norm_exceeds(stack @ stack - stack, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = stack @ stack - stack
+        # a P whose P^2 overflows has ||P^2 - P|| >= ||P||^2 - ||P|| > tol
+        idem = ~np.isfinite(product).all(axis=(1, 2))
+        idem[~idem] = norm_exceeds(product[~idem], tol)
         for i, p in enumerate(stack):
             if herm[i]:
                 raise InvalidOperator(f"projector {i} is not Hermitian")
@@ -173,9 +180,9 @@ def _dense_reference(projectors):
         return type(exc), str(exc)
 
 
-def _outcome(projectors):
+def _outcome(projectors, build=ProjSystem):
     try:
-        return ProjSystem(projectors).minimal
+        return build(projectors).minimal
     except (InvalidOperator, DimensionMismatch) as exc:
         return type(exc), str(exc)
 
@@ -284,31 +291,151 @@ _HUGE = np.array([[1, 1e200 * (1 + 1j)], [1e200 * (1 - 1j), 1]])
 
 
 @pytest.mark.parametrize(
-    "projectors",
+    "projectors, message",
     [
-        [_HUGE, np.eye(2) - _HUGE],
-        [_HUGE],
-        [np.diag([1e200, 0.0]), np.diag([0.0, 1.0])],
-        [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1e160])],
-        [np.diag([-1e308, -1e308])],
-        [np.diag([1e308, 1e308, -1e308, -1e308])],
-        [np.array([[1, 1], [0, 0.0]]), np.diag([0, 1e200])],
+        ([_HUGE, np.eye(2) - _HUGE], "projector 0 is not idempotent"),
+        ([_HUGE], "projector 0 is not idempotent"),
+        ([np.diag([1e200, 0.0]), np.diag([0.0, 1.0])], "projector 0 is not idempotent"),
+        ([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1e160])], "projector 2 is not idempotent"),
+        ([np.diag([-1e308, -1e308])], "projector 0 is not idempotent"),
+        ([np.diag([1e308, 1e308, -1e308, -1e308])], "projector 0 is not idempotent"),
+        ([np.array([[1, 1], [0, 0.0]]), np.diag([0, 1e200])], "projector 0 is not Hermitian"),
     ],
     ids=["hermitian-sum-to-identity", "hermitian-alone", "diagonal", "last-of-three", "trace-overflows",
          "trace-is-nan", "non-hermitian-first"],
 )
-def test_overflowing_entries_take_the_dense_decisions(projectors):
+def test_overflowing_entries_take_the_dense_decisions(projectors, message):
     """Finite entries whose products overflow make the factor bounds NaN or infinite.
-    Such bounds stay open, so the dense test decides: the same error, naming the
-    whole stack, and the same warnings."""
+    Such bounds stay open, so the dense test decides: a projector whose square
+    overflows is not idempotent. Both name the same projector and warn of nothing."""
     outcomes = []
     for decide in (_dense_reference, _outcome):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcomes.append((decide(projectors), sorted({str(w.message) for w in caught})))
-    assert outcomes[0] == outcomes[1]
-    shape = np.stack(projectors).shape
-    assert outcomes[1][0] == (InvalidOperator, f"expected finite square matrices, got shape {shape}")
+            outcomes.append((decide(projectors), [str(w.message) for w in caught]))
+    assert outcomes[0] == outcomes[1] == ((InvalidOperator, message), [])
+
+
+def _haar_unitary(d: int, seed: int) -> np.ndarray:
+    z = np.random.default_rng(seed).standard_normal((d, 2 * d)).view(complex)
+    return np.linalg.qr(z)[0]
+
+
+def _unitary_variants(d: int):
+    """A Haar unitary on C^d, copies with column k tilted by eps towards column j,
+    scaled to norm 1 +- eps, repeated as column j or zeroed, and 1e200 I."""
+    u = _haar_unitary(d, d)
+    k, j = d // 2, (d // 2 + 1) % d
+    yield u
+    for eps in (1e-10, 1e-9, 5e-9, 1e-8, 1e-7):
+        tilted, longer, shorter = u.copy(), u.copy(), u.copy()
+        tilted[:, k] = np.cos(eps) * u[:, k] + np.sin(eps) * u[:, j]
+        longer[:, k] *= 1 + eps
+        shorter[:, k] *= 1 - eps
+        yield from ([longer, shorter] if d == 1 else [tilted, longer, shorter])
+    repeated, zero = u.copy(), u.copy()
+    repeated[:, j] = u[:, k]
+    zero[:, k] = 0
+    yield from ([zero] if d == 1 else [repeated, zero])
+    yield 1e200 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+def test_unitary_systems_take_the_dense_decisions(d):
+    """system_from_unitary decides as the dense products of its columns' outer products do."""
+    outcomes = []
+    for u in _unitary_variants(d):
+        cols = u.T
+        with np.errstate(over="ignore"):  # 1e200 I: the outer products overflow, as before
+            expected = _dense_reference(list(cols[:, :, None] * cols.conj()[:, None, :]))
+            assert _outcome(u, system_from_unitary) == expected, u
+        outcomes.append(expected)
+    # valid systems, systems that fail each test, and the fallback's messages
+    verdicts = {o if isinstance(o, bool) else o[1].split(" ")[-1] for o in outcomes}
+    assert {True, "idempotent", "identity", "finite"} <= verdicts
+    assert ("orthogonal" in verdicts) == (d > 1)
+
+
+def test_entrywise_products_are_hermitian_within_the_rounding_bound():
+    """|P_jk - conj(P_kj)| <= 8 eps |v_j| |v_k| for P = v v^H, with or without FMA."""
+    rng = np.random.default_rng(20261019)
+    for d in (1, 2, 3, 8, 64):
+        v = rng.standard_normal((d, 2 * d)).view(complex) * 10.0 ** rng.integers(-3, 4, (d, d))
+        p = v[:, :, None] * v.conj()[:, None, :]
+        size = np.abs(v)
+        bound = 8 * np.finfo(float).eps * size[:, :, None] * size[:, None, :]
+        assert (np.abs(p - p.conj().transpose(0, 2, 1)) <= bound).all()
+
+
+def test_unitary_systems_keep_their_vectors(monkeypatch):
+    """Built with no pivoted Cholesky, no stacking and no per-projector as_operator;
+    pinched in two matrix products, where the same matrices take 2m."""
+    calls = Counter()
+    for module, attr in ((projlat, "_factor_norms"), (projlat, "as_operator"), (np, "stack")):
+        inner = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, _f=inner, _n=attr, **k: calls.update([_n]) or _f(*a, **k))
+    u = _haar_unitary(64, 7)
+    system = system_from_unitary(u)
+    assert calls == {"as_operator": 1}  # u itself
+    monkeypatch.undo()
+    u[:] = 0  # the system keeps a copy
+    dense = ProjSystem(list(system.stack))
+    assert system.minimal and dense.minimal and (system.stack == dense.stack).all()
+
+    class Counted(np.ndarray):
+        """Counts the ufunc calls it takes part in; its results are Counted too."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls[ufunc.__name__] += 1
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+            result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+            return result.view(Counted) if isinstance(result, np.ndarray) else result
+
+    object.__setattr__(system, "_vectors", system._vectors.view(Counted))
+    object.__setattr__(dense, "projectors", tuple(p.view(Counted) for p in dense.projectors))
+    t = random_hermitian(np.random.default_rng(1), 64)
+    calls.clear()
+    got = q_project(t, system)
+    assert calls["matmul"] == 2
+    calls.clear()
+    want = q_project(t, dense)
+    assert calls["matmul"] == 2 * 64
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def _loop_pinch(t: np.ndarray, system: ProjSystem) -> np.ndarray:
+    """sum_q q T q, one projector at a time."""
+    out = np.zeros_like(t)
+    for q in system.stack:
+        out += q @ t @ q
+    return out
+
+
+def test_pinch_json_on_the_computational_basis_equals_the_loop():
+    """Byte-identical JSON, with signed zeros, zeros and negative entries in the input."""
+    rng = np.random.default_rng(20261019)
+    negative_zeros = 0
+    for d in range(1, 9):
+        system = computational_basis(d)
+        for _ in range(40):
+            parts = rng.standard_normal((d, 2 * d)) * 10.0 ** rng.integers(-5, 6, (d, 2 * d))
+            zero = rng.random(parts.shape) < 0.3
+            parts[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+            t = parts.view(complex)
+            negative_zeros += int(np.signbit(parts[zero]).any())
+            got, want = q_project(t, system), _loop_pinch(t, system)
+            assert json.dumps(matrix_to_json(got)) == json.dumps(matrix_to_json(want))
+    assert negative_zeros
+
+
+def test_pinch_on_haar_systems_matches_the_loop():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 8, 64):
+        system = haar_random_system(d, rng)
+        t = rng.standard_normal((d, 2 * d)).view(complex)
+        t /= np.linalg.norm(t, 2)
+        assert np.abs(q_project(t, system) - _loop_pinch(t, system)).max() <= 1e-12
 
 
 # --- lattice ----------------------------------------------------------------
