@@ -13,6 +13,7 @@ from qmdl import (
     InvalidOperator,
     NonMinimalSystem,
     ProjSystem,
+    SizeCapExceeded,
     classify,
     computational_basis,
     consistent,
@@ -30,7 +31,7 @@ from qmdl import projlat
 from qmdl.config import TOL
 from qmdl.opcore import as_operator, norm_exceeds
 from qmdl.serial import matrix_to_json
-from conftest import random_hermitian
+from conftest import counted_view, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -382,18 +383,8 @@ def test_unitary_systems_keep_their_vectors(monkeypatch):
     dense = ProjSystem(list(system.stack))
     assert system.minimal and dense.minimal and (system.stack == dense.stack).all()
 
-    class Counted(np.ndarray):
-        """Counts the ufunc calls it takes part in; its results are Counted too."""
-
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            calls[ufunc.__name__] += 1
-            if "out" in kwargs:
-                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
-            result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-            return result.view(Counted) if isinstance(result, np.ndarray) else result
-
-    object.__setattr__(system, "_vectors", system._vectors.view(Counted))
-    object.__setattr__(dense, "projectors", tuple(p.view(Counted) for p in dense.projectors))
+    object.__setattr__(system, "_vectors", counted_view(system._vectors, calls))
+    object.__setattr__(dense, "projectors", tuple(counted_view(p, calls) for p in dense.projectors))
     t = random_hermitian(np.random.default_rng(1), 64)
     calls.clear()
     got = q_project(t, system)
@@ -656,6 +647,14 @@ def test_tensor_system_pinch_factorizes(rng):
         atol=1e-10,
     )
     assert lhs.shape == (4, 4)
+
+
+def test_tensor_system_respects_the_dense_cap(monkeypatch):
+    monkeypatch.setenv("QMDL_DENSE_CAP", "5")
+    a, dense = computational_basis(2), ProjSystem([np.eye(3)])
+    for p, q in ((a, computational_basis(3)), (a, dense)):
+        with pytest.raises(SizeCapExceeded):
+            tensor_system(p, q)
 
 
 def test_weakly_equal_identical_operators(rng):

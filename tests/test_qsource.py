@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import operator
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from qmdl import (
     InvalidWord,
     MixtureSource,
     NotRegular,
+    ProjSystem,
     SimpleSource,
     SupportMismatch,
     bullet,
@@ -39,8 +43,9 @@ from qmdl import (
 )
 from qmdl import qsource
 from qmdl.models import example_states
+from qmdl.serial import system_from_json, system_to_json
 from qmdl.typeclasses import compositions, letter_logs, log_likelihoods, logsumexp
-from conftest import random_density
+from conftest import counted_view, random_density
 
 CB = computational_basis(2)
 
@@ -526,12 +531,70 @@ def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
     assert all(np.array_equal(a, b) for a, b in zip((x, w), leggauss(64)))
 
 
+def _per_pair_trace(states, system) -> np.ndarray:
+    return np.array([[np.trace(q @ rho).real for q in system] for rho in states])
+
+
 def test_outcome_probs_equal_the_per_pair_trace(rng):
-    for d in [*range(2, 17), 48]:  # d = 48 splits the states into blocks
-        system = haar_random_system(d, rng) if d % 2 else computational_basis(d)
-        states = [random_density(rng, d) for _ in range(5)]
-        loop = np.array([[np.trace(q @ rho).real for q in system] for rho in states])
-        assert np.array_equal(outcome_probs(states, system), loop)
+    """Bit for bit on the computational basis, signed zeros and denormals included,
+    with fewer and with more states than outcomes."""
+    for d in range(1, 9):
+        system = computational_basis(d)
+        for n in (1, d + 3):
+            states = [random_density(rng, d) for _ in range(n)]
+            assert outcome_probs(states, system).tobytes() == _per_pair_trace(states, system).tobytes()
+    entries = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-300, -1.0, 1.0, 2.5])
+    for _ in range(400):
+        d, n = rng.integers(1, 9, size=2)
+        states = rng.choice(entries, (n, d, d)) + 1j * rng.choice(entries, (n, d, d))
+        system = computational_basis(int(d))
+        assert outcome_probs(states, system).tobytes() == _per_pair_trace(states, system).tobytes()
+
+
+def _exact(x: np.ndarray) -> tuple[list[int], int]:
+    """The real and imaginary parts of x as exact integer multiples of 2^-k, and k."""
+    ratios = list(map(float.as_integer_ratio, np.stack([x.real, x.imag]).ravel().tolist()))
+    k = max(b.bit_length() for _, b in ratios) - 1  # every denominator is a power of 2
+    return [a << (k + 1 - b.bit_length()) for a, b in ratios], k
+
+
+def _exact_traces(states, system) -> list[list[Fraction]]:
+    """Re Tr(q rho) = sum_jk Re q_jk Re rho_kj - Im q_jk Im rho_kj, in exact arithmetic."""
+    qs = [_exact(q.conj()) for q in system.stack]  # Re conj(q) = Re q, Im conj(q) = -Im q
+    rhos = [_exact(rho.T) for rho in states]
+    return [[Fraction(sum(map(operator.mul, q, r)), 2 ** (k + l)) for q, k in qs] for r, l in rhos]
+
+
+def _declared(rng, d: int, ranks) -> ProjSystem:
+    """A system read from JSON whose projectors sum the columns of a Haar unitary in groups of the given ranks."""
+    groups = np.split(haar_random_system(d, rng)._vectors, np.cumsum(ranks)[:-1])
+    return system_from_json(system_to_json(ProjSystem([v.T @ v.conj() for v in groups])))
+
+
+def test_outcome_probs_off_the_computational_basis_are_within_round_off_of_the_exact_trace(rng):
+    """Haar and JSON-declared systems, d up to 48: within 4 d eps max|rho| of the exact trace."""
+    cases = [(haar_random_system(d, rng), n) for d, n in ((2, 1), (2, 40), (3, 5), (5, 2), (8, 9), (16, 3), (48, 2))]
+    cases += [(_declared(rng, 48, [1] * 48), 1), (_declared(rng, 6, [2, 1, 3]), 4), (_declared(rng, 48, [24, 24]), 3)]
+    for system, n in cases:
+        d = system.dim
+        states = [random_density(rng, d) for _ in range(n)]
+        got = outcome_probs(states, system)
+        assert got.shape == (n, len(system))
+        for rho, row, exact in zip(states, got, _exact_traces(states, system)):
+            tol = Fraction(4 * d * np.finfo(float).eps * np.abs(rho).max())
+            assert all(abs(Fraction(p) - e) <= tol for p, e in zip(row, exact))
+
+
+def test_outcome_probs_take_one_matrix_product(rng):
+    """One matmul for any number of states; no per-projector product and no trace."""
+    for d, n in ((2, 1), (2, 1001), (5, 3), (5, 64)):
+        system = haar_random_system(d, rng)
+        states = np.array([random_density(rng, d) for _ in range(n)])
+        want = outcome_probs(states, system)
+        calls = Counter()
+        object.__setattr__(system, "stack", counted_view(system.stack, calls))
+        assert np.array_equal(outcome_probs(states, system), want)
+        assert calls == {"matmul": 1, "add": 1}  # the product and its + 0.0
 
 
 def test_letter_probs_are_cached_per_system(rng):
