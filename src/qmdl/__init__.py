@@ -23,7 +23,6 @@ from .errors import (
 from .opcore import (
     as_operator,
     check_density,
-    check_hermitian,
     check_semi_density,
     eigh,
     herm_log,
@@ -34,7 +33,6 @@ from .opcore import (
     op_norm,
     partial_trace,
     pinv_sqrt,
-    tensor,
     tensor_power,
     trace_inner_norm,
 )
@@ -42,7 +40,6 @@ from .projlat import (
     Classification,
     LatticeResult,
     ProjSystem,
-    WeakEqualityResult,
     classify,
     computational_basis,
     consistent,
@@ -52,14 +49,11 @@ from .projlat import (
     meet,
     q_project,
     system_from_unitary,
-    tensor_system,
-    weakly_equal,
 )
 from .models import example_state
 from .qsource import (
     BetaExampleSource,
     MixtureSource,
-    SimpleSource,
     UniversalityReport,
     bullet,
     cond_density,
@@ -111,7 +105,6 @@ from .xplab import (
     bound_run,
     consistency_run,
     distinguishability_mass,
-    markov_check,
     markov_run,
     redundancy_run,
     sample_words,

@@ -197,7 +197,7 @@ def _cmd_universality(config: dict, out: str | None) -> int:
     model = read(config, "model", _model)
     if model.states[0].shape[0] != src.dim:
         raise ConfigError("model", f"states act on dimension {model.states[0].shape[0]}, not {src.dim}")
-    eps = read(config, "epsilon", float)
+    eps = read(config, "epsilon", interval("[0, inf)"))
     n_range = read(config, "n_range", levels)
     mode = read(config, "mode", choice("matrix", "q-restricted", "expected", "q-expected"), default="matrix")
     system = _system(config, src.dim, default=lambda dim: None)

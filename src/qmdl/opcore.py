@@ -22,11 +22,9 @@ from .errors import (
 
 __all__ = [
     "as_operator",
-    "check_hermitian",
     "check_semi_density",
     "check_density",
     "check_cap",
-    "tensor",
     "tensor_power",
     "sym_powers",
     "partial_trace",
@@ -61,12 +59,6 @@ def _hermitian_gap(t: np.ndarray) -> np.ndarray:
     return gap
 
 
-def check_hermitian(t: np.ndarray) -> np.ndarray:
-    t = as_operator(t)
-    _hermitian_gap(t)
-    return t
-
-
 def check_semi_density(t: np.ndarray) -> np.ndarray:
     t = as_operator(t)
     w = _eigh(t, eigvals_only=True)
@@ -91,13 +83,6 @@ def check_cap(dim: int) -> None:
         raise SizeCapExceeded(
             f"dense dimension {dim} exceeds cap {cap}; use factorized operations"
         )
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the dense dimension cap enforced."""
-    a, b = as_operator(a), as_operator(b)
-    check_cap(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
 
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InconsistentFamily, InvalidOperator, NonMinimalSystem
-from .opcore import as_operator, check_cap, norm_exceeds, op_norm
+from .opcore import as_operator, norm_exceeds, op_norm
 
 __all__ = [
     "ProjSystem",
@@ -30,9 +30,6 @@ __all__ = [
     "q_project",
     "Classification",
     "classify",
-    "tensor_system",
-    "WeakEqualityResult",
-    "weakly_equal",
 ]
 
 
@@ -402,37 +399,3 @@ def classify(t: np.ndarray, system: ProjSystem) -> Classification:
     else:
         tag = "intermediate"
     return Classification(nu, tag)
-
-
-def tensor_system(p_sys: ProjSystem, q_sys: ProjSystem) -> ProjSystem:
-    """Product system {p_i (x) q_j} on the tensor-product space."""
-    check_cap(p_sys.dim * q_sys.dim)
-    return ProjSystem(
-        [np.kron(p, q) for p in p_sys for q in q_sys]
-    )
-
-
-@dataclass(frozen=True)
-class WeakEqualityResult:
-    passed: bool
-    trials: int
-    witness: ProjSystem | None
-
-
-def weakly_equal(
-    t: np.ndarray, s: np.ndarray, trials: int = 64, seed: int = 0
-) -> WeakEqualityResult:
-    """Sampled check of T =_w S over Haar-random rank-1 systems.
-
-    A pass cannot certify the universally quantified statement; a failure
-    returns the witness system.
-    """
-    t, s = as_operator(t), as_operator(s)
-    if t.shape != s.shape:
-        raise DimensionMismatch("operators have different shapes")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        system = haar_random_system(t.shape[0], rng)
-        if norm_exceeds(q_project(t, system) - q_project(s, system), TOL.lattice):
-            return WeakEqualityResult(False, trials, system)
-    return WeakEqualityResult(True, trials, None)

@@ -48,7 +48,6 @@ from .typeclasses import compositions, letter_logs, log_likelihoods, log_multino
 
 __all__ = [
     "MixtureSource",
-    "SimpleSource",
     "BetaExampleSource",
     "example_uniform_source",
     "conjugate",
@@ -194,18 +193,6 @@ class MixtureSource(_Family):
         return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
 
 
-def SimpleSource(base: np.ndarray) -> MixtureSource:
-    """Levels rho (x) omega(rho)^(x)(n-1): the first factor keeps the trace.
-
-    That is the one-component generalized mixture (Tr rho, rho / Tr rho).
-    """
-    base = as_operator(base)
-    tr = np.trace(base).real
-    if tr <= TOL.norm:
-        raise InvalidOperator("simple source needs a nonzero base")
-    return MixtureSource([(tr, base / tr)], kind="generalized")
-
-
 class BetaExampleSource:
     """Uniform-prior mixture over the built-in qubit family, in closed form.
 
@@ -279,6 +266,12 @@ def conjugate(src: MixtureSource, u: np.ndarray) -> MixtureSource:
     return MixtureSource(zip(src.weights, u @ src.states @ u.conj().T), kind=src.kind)
 
 
+def _sandwich(root: np.ndarray, t: np.ndarray, dim2: int) -> np.ndarray:
+    """(root (x) I_dim2) T (root (x) I_dim2): the one body of the paper's "•" and its inverse-root variants."""
+    s = np.kron(root, np.eye(dim2, dtype=complex))
+    return s @ t @ s
+
+
 def bullet(t1: np.ndarray, t: np.ndarray, dim2: int) -> np.ndarray:
     """Sandwich (T1^(1/2) (x) I) T (T1^(1/2) (x) I) on the declared split."""
     t1, t = as_operator(t1), as_operator(t)
@@ -286,8 +279,7 @@ def bullet(t1: np.ndarray, t: np.ndarray, dim2: int) -> np.ndarray:
         raise DimensionMismatch(
             f"split {t1.shape[0]} x {dim2} does not match operator dim {t.shape[0]}"
         )
-    s = np.kron(herm_sqrt(t1), np.eye(dim2, dtype=complex))
-    return s @ t @ s
+    return _sandwich(herm_sqrt(t1), t, dim2)
 
 
 def cond_density(
@@ -312,10 +304,8 @@ def cond_density(
         raise SupportMismatch(
             f"sigma carries mass {deficit:.3e} outside supp(Tr_2(rho))"
         )
-    inv_sqrt = np.kron(pinv_sqrt(rho1), np.eye(d2, dtype=complex))
-    rho_2g1 = inv_sqrt @ rho @ inv_sqrt
-    sandwich = np.kron(herm_sqrt(sigma), np.eye(d2, dtype=complex))
-    return partial_trace(sandwich @ rho_2g1 @ sandwich, [d1, d2], 0)
+    rho_2g1 = _sandwich(pinv_sqrt(rho1), rho, d2)
+    return partial_trace(_sandwich(herm_sqrt(sigma), rho_2g1, d2), [d1, d2], 0)
 
 
 def strategy_step(src, n: int) -> np.ndarray:
@@ -325,8 +315,7 @@ def strategy_step(src, n: int) -> np.ndarray:
     if w.size and w[0] <= TOL.rank:
         raise NotRegular(f"level({n}) has min eigenvalue {w[0]:.3e}; not invertible")
     nxt = src.level(n + 1)
-    inv_sqrt = np.kron(pinv_sqrt(base), np.eye(src.dim, dtype=complex))
-    return inv_sqrt @ nxt @ inv_sqrt
+    return _sandwich(pinv_sqrt(base), nxt, src.dim)
 
 
 def outcome_prob(src, system: ProjSystem, word) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "RunResult",
     "sample_words",
     "distinguishability_mass",
-    "markov_check",
     "ConsistencyConfig",
     "consistency_run",
     "BoundConfig",
@@ -235,15 +234,6 @@ def distinguishability_mass(
     return _exceedance_mass(*_likelihood_ratios(ref_src, comp_src, system, n), delta)
 
 
-def markov_check(ref_src, comp_src, system: ProjSystem, n: int, delta: float) -> bool:
-    """Coding-theorem bound: exceedance mass never tops 1/delta.
-
-    The exceedance set follows distinguishability_mass, so a class within
-    round-off of delta may fall on either side.
-    """
-    return distinguishability_mass(ref_src, comp_src, system, n, delta) <= 1.0 / delta + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # configuration parsing
 
@@ -324,7 +314,8 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
             keys = _select(model, _two_part_scores(model, system, counts)).chosen.tolist()
             if min(keys) < 0:
                 raise AllZeroLikelihood("every member assigns probability 0 to the word")
-            est = {i: outcome_probs([normalize(model.states[i])], system)[0] for i in set(keys)}
+            distinct = sorted(set(keys))
+            est = dict(zip(distinct, outcome_probs([normalize(model.states[i]) for i in distinct], system)))
         else:
             keys = counts[:, 0].tolist()
             est = {k: np.array([(k + 1) / (n + 2), 1.0 - (k + 1) / (n + 2)]) for k in set(keys)}

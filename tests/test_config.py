@@ -117,6 +117,7 @@ MARKOV = {"theta_ref": 0.3, "theta_comp": 0.7, "deltas": [1.5], "n_schedule": [4
 UNIVERSALITY = {"source": iid(0.3), "model": {"example": {"thetas": [0.3]}}, "epsilon": 1.0, "n_range": [2, 3]}
 BOUND = {"theta_star": 0.3, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.25], "alphas": [2.0]}
 REDUNDANCY = {"theta_star": 0.5}
+BETA_UNIVERSALITY = dict(UNIVERSALITY, source={"kind": "beta-example"})
 MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
 
 
@@ -162,6 +163,10 @@ MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
          "system"),
         # a bare NaN, which Python's json reads, passed the weight checks
         ("predict", {"source": {"components": [{"weight": float("nan"), "matrix": RHO}]}}, "source"),
+        # epsilon lies in [0, inf): these ended in tracebacks or passed
+        ("universality-check", dict(BETA_UNIVERSALITY, epsilon=float("nan")), "epsilon"),
+        ("universality-check", dict(BETA_UNIVERSALITY, epsilon=-1100.0), "epsilon"),
+        ("universality-check", dict(BETA_UNIVERSALITY, epsilon=float("inf")), "epsilon"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):

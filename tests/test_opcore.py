@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from qmdl import (
     TOL,
     InvalidOperator,
-    SizeCapExceeded,
     ZeroTrace,
     as_operator,
     check_density,
-    check_hermitian,
     check_semi_density,
     eigh,
     herm_log,
@@ -23,7 +21,6 @@ from qmdl import (
     op_norm,
     partial_trace,
     pinv_sqrt,
-    tensor,
     tensor_power,
     trace_inner_norm,
 )
@@ -41,11 +38,6 @@ def test_as_operator_rejects_nan():
         as_operator(np.array([[np.nan, 0], [0, 1]]))
 
 
-def test_check_hermitian_catches_skew():
-    with pytest.raises(InvalidOperator):
-        check_hermitian(np.array([[0, 1], [-1, 0]], dtype=complex))
-
-
 def test_check_density_accepts_qubit_state():
     check_density(np.array([[0.3, 0.1], [0.1, 0.7]]))
 
@@ -59,18 +51,10 @@ def test_check_density_rejects_semi_density():
 def test_check_semi_density_rejects_negative_eigenvalue():
     with pytest.raises(InvalidOperator):
         check_semi_density(np.diag([1.0, -0.5]))
-
-
-def test_tensor_matches_kron(rng):
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    assert np.allclose(tensor(a, b), np.kron(a, b))
-
-
-def test_tensor_respects_dense_cap(monkeypatch):
-    monkeypatch.setenv("QMDL_DENSE_CAP", "3")
-    with pytest.raises(SizeCapExceeded):
-        tensor(np.eye(2), np.eye(2))
+    # a skew-Hermitian matrix fails the Hermitian gate first
+    for check in (check_semi_density, check_density):
+        with pytest.raises(InvalidOperator, match="not Hermitian"):
+            check(np.array([[0, 1], [-1, 0]], dtype=complex))
 
 
 def test_tensor_power_zero_is_scalar_one():

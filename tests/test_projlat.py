@@ -13,7 +13,6 @@ from qmdl import (
     InvalidOperator,
     NonMinimalSystem,
     ProjSystem,
-    SizeCapExceeded,
     classify,
     computational_basis,
     consistent,
@@ -24,8 +23,6 @@ from qmdl import (
     op_norm,
     q_project,
     system_from_unitary,
-    tensor_system,
-    weakly_equal,
 )
 from qmdl import projlat
 from qmdl.config import TOL
@@ -623,46 +620,3 @@ def test_classify_requires_minimal_system():
     sys_ = ProjSystem([np.eye(2)])
     with pytest.raises(NonMinimalSystem):
         classify(PAULI_X, sys_)
-
-
-# --- product systems and weak equality --------------------------------------
-
-
-def test_tensor_system_projector_count():
-    prod = tensor_system(computational_basis(2), computational_basis(3))
-    assert len(prod) == 6 and prod.dim == 6 and prod.minimal
-
-
-def test_tensor_system_pinch_factorizes(rng):
-    a, b = haar_random_system(2, rng), haar_random_system(2, rng)
-    prod = tensor_system(a, b)
-    t = np.kron(random_hermitian(rng, 2), random_hermitian(rng, 2))
-    lhs = q_project(t, prod)
-    # pinch of a product operator by the product system is the product of pinches
-    t1 = random_hermitian(rng, 2)
-    t2 = random_hermitian(rng, 2)
-    assert np.allclose(
-        q_project(np.kron(t1, t2), prod),
-        np.kron(q_project(t1, a), q_project(t2, b)),
-        atol=1e-10,
-    )
-    assert lhs.shape == (4, 4)
-
-
-def test_tensor_system_respects_the_dense_cap(monkeypatch):
-    monkeypatch.setenv("QMDL_DENSE_CAP", "5")
-    a, dense = computational_basis(2), ProjSystem([np.eye(3)])
-    for p, q in ((a, computational_basis(3)), (a, dense)):
-        with pytest.raises(SizeCapExceeded):
-            tensor_system(p, q)
-
-
-def test_weakly_equal_identical_operators(rng):
-    t = random_hermitian(rng, 3)
-    res = weakly_equal(t, t.copy(), trials=8)
-    assert res.passed and res.witness is None
-
-
-def test_weakly_equal_distinguishes_different_diagonals():
-    res = weakly_equal(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), trials=8)
-    assert not res.passed and res.witness is not None

@@ -17,7 +17,6 @@ from qmdl import (
     MixtureSource,
     NotRegular,
     ProjSystem,
-    SimpleSource,
     SupportMismatch,
     bullet,
     computational_basis,
@@ -67,14 +66,22 @@ def test_source_weights_must_sum_to_one():
         MixtureSource([(0.5, np.eye(2) / 2)])
 
 
-def test_generalized_source_allows_subnormalized():
+def test_generalized_source_allows_subnormalized(rng):
     src = MixtureSource([(0.5, np.eye(2) / 2)], kind="generalized")
     assert abs(np.trace(src.level(1)) - 0.5) < 1e-12
+    # one component (Tr b, b / Tr b): level n is b (x) (b / Tr b)^(x)(n-1)
+    base = 0.7 * random_density(rng, 2)
+    unit = base / np.trace(base).real
+    src = MixtureSource([(np.trace(base).real, unit)], kind="generalized")
+    assert np.max(np.abs(src.level(3) - np.kron(base, np.kron(unit, unit)))) < 1e-15
 
 
 def test_generalized_source_rejects_mass_above_one():
     with pytest.raises(InvalidOperator):
         MixtureSource([(0.8, np.eye(2) / 2), (0.5, np.eye(2) / 2)], kind="generalized")
+    # nor a component of zero weight, such as (Tr b, b / Tr b) for b = 0
+    with pytest.raises(InvalidOperator, match="weights must be positive"):
+        MixtureSource([(0.0, np.eye(2) / 2)], kind="generalized")
 
 
 # --- levels and the marginal law --------------------------------------------
@@ -87,28 +94,13 @@ def test_level_one_is_barycenter(rng):
 
 
 def test_marginal_law_mixture(rng):
-    for _ in range(5):
-        src = random_mixture(rng)
+    sources = [random_mixture(rng) for _ in range(5)]
+    base = 0.7 * random_density(rng, 2)
+    sources.append(MixtureSource([(np.trace(base).real, base / np.trace(base).real)], kind="generalized"))
+    for src in sources:
         for n in range(1, 5):
             reduced = partial_trace(src.level(n + 1), [2**n, 2], 1)
             assert np.max(np.abs(reduced - src.level(n))) < 1e-9
-
-
-def test_marginal_law_simple_source(rng):
-    src = SimpleSource(0.7 * random_density(rng, 2))
-    for n in range(1, 4):
-        reduced = partial_trace(src.level(n + 1), [2**n, 2], 1)
-        assert np.max(np.abs(reduced - src.level(n))) < 1e-10
-
-
-def test_simple_source_is_a_one_component_generalized_mixture(rng):
-    base = 0.7 * random_density(rng, 2)
-    src = SimpleSource(base)
-    assert isinstance(src, MixtureSource) and src.kind == "generalized"
-    unit = base / np.trace(base).real
-    assert np.max(np.abs(src.level(3) - np.kron(base, np.kron(unit, unit)))) < 1e-15
-    with pytest.raises(InvalidOperator):
-        SimpleSource(np.zeros((2, 2)))
 
 
 def test_conjugation_preserves_marginals_and_words(rng):
@@ -182,7 +174,7 @@ def test_word_prob_rejects_out_of_range_outcomes(rng, word):
     sources = [
         BetaExampleSource(),
         random_mixture(rng),
-        SimpleSource(example_state(0.3)),
+        MixtureSource([(1.0, example_state(0.3))], kind="generalized"),
     ]
     for src in sources:
         with pytest.raises(InvalidWord):
