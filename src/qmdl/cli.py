@@ -92,8 +92,8 @@ def _word(data) -> tuple[int, ...]:
     return tuple(map(integer(0), data))
 
 
-def _system(config: dict, dim: int, default=computational_basis) -> ProjSystem | None:
-    """The config's system, which must act on C^dim; default(dim) when absent."""
+def _system(config: dict, dim: int, default=functools.cache(computational_basis)) -> ProjSystem | None:
+    """The config's system, which must act on C^dim; default(dim) when absent (one shared basis per dim)."""
     system = read(config, "system", system_from_json, default=None)
     if system is None:
         return default(dim)

@@ -77,12 +77,12 @@ def check_density(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def check_cap(dim: int) -> None:
+def check_cap(dim: int, n: int = 1) -> None:
     cap = dense_cap()
-    if dim > cap:
-        raise SizeCapExceeded(
-            f"dense dimension {dim} exceeds cap {cap}; use factorized operations"
-        )
+    formed = dim < 2 or n <= cap.bit_length()  # else dim^n >= 2^n > cap: named, not formed
+    if not formed or dim**n > cap:
+        size = dim**n if formed else f"{dim}^{n}"
+        raise SizeCapExceeded(f"dense dimension {size} exceeds cap {cap}; use factorized operations")
 
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
@@ -90,7 +90,7 @@ def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
     a = as_operator(a)
-    check_cap(a.shape[0] ** max(n, 1))
+    check_cap(a.shape[0], max(n, 1))
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, a)

@@ -40,8 +40,7 @@ class ProjSystem:
     Equality and hashing are by identity, so a system keys per-system caches.
     """
 
-    projectors: tuple[np.ndarray, ...]  # read-only views of `stack`
-    stack: np.ndarray = field(init=False, repr=False)  # [m, dim, dim]
+    stack: np.ndarray = field(init=False, repr=False)  # [m, dim, dim], read-only
     dim: int = field(init=False)
     minimal: bool = field(init=False)
     # [m, dim] read-only, P_i = v_i v_i^H, for a system built from vectors; else None
@@ -117,16 +116,19 @@ class ProjSystem:
             minimal = bool(np.all(w[:, -2] <= tol))
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "projectors", tuple(stack))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "minimal", minimal)
         object.__setattr__(self, "_vectors", _vectors)
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.stack)
 
     def __iter__(self):
         return iter(self.projectors)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:  # read-only views of `stack`
+        return tuple(self.stack)
 
     @cached_property
     def computational(self) -> bool:

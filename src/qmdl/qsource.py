@@ -43,7 +43,7 @@ from .opcore import (
     sym_powers,
     tensor_power,
 )
-from .projlat import ProjSystem
+from .projlat import ProjSystem, q_project
 from .typeclasses import compositions, letter_logs, log_likelihoods, log_multinomial, logsumexp, summed_logs
 
 __all__ = [
@@ -169,7 +169,7 @@ class MixtureSource(_Family):
             raise InvalidOperator("generalized source has level-1 trace > 1")
 
     def level(self, n: int) -> np.ndarray:
-        check_cap(self.dim ** max(n, 1))
+        check_cap(self.dim, max(n, 1))
         out = np.zeros((self.dim**n, self.dim**n), dtype=complex)
         for w, rho in zip(self.weights, self.states):
             out += w * tensor_power(rho, n)
@@ -335,10 +335,7 @@ def predict_step(src, system: ProjSystem, word) -> np.ndarray:
 def q_restrict(src: MixtureSource, system: ProjSystem) -> MixtureSource:
     """Pinch every component; levels become Q^(n)-projections of the originals."""
     _need_mixtures("q_restrict", src)
-    if system.dim != src.dim:
-        raise DimensionMismatch(f"operator dim {src.dim} vs system dim {system.dim}")
-    pinched = (system.stack @ src.states[:, None] @ system.stack).sum(axis=1)
-    return MixtureSource(zip(src.weights, pinched), kind=src.kind)
+    return MixtureSource(zip(src.weights, [q_project(rho, system) for rho in src.states]), kind=src.kind)
 
 
 def word_distribution(src, system: ProjSystem, n: int):
@@ -490,7 +487,7 @@ def universality_check(
     )
     if on_blocks:
         for n in ns:
-            check_cap(2 ** max(n, 1))  # the configs the dense path refuses stay refused
+            check_cap(2, max(n, 1))  # the configs the dense path refuses stay refused
         mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
         levels = _sym_blocks(mix.states, mix.weights[None], ns)
         powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qmdl import (
     TOL,
     InvalidOperator,
+    SizeCapExceeded,
     ZeroTrace,
     as_operator,
     check_density,
@@ -24,7 +25,7 @@ from qmdl import (
     tensor_power,
     trace_inner_norm,
 )
-from qmdl.opcore import sym_powers
+from qmdl.opcore import check_cap, sym_powers
 from conftest import random_density, random_hermitian
 
 
@@ -71,6 +72,24 @@ def test_tensor_power_trace_multiplicativity(rng):
 @given(st.integers(0, 5))
 def test_tensor_power_dimensions(n):
     assert tensor_power(np.eye(2), n).shape == (max(2**n, 1), max(2**n, 1))
+
+
+def test_check_cap_names_a_power_past_the_cap_bit_length(monkeypatch):
+    monkeypatch.setenv("QMDL_DENSE_CAP", "64")  # bit length 7
+    check_cap(64)
+    check_cap(2, 6)
+    check_cap(1, 10**100)
+    check_cap(0, 10**100)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 65 exceeds cap 64;"):
+        check_cap(65)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 128 exceeds cap 64;"):
+        check_cap(2, 7)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 2\^8 exceeds cap 64;"):
+        check_cap(2, 8)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 3\^100000 exceeds cap 64;"):
+        check_cap(3, 10**5)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 2\^20000 exceeds"):
+        tensor_power(np.eye(2), 20000)
 
 
 def test_sym_powers_are_tensor_powers_on_the_dicke_basis(rng):

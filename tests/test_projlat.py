@@ -1,5 +1,6 @@
 """Projection systems, the refinement lattice, pinching, and classification."""
 
+import dataclasses
 import json
 import warnings
 from collections import Counter
@@ -122,6 +123,31 @@ def test_projectors_are_read_only():
         sys_.projectors[0][0, 0] = 2.0
     with pytest.raises(ValueError):
         sys_.stack[1] = 0.0
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """Every array in a nest of dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    return [a for v in value for a in _arrays(v)] if isinstance(value, (list, tuple)) else []
+
+
+@pytest.mark.parametrize("declared", ["haar", "rank-2 matrices"])
+def test_a_system_is_stored_once(rng, declared):
+    """`projectors` is made from `stack`, so asdict (and every copy it makes) holds one stack."""
+    system = haar_random_system(64, rng)
+    if declared == "rank-2 matrices":
+        system = ProjSystem([system.stack[i] + system.stack[i + 32] for i in range(32)])
+    # read first, so the views are cached before asdict runs
+    assert system.projectors and "projectors" not in {f.name for f in dataclasses.fields(system)}
+    arrays = _arrays(dataclasses.asdict(system))
+    vectors = [] if system._vectors is None else [system._vectors.shape]
+    assert [a.shape for a in arrays] == [system.stack.shape, *vectors]
+    assert (arrays[0] == system.stack).all()
+    for p in system.projectors:
+        assert not p.flags.writeable and np.shares_memory(p, system.stack)
 
 
 def test_rejects_mixed_dimensions():

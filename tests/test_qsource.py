@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -281,6 +282,37 @@ def test_q_restrict_preserves_minimal_word_probs(rng):
         ) < 1e-10
     lvl = pinched.level(1)
     assert np.allclose(lvl, q_project(src.level(1), system), atol=1e-10)
+
+
+@pytest.mark.parametrize("declared", ["computational", "haar", "rank-2 matrices"])
+def test_q_restrict_pinches_each_component_with_q_project(rng, declared):
+    if declared == "computational":
+        system = CB
+    else:
+        system = haar_random_system(8, rng)
+        if declared == "rank-2 matrices":
+            system = ProjSystem([system.stack[i] + system.stack[i + 4] for i in range(4)])
+    src = random_mixture(rng, n_comp=3, dim=system.dim, kind="generalized")
+    pinched = q_restrict(src, system)
+    assert pinched.kind == "generalized" and pinched.weights.tobytes() == src.weights.tobytes()
+    for rho, got in zip(src.states, pinched.states):
+        assert got.tobytes() == q_project(rho, system).tobytes()
+    with pytest.raises(DimensionMismatch, match=r"^operator dim 2 vs system dim 3$"):
+        q_restrict(random_mixture(rng), computational_basis(3))
+
+
+def test_q_restrict_forms_no_per_projector_products(rng):
+    """Eight components under 64 rank-1 projectors at d = 64: an [8, 64, 64, 64]
+    product would take 33.5 MB."""
+    system = haar_random_system(64, rng)
+    src = random_mixture(rng, n_comp=8, dim=64)
+    tracemalloc.start()
+    try:
+        q_restrict(src, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_q_restrict_needs_a_mixture():

@@ -7,6 +7,7 @@ import json
 import pathlib
 import re
 import shlex
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qmdl import (
     BetaExampleSource,
     ConfigError,
     MixtureSource,
+    ProjSystem,
     computational_basis,
     example_state,
     herm_sqrt,
@@ -353,6 +355,32 @@ def test_cli_qubit_universality_keeps_the_dense_cap(tmp_path, capsys, monkeypatc
     config["n_range"] = [5, 6]
     assert run_cli(tmp_path, "universality-check", config) in (0, 2)
     assert [n for n, _ in json.loads(capsys.readouterr().out)["per_level"]] == [5, 6]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 20000), (3, 20000)])
+def test_cli_universality_names_a_level_past_the_cap_without_forming_it(tmp_path, capsys, monkeypatch, dim, n):
+    """A level past the cap's bit length is refused at once, its dimension named as d^n."""
+    state = matrix_to_json(np.eye(dim) / dim)
+    config = {"source": {"components": [{"weight": 1.0, "matrix": state}]}, "model": [state],
+              "epsilon": 0.5, "n_range": [n], "mode": "matrix"}
+    monkeypatch.delenv("QMDL_DENSE_CAP", raising=False)
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "universality-check", config) == 4
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"config error: QMDL_DENSE_CAP: dense dimension {dim}^{int(n)} exceeds cap 8192; use factorized operations\n"
+
+
+def test_cli_estimates_share_one_computational_basis(tmp_path, monkeypatch):
+    """Calls without a system share the default's basis per dimension instead of building one each."""
+    built = []
+    init = ProjSystem.__init__
+    monkeypatch.setattr(ProjSystem, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    mle = {"estimator": "mle", "word": {"n": 10, "k": 7}}
+    two_part = {"estimator": "two-part", "members": [{"weight": 0.5, "theta": 0.2}], "word": "0,1,1"}
+    for config in (mle, two_part, mle):
+        assert run_cli(tmp_path, "estimate", config) == 0
+    assert len(built) <= 1
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
