@@ -126,6 +126,9 @@ class ProjSystem:
     def __iter__(self):
         return iter(self.projectors)
 
+    def __getstate__(self) -> dict:  # pickle and deepcopy keep `stack` once; the views are remade on read
+        return {k: v for k, v in vars(self).items() if k != "projectors"}
+
     @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:  # read-only views of `stack`
         return tuple(self.stack)

@@ -5,12 +5,13 @@ materialization is an explicit capped operation. Outcome-word probabilities
 factorize through per-letter traces, so finite-n checks scale to large n via
 type-class enumeration.
 
-One weighted family {(w_i, rho_i)} underlies sources and models. Sources
-(MixtureSource) emit: level, log_prob and predict read sum_i w_i rho_i^(x)n,
-paying each weight once. Models (estim) only score, paying log w_i once per
-letter (ROADMAP item 1 chooses between the readings). A word's log-likelihood
-has one rule, typeclasses.log_likelihoods: math.log, index order, -inf at a
-letter with p <= 0 and a positive count, no floor.
+One weighted family {(w_i, rho_i)} underlies sources and models. There is one
+source type, MixtureSource, and it emits: level, log_prob and predict read
+sum_i w_i rho_i^(x)n, paying each weight once. BetaExampleSource is one with a
+closed form on the computational basis. Models (estim) only score, paying
+log w_i once per letter (ROADMAP item 1 chooses between the readings). A
+word's log-likelihood has one rule, typeclasses.log_likelihoods: math.log,
+index order, -inf at a letter with p <= 0 and a positive count, no floor.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import (
+    AllZeroLikelihood,
     DimensionMismatch,
     InvalidOperator,
     InvalidWord,
@@ -147,9 +149,10 @@ def _unzip(members) -> tuple[list, list]:
 class MixtureSource(_Family):
     """Weighted family {(w_i, rho_i)} with levels sum_i w_i rho_i^(x)n.
 
-    kind = "source" demands sum w_i = 1 and unit-trace components, so every
-    level is a density matrix; kind = "generalized" only bounds the level-1
-    trace by 1 (it is nonincreasing in n from there).
+    Every component is Hermitian and positive semidefinite. kind = "source"
+    demands sum w_i = 1 and unit-trace components, so every level is a density
+    matrix; kind = "generalized" only bounds the level-1 trace by 1 (it is
+    nonincreasing in n from there).
     """
 
     def __init__(self, components, kind: str = "source"):
@@ -159,6 +162,14 @@ class MixtureSource(_Family):
                          empty="a mixture needs at least one component",
                          mixed=DimensionMismatch("mixture components live on different spaces"))
         self.kind = kind
+        # check_semi_density's tests member by member, on the whole stack at once; not its
+        # trace bound, as a generalized source bounds only sum w Tr rho
+        gap = np.abs(self.states - self.states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        low = np.linalg.eigvalsh(self.states)[:, 0]
+        for i in np.flatnonzero((gap > TOL.herm) | (low < -TOL.psd))[:1]:
+            if gap[i] > TOL.herm:
+                raise InvalidOperator(f"component {i}: not Hermitian: max deviation {gap[i]:.3e} > {TOL.herm:.1e}")
+            raise InvalidOperator(f"component {i}: not PSD: min eigenvalue {low[i]:.3e}")
         traces = np.trace(self.states, axis1=1, axis2=2).real
         if kind == "source":
             if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -189,50 +200,40 @@ class MixtureSource(_Family):
         log_post = np.log(self.weights) + log_likelihoods(probs, counts)
         log_total = logsumexp(log_post)
         if log_total == -np.inf:
-            raise ZeroDivisionError("conditioning word has probability 0")
+            raise AllZeroLikelihood("conditioning word has probability 0")
         return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
 
 
-class BetaExampleSource:
+class BetaExampleSource(MixtureSource):
     """Uniform-prior mixture over the built-in qubit family, in closed form.
 
-    Word probabilities under the computational measurement follow the Beta
-    integral: a word with k zero-outcomes among n has probability
-    1 / ((n+1) C(n, k)), exactly. Dense levels and other measurements fall
-    back to quadrature.
+    Its family is example_uniform_source(c, fallback_nodes), built on the first
+    read of a family field (leggauss takes seconds at 4096 nodes). On the
+    computational basis of C^2 a word with k zeros among n has probability
+    1 / ((n+1) C(n, k)) and predict is the rule of succession.
     """
-
-    kind = "source"
 
     def __init__(self, c: float = 0.0, fallback_nodes: int = 4096):
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"c must lie in [0, 1], got {c}")
-        self.c = c
-        self.dim = 2
-        self._fallback_nodes = fallback_nodes
-        self._fallback: MixtureSource | None = None
+        self.c, self.dim, self.kind, self._nodes = c, 2, "source", fallback_nodes
 
-    def _quadrature(self) -> MixtureSource:
-        if self._fallback is None:
-            self._fallback = example_uniform_source(self.c, self._fallback_nodes)
-        return self._fallback
-
-    def level(self, n: int) -> np.ndarray:
-        return self._quadrature().level(n)
+    def __getattr__(self, name: str):
+        # reached only while a field is unset: the family fields before the first read
+        if name not in ("weights", "states", "thetas", "stored_traces", "_tables"):
+            raise AttributeError(name)
+        vars(self).update(vars(example_uniform_source(self.c, self._nodes)))
+        return vars(self)[name]
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-        if system.dim != self.dim:
-            raise DimensionMismatch("system dim does not match source dim")
-        if not system.computational:
-            return self._quadrature().log_prob(system, counts)
+        if system.dim != self.dim or not system.computational:
+            return super().log_prob(system, counts)
         return -np.log(counts.sum(axis=1) + 1.0) - log_multinomial(counts)
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Rule of succession (k_a + 1) / (n + 2) on the computational basis."""
-        if system.dim != self.dim:
-            raise DimensionMismatch("system dim does not match source dim")
-        if not system.computational:
-            return self._quadrature().predict(system, counts)
+        if system.dim != self.dim or not system.computational:
+            return super().predict(system, counts)
         return (counts + 1.0) / (counts.sum() + 2.0)
 
 
@@ -327,7 +328,7 @@ def outcome_prob(src, system: ProjSystem, word) -> float:
 def predict_step(src, system: ProjSystem, word) -> np.ndarray:
     """Conditional next-outcome distribution given an observed word.
 
-    Raises ZeroDivisionError only when the word has probability exactly 0.
+    Raises AllZeroLikelihood only when the word has probability exactly 0.
     """
     return src.predict(system, word_counts(word, system))
 
@@ -459,10 +460,10 @@ def universality_check(
     kernel of `rel_entropy`; it is -inf when the member's mass outside the
     level's support exceeds 1e-9.
     The report certifies only the checked range [n0, max(n_range)]. Matrix
-    and expected margins come from one routine (`_margins`): a qubit mixture
-    or Beta-example source passes the Schur-Weyl blocks of its levels
-    (`_sym_blocks`), with the off-support mass summed over the blocks with
-    their multiplicities; any other source passes its dense level as one block.
+    and expected margins come from one routine (`_margins`): a qubit source
+    passes the Schur-Weyl blocks of its levels (`_sym_blocks`), with the
+    off-support mass summed over the blocks with their multiplicities; a
+    source on another dimension passes its dense level as one block.
     Members or a system on another dimension than the source raise DimensionMismatch.
     """
     if mode not in ("matrix", "q-restricted", "expected", "q-expected"):
@@ -480,16 +481,11 @@ def universality_check(
             raise NonMinimalSystem("Q-restricted universality needs a rank-1 system")
         member_probs = outcome_probs(members, system)
     ns = sorted(int(n) for n in n_range)
-    on_blocks = (
-        mode in ("matrix", "expected")
-        and isinstance(src, (MixtureSource, BetaExampleSource))
-        and src.dim == 2
-    )
+    on_blocks = mode in ("matrix", "expected") and src.dim == 2
     if on_blocks:
         for n in ns:
             check_cap(2, max(n, 1))  # the configs the dense path refuses stay refused
-        mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
-        levels = _sym_blocks(mix.states, mix.weights[None], ns)
+        levels = _sym_blocks(src.states, src.weights[None], ns)
         powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
     per_level = []
     for n in ns:

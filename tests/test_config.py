@@ -119,6 +119,9 @@ BOUND = {"theta_star": 0.3, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.
 REDUNDANCY = {"theta_star": 0.5}
 BETA_UNIVERSALITY = dict(UNIVERSALITY, source={"kind": "beta-example"})
 MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
+HADAMARD = [matrix_to_json(np.full((2, 2), 0.5)), matrix_to_json(np.array([[0.5, -0.5], [-0.5, 0.5]]))]
+BAD_PSD = matrix_to_json(np.array([[0.5, 2.0], [2.0, 0.5]]))  # Hermitian, trace 1, eigenvalues 2.5 and -1.5
+BAD_HERM = matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
 @pytest.mark.parametrize(
@@ -167,6 +170,11 @@ MATRICES = {"a": RHO, "b": matrix_to_json(example_state(0.7))}
         ("universality-check", dict(BETA_UNIVERSALITY, epsilon=float("nan")), "epsilon"),
         ("universality-check", dict(BETA_UNIVERSALITY, epsilon=-1100.0), "epsilon"),
         ("universality-check", dict(BETA_UNIVERSALITY, epsilon=float("inf")), "epsilon"),
+        # source components that are not semi-densities were accepted: S read 362.8 bits,
+        # predict read [0.65, 0.35]
+        ("divergence", {"kind": "S", "a": {"components": [{"weight": 1.0, "matrix": BAD_PSD}]},
+                        "b": {"kind": "beta-example"}, "n": 4, "system": HADAMARD}, "a"),
+        ("predict", {"source": {"components": [{"weight": 1.0, "matrix": BAD_HERM}]}, "word": [0]}, "source"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):

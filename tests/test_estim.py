@@ -463,7 +463,7 @@ def test_quadrature_predict_finite_at_n1100():
 def test_predict_raises_only_on_probability_zero_words():
     only_0 = MixtureSource([(1.0, np.diag([1.0, 0.0]))])
     assert predict_step(only_0, CB, (0,) * 5000).tolist() == [1.0, 0.0]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(AllZeroLikelihood, match="conditioning word has probability 0"):
         predict_step(only_0, CB, (0, 1))
 
 

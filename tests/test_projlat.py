@@ -1,7 +1,9 @@
 """Projection systems, the refinement lattice, pinching, and classification."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import warnings
 from collections import Counter
 
@@ -148,6 +150,21 @@ def test_a_system_is_stored_once(rng, declared):
     assert (arrays[0] == system.stack).all()
     for p in system.projectors:
         assert not p.flags.writeable and np.shares_memory(p, system.stack)
+
+
+@pytest.mark.parametrize("declared", ["haar", "rank-2 matrices"])
+def test_pickle_and_deepcopy_hold_the_stack_once(rng, declared):
+    """The cached `projectors` views stay out of a pickle and a deep copy, read or not."""
+    system = haar_random_system(64, rng)
+    if declared == "rank-2 matrices":
+        system = ProjSystem([system.stack[i] + system.stack[i + 32] for i in range(32)])
+    before = pickle.dumps(system)
+    assert system.projectors and "projectors" in vars(system)
+    assert pickle.dumps(system) == before and len(before) < 1.1 * system.stack.nbytes + 1e5
+    for twin in (pickle.loads(before), copy.deepcopy(system)):
+        assert "projectors" not in vars(twin) and twin.stack.tobytes() == system.stack.tobytes()
+        assert (twin.dim, twin.minimal, len(twin.projectors)) == (system.dim, system.minimal, len(system))
+        assert all(np.shares_memory(p, twin.stack) for p in twin.projectors)
 
 
 def test_rejects_mixed_dimensions():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import pickle
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,10 +14,12 @@ import pytest
 from qmdl import (
     BetaExampleSource,
     DimensionMismatch,
+    GeneralizedModel,
     InvalidOperator,
     InvalidWord,
     MixtureSource,
     NotRegular,
+    ParamModel,
     ProjSystem,
     SupportMismatch,
     bullet,
@@ -65,6 +68,16 @@ def random_mixture(rng, n_comp=3, dim=2, kind="source"):
 def test_source_weights_must_sum_to_one():
     with pytest.raises(InvalidOperator):
         MixtureSource([(0.5, np.eye(2) / 2)])
+
+
+def test_source_components_must_be_semi_densities():
+    """check_semi_density's tests, with the index of the first failing component."""
+    skew, negative = np.array([[0.5, 0.3], [0.0, 0.5]]), np.array([[0.5, 2.0], [2.0, 0.5]])
+    for kind in ("source", "generalized"):
+        with pytest.raises(InvalidOperator, match=r"^component 1: not PSD: min eigenvalue -1\.500e\+00$"):
+            MixtureSource([(0.5, np.eye(2) / 2), (0.5, negative)], kind=kind)
+        with pytest.raises(InvalidOperator, match=r"^component 0: not Hermitian: max deviation 3\.000e-01 > 1\.0e-10$"):
+            MixtureSource([(0.5, skew), (0.5, negative)], kind=kind)
 
 
 def test_generalized_source_allows_subnormalized(rng):
@@ -123,8 +136,8 @@ def test_conjugate_rejects_non_unitary(rng):
 
 
 def test_conjugate_needs_a_mixture():
-    with pytest.raises(InvalidOperator, match="conjugate needs a MixtureSource, got BetaExampleSource"):
-        conjugate(BetaExampleSource(), np.eye(2))
+    with pytest.raises(InvalidOperator, match="conjugate needs a MixtureSource, got ParamModel"):
+        conjugate(ParamModel.example(), np.eye(2))
 
 
 # --- word probabilities -----------------------------------------------------
@@ -161,6 +174,7 @@ def test_empty_word_probability_is_level_zero_trace(rng):
 
 def test_beta_source_closed_form():
     src = BetaExampleSource()
+    assert isinstance(src, MixtureSource)
     # spot value: n = 5, k = 2 zeros
     assert abs(outcome_prob(src, CB, (0, 0, 1, 1, 1)) - 1 / 60) < 1e-15
     for n in range(13):
@@ -190,6 +204,31 @@ def test_beta_source_uses_quadrature_off_the_computational_basis(rng):
     word = (0, 1, 1)
     expected = outcome_prob(example_uniform_source(0.0, 64), system, word)
     assert outcome_prob(BetaExampleSource(fallback_nodes=64), system, word) == expected
+    # every output but the closed form is the quadrature family's, bit for bit
+    counts = compositions(5, 2)
+    for c in (0.0, 0.3):
+        beta, quad = BetaExampleSource(c, fallback_nodes=64), example_uniform_source(c, 64)
+        assert beta.log_prob(system, counts).tobytes() == quad.log_prob(system, counts).tobytes()
+        assert beta.predict(system, counts[2]).tobytes() == quad.predict(system, counts[2]).tobytes()
+        assert beta.level(3).tobytes() == quad.level(3).tobytes()
+        for mode in ("matrix", "expected"):
+            report = universality_check(beta, [example_state(0.3, c)], 0.5, range(1, 7), mode)
+            assert report == universality_check(quad, [example_state(0.3, c)], 0.5, range(1, 7), mode)
+
+
+def test_mixture_operations_read_the_beta_source_as_its_quadrature_family(rng):
+    beta, quad = BetaExampleSource(0.3, fallback_nodes=64), example_uniform_source(0.3, 64)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    system, other = haar_random_system(2, rng), random_mixture(rng)
+    for op in (
+        lambda src: conjugate(src, u),
+        lambda src: q_restrict(src, system),
+        lambda src: convex_combine([src, other], [0.25, 0.75]),
+    ):
+        got, expected = op(beta), op(quad)
+        assert type(got) is MixtureSource and got.kind == expected.kind
+        assert got.weights.tobytes() == expected.weights.tobytes()
+        assert got.states.tobytes() == expected.states.tobytes()
 
 
 def test_beta_source_rejects_a_system_on_another_dimension():
@@ -316,8 +355,8 @@ def test_q_restrict_forms_no_per_projector_products(rng):
 
 
 def test_q_restrict_needs_a_mixture():
-    with pytest.raises(InvalidOperator, match="q_restrict needs a MixtureSource, got BetaExampleSource"):
-        q_restrict(BetaExampleSource(), CB)
+    with pytest.raises(InvalidOperator, match="q_restrict needs a MixtureSource, got GeneralizedModel"):
+        q_restrict(GeneralizedModel([(0.5, example_state(0.3))]), CB)
 
 
 # --- universality -----------------------------------------------------------
@@ -519,8 +558,7 @@ def test_block_matrix_margins_are_bit_identical_to_the_member_loop():
     gives every member's margin, and so n0 and pass, bit for bit as the loop."""
     ns = range(1, 11)
     for name, src, _, model, eps in _qubit_cases():
-        mix = src._quadrature() if isinstance(src, BetaExampleSource) else src
-        levels = qsource._sym_blocks(np.stack(mix.states), mix.weights[None], ns)
+        levels = qsource._sym_blocks(np.stack(src.states), src.weights[None], ns)
         powers = qsource._sym_blocks(np.stack(model), np.eye(len(model)), ns)
         reference = []
         for n in ns:
@@ -546,6 +584,12 @@ def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     qsource._gauss_legendre.cache_clear()
+    # the closed form reads no family: building the source, its CB outputs and a pickle need no table
+    beta = BetaExampleSource()
+    beta.log_prob(CB, compositions(4, 2))
+    beta.predict(CB, np.array([1, 3]))
+    pickle.loads(pickle.dumps(beta))
+    assert calls == []
     system = haar_random_system(2, rng)
     first, second = (BetaExampleSource(fallback_nodes=64) for _ in range(2))
     assert outcome_prob(first, system, (0, 1)) == outcome_prob(second, system, (0, 1))
@@ -681,6 +725,6 @@ def test_convex_combine_validates_weights(rng):
 
 
 def test_convex_combine_needs_a_mixture(rng):
-    sources = [BetaExampleSource(), random_mixture(rng)]
-    with pytest.raises(InvalidOperator, match="convex_combine needs a MixtureSource, got BetaExampleSource"):
+    sources = [ParamModel.example(), random_mixture(rng)]
+    with pytest.raises(InvalidOperator, match="convex_combine needs a MixtureSource, got ParamModel"):
         convex_combine(sources, [0.5, 0.5])

@@ -205,6 +205,13 @@ def test_cli_predict_laplace(tmp_path, capsys):
     assert out["probs"][0] == pytest.approx(3 / 6)
 
 
+def test_cli_predict_after_a_probability_zero_word_is_an_error(tmp_path, capsys):
+    config = {"source": {"components": [{"weight": 1.0, "matrix": matrix_to_json(np.diag([1.0, 0.0]))}]}, "word": [1]}
+    assert run_cli(tmp_path, "predict", config) == 2
+    err = capsys.readouterr().err
+    assert err == "error: conditioning word has probability 0\n"
+
+
 def test_cli_divergence_matrices(tmp_path, capsys):
     config = {
         "a": matrix_to_json(example_state(0.3)),
