@@ -25,8 +25,6 @@ from .opcore import (
     check_density,
     check_semi_density,
     eigh,
-    herm_log,
-    herm_power,
     herm_sqrt,
     normalize,
     norm_exceeds,

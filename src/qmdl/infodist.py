@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .opcore import _LEAK_TOL, _below_support, _eigh, _rel_entropy_nats, as_operator, eigh
+from .opcore import _LEAK_TOL, _below_support, _eigvalsh, _rel_entropy_nats, as_operator, eigh
 from .projlat import ProjSystem
 from .qsource import word_distribution
 from .typeclasses import logsumexp
@@ -64,8 +64,8 @@ def rel_entropy(r1: np.ndarray, r2: np.ndarray, base: str = "bits") -> Divergenc
     """
     r1, r2 = as_operator(r1), as_operator(r2)
     scale = _base_factor(base)
-    w1 = _eigh(r1, eigvals_only=True)
-    w2, v2 = _eigh(r2)
+    w1 = _eigvalsh(r1, check=True)
+    w2, v2 = _eigvalsh(r2, True, check=True)
     nats, leak = _rel_entropy_nats(r1, w1, w2, v2)
     return DivergenceValue(math.inf if leak > _LEAK_TOL else nats / scale, base)
 

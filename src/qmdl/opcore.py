@@ -1,8 +1,9 @@
 """Dense complex-matrix kernel.
 
-Operators are plain complex numpy arrays. Validators enforce the invariant
-ladder (square/finite -> Hermitian -> positive with trace <= 1 -> unit trace);
-everything downstream works on validated arrays and stays pure.
+Operators are plain complex numpy arrays. Validators enforce the invariant ladder
+(square/finite -> Hermitian -> PSD with trace <= 1 -> unit trace), on a matrix or a stack,
+and every eigen-solve of the library runs here; everything downstream works on validated
+arrays and stays pure.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "partial_trace",
     "eigh",
     "herm_sqrt",
-    "herm_power",
-    "herm_log",
     "op_norm",
     "norm_exceeds",
     "trace_inner_norm",
@@ -50,28 +49,44 @@ def as_operator(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _hermitian_gap(t: np.ndarray) -> np.ndarray:
-    """T - T^dagger of an operator from as_operator; InvalidOperator where an entry exceeds TOL.herm."""
-    gap = t - t.conj().T
-    dev = np.abs(gap).max(initial=0.0)
-    if dev > TOL.herm:
-        raise InvalidOperator(f"not Hermitian: max deviation {dev:.3e} > {TOL.herm:.1e}")
-    return gap
+def _hermitian_gap(t: np.ndarray):
+    """max |T - T^dagger| of a matrix, or of each matrix of a stack, and whether T - T^dagger is
+    +0.0 in every entry: then (T + T^dagger) / 2 is T bit for bit, signed zeros included."""
+    gap = t - t.conj().swapaxes(-1, -2)
+    return np.abs(gap).max(axis=(-2, -1), initial=0.0), not gap.view(np.uint64).any()
 
 
 def check_semi_density(t: np.ndarray) -> np.ndarray:
-    t = as_operator(t)
-    w = _eigh(t, eigvals_only=True)
-    if w.size and w[0] < -TOL.psd:
-        raise InvalidOperator(f"not PSD: min eigenvalue {w[0]:.3e}")
-    tr = np.trace(t)
-    if tr.real > 1 + TOL.trace or abs(tr.imag) > TOL.trace:
-        raise InvalidOperator(f"trace {tr} exceeds semi-density bound")
+    """t if it is a semi-density matrix, or a square [N, d, d] stack of them; else InvalidOperator.
+
+    Each matrix is tested Hermitian within TOL.herm, then PSD within TOL.psd (the Gershgorin bound
+    min_i (2 Re t_ii - sum_j (|t_ij| + |t_ji|) / 2) of its Hermitian part decides unless open), then
+    trace <= 1; a stack's error names its first failing matrix as "component i:"."""
+    t = np.asarray(t, dtype=complex)
+    many = t.ndim == 3 and t.shape[1] == t.shape[2]
+    stack = t if many else as_operator(t)[None]
+    if many and not np.isfinite(t).all():
+        raise InvalidOperator("operator entries must be finite")
+    dev, diag = _hermitian_gap(stack)[0], stack.diagonal(axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the bound open
+        size = np.abs(stack)
+        low = (2 * diag.real - (size + size.swapaxes(1, 2)).sum(axis=2) / 2).min(axis=1, initial=math.inf)
+    undecided = ~(low >= -TOL.psd)  # a NaN bound stays open
+    if undecided.any():
+        low[undecided] = _eigvalsh(stack[undecided])[:, 0]
+    tr = diag.sum(axis=1)
+    herm, psd = dev > TOL.herm, low < -TOL.psd
+    bad = herm | psd | (tr.real > 1 + TOL.trace) | (np.abs(tr.imag) > TOL.trace)
+    if bad.any():
+        i = int(bad.argmax())
+        message = (f"not Hermitian: max deviation {dev[i]:.3e} > {TOL.herm:.1e}" if herm[i] else
+                   f"not PSD: min eigenvalue {low[i]:.3e}" if psd[i] else f"trace {tr[i]} exceeds semi-density bound")
+        raise InvalidOperator(f"component {i}: {message}" if many else message)
     return t
 
 
 def check_density(t: np.ndarray) -> np.ndarray:
-    t = check_semi_density(t)
+    t = check_semi_density(as_operator(t))
     if abs(np.trace(t) - 1) > TOL.trace:
         raise InvalidOperator(f"trace {np.trace(t)} != 1")
     return t
@@ -143,18 +158,20 @@ def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:
 
 def eigh(t: np.ndarray, eigvals_only: bool = False):
     """Ascending eigenvalues and orthonormal eigenvector columns (eigvals_only: the eigenvalues alone)."""
-    return _eigh(as_operator(t), eigvals_only)
+    return _eigvalsh(as_operator(t), not eigvals_only, check=True)
 
 
-def _eigh(t: np.ndarray, eigvals_only: bool = False):
-    """eigh of (T + T^dagger) / 2 for an operator from as_operator.
-
-    Where T - T^dagger is +0.0 in every entry, (T + T^dagger) / 2 is T bit for bit,
-    signed zeros included, and T goes to LAPACK as it is: no copy.
-    """
-    if _hermitian_gap(t).view(np.uint64).any():
-        t = (t + t.conj().T) / 2
-    return (np.linalg.eigvalsh if eigvals_only else np.linalg.eigh)(t)
+def _eigvalsh(t: np.ndarray, vectors: bool = False, check: bool = False):
+    """LAPACK's ascending eigenvalues (vectors: and eigenvector columns) of (T + T^dagger) / 2, for a
+    matrix or each matrix of an [N, d, d] stack; check: refuse a matrix not Hermitian within TOL.herm.
+    T goes to LAPACK as it is where T - T^dagger is +0.0 in every entry; else the gap is freed first."""
+    dev, exact = _hermitian_gap(t)
+    if check and dev > TOL.herm:
+        check_semi_density(t)  # raises the rule's "not Hermitian" error
+    if not exact:
+        t = t + t.conj().swapaxes(-1, -2)
+        t /= 2
+    return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(t)
 
 
 def _below_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -194,16 +211,6 @@ def _rel_entropy_nats(r1: np.ndarray, w1: np.ndarray, w2: np.ndarray, v2: np.nda
 def herm_sqrt(t: np.ndarray) -> np.ndarray:
     """Square root of a PSD operator under the support convention."""
     return _on_support(t, np.sqrt, TOL.support)
-
-
-def herm_power(t: np.ndarray, p: float) -> np.ndarray:
-    """Spectral power T^p on the support of a PSD operator."""
-    return _on_support(t, lambda w: w**p, TOL.support)
-
-
-def herm_log(t: np.ndarray) -> np.ndarray:
-    """Base-2 spectral logarithm restricted to the support of a PSD operator."""
-    return _on_support(t, lambda w: np.log(w) / np.log(2.0), TOL.support)
 
 
 def op_norm(t: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, InconsistentFamily, InvalidOperator, NonMinimalSystem
-from .opcore import as_operator, norm_exceeds, op_norm
+from .opcore import _eigvalsh, _hermitian_gap, as_operator, norm_exceeds, op_norm
 
 __all__ = [
     "ProjSystem",
@@ -60,7 +60,7 @@ class ProjSystem:
             # projectors before the first one on another space are checked first
             split = next((i for i, p in enumerate(projs) if p.shape[0] != dim), len(projs))
             stack, mixed = np.stack(projs[:split]), split < len(projs)
-            herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > TOL.herm
+            herm = _hermitian_gap(stack)[0] > TOL.herm
             norms = _factor_norms(stack)
         else:
             stack, mixed = projectors, False
@@ -112,7 +112,7 @@ class ProjSystem:
         elif (1 - g.diagonal()[multiple] - delta[multiple] > tol * (1 + _BOUND_SLACK)).any():
             minimal = False
         else:
-            w = np.linalg.eigvalsh((loose + loose.conj().transpose(0, 2, 1)) / 2)
+            w = _eigvalsh(loose)
             minimal = bool(np.all(w[:, -2] <= tol))
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
@@ -128,6 +128,11 @@ class ProjSystem:
 
     def __getstate__(self) -> dict:  # pickle and deepcopy keep `stack` once; the views are remade on read
         return {k: v for k, v in vars(self).items() if k != "projectors"}
+
+    def __setstate__(self, state: dict) -> None:  # a copy's arrays are read-only, as the original's
+        vars(self).update(state)
+        for array in [a for a in (self.stack, self._vectors) if a is not None]:
+            array.flags.writeable = False
 
     @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:  # read-only views of `stack`

@@ -35,9 +35,11 @@ from .errors import (
 from .models import example_states
 from .opcore import (
     _LEAK_TOL,
+    _eigvalsh,
     _rel_entropy_nats,
     as_operator,
     check_cap,
+    check_semi_density,
     eigh,
     herm_sqrt,
     partial_trace,
@@ -149,10 +151,10 @@ def _unzip(members) -> tuple[list, list]:
 class MixtureSource(_Family):
     """Weighted family {(w_i, rho_i)} with levels sum_i w_i rho_i^(x)n.
 
-    Every component is Hermitian and positive semidefinite. kind = "source"
+    Every component passes check_semi_density, trace <= 1 included. kind = "source"
     demands sum w_i = 1 and unit-trace components, so every level is a density
-    matrix; kind = "generalized" only bounds the level-1 trace by 1 (it is
-    nonincreasing in n from there).
+    matrix; kind = "generalized" bounds the level-1 trace by 1, and the level
+    traces are nonincreasing in n.
     """
 
     def __init__(self, components, kind: str = "source"):
@@ -162,14 +164,7 @@ class MixtureSource(_Family):
                          empty="a mixture needs at least one component",
                          mixed=DimensionMismatch("mixture components live on different spaces"))
         self.kind = kind
-        # check_semi_density's tests member by member, on the whole stack at once; not its
-        # trace bound, as a generalized source bounds only sum w Tr rho
-        gap = np.abs(self.states - self.states.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        low = np.linalg.eigvalsh(self.states)[:, 0]
-        for i in np.flatnonzero((gap > TOL.herm) | (low < -TOL.psd))[:1]:
-            if gap[i] > TOL.herm:
-                raise InvalidOperator(f"component {i}: not Hermitian: max deviation {gap[i]:.3e} > {TOL.herm:.1e}")
-            raise InvalidOperator(f"component {i}: not PSD: min eigenvalue {low[i]:.3e}")
+        check_semi_density(self.states)
         traces = np.trace(self.states, axis1=1, axis2=2).real
         if kind == "source":
             if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -312,7 +307,7 @@ def cond_density(
 def strategy_step(src, n: int) -> np.ndarray:
     """Next strategy level: (level(n))^{-1} * level(n+1), regular sources only."""
     base = src.level(n)
-    w = np.linalg.eigvalsh((base + base.conj().T) / 2)
+    w = _eigvalsh(base)
     if w.size and w[0] <= TOL.rank:
         raise NotRegular(f"level({n}) has min eigenvalue {w[0]:.3e}; not invertible")
     nxt = src.level(n + 1)
@@ -424,13 +419,7 @@ def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
     smallest, nats, leak = math.inf, 0.0, 0.0
     for mult, lvl, powers in blocks:
         if mode == "matrix":
-            eigs = []
-            for stack in powers:
-                gap = lvl - scale * stack
-                # in place: keep one temporary the size of the stack
-                gap += gap.conj().swapaxes(1, 2)
-                gap /= 2
-                eigs.append(np.linalg.eigvalsh(gap)[:, 0])
+            eigs = [_eigvalsh(lvl - scale * stack)[:, 0] for stack in powers]
             smallest = np.minimum(smallest, np.concatenate(eigs))
         else:
             w, v = eigh(lvl)

@@ -42,3 +42,25 @@ def test_package_imports_match_each_module_all():
         mismatched += [f"{node.module}.__all__ names missing {name}"
                        for name in exported if not hasattr(module, name)]
     assert not mismatched, f"package imports and __all__ disagree: {mismatched}"
+
+
+def _eigensolver_uses(path: pathlib.Path) -> list[str]:
+    """Lines of a module that name numpy.linalg.eigh or eigvalsh, as an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in ("eigh", "eigvalsh", "*")]
+    return found
+
+
+def test_only_opcore_calls_the_lapack_eigensolvers():
+    """Every eigen-solve goes through opcore, which applies the one Hermitian rule."""
+    package = pathlib.Path(qmdl.__file__).parent
+    assert _eigensolver_uses(package / "opcore.py")  # the scan sees what it looks for
+    stray = [use for path in sorted(package.rglob("*.py")) if path.name != "opcore.py"
+             for use in _eigensolver_uses(path)]
+    assert not stray, f"numpy.linalg eigensolvers outside opcore: {stray}"

@@ -265,7 +265,7 @@ def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rn
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for module in (opcore, infodist):
-        for name in ("herm_power", "herm_sqrt", "as_operator"):
+        for name in ("herm_sqrt", "as_operator"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     r1, r2 = random_density(rng, 5), random_density(rng, 5)

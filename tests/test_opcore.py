@@ -1,5 +1,7 @@
 """Dense operator kernel: validators, tensor algebra, functional calculus."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,7 @@ from qmdl import (
     check_density,
     check_semi_density,
     eigh,
-    herm_log,
-    herm_power,
+    example_state,
     herm_sqrt,
     norm_exceeds,
     normalize,
@@ -56,6 +57,38 @@ def test_check_semi_density_rejects_negative_eigenvalue():
     for check in (check_semi_density, check_density):
         with pytest.raises(InvalidOperator, match="not Hermitian"):
             check(np.array([[0, 1], [-1, 0]], dtype=complex))
+
+
+def test_check_semi_density_takes_a_stack_and_names_its_first_failing_matrix():
+    """Each matrix is tested Hermitian, then PSD, then trace; a stack's error names
+    the first failing one, with the message the matrix alone raises."""
+    skew, negative, heavy = np.array([[0.5, 0.3], [0.0, 0.5]]), np.diag([1.0, -0.5]), np.eye(2)
+    good = np.eye(2) / 2
+    for bad in (skew, negative, heavy):
+        with pytest.raises(InvalidOperator) as alone:
+            check_semi_density(bad)
+        with pytest.raises(InvalidOperator, match=f"^component 1: {re.escape(str(alone.value))}$"):
+            check_semi_density(np.stack([good, bad, skew]))
+    assert str(alone.value) == "trace (2+0j) exceeds semi-density bound"
+    stack = np.stack([good, np.diag([1.0, 0.0])])
+    assert np.array_equal(check_semi_density(stack), stack)
+    with pytest.raises(InvalidOperator, match="^operator entries must be finite$"):
+        check_semi_density(np.stack([good, np.diag([np.inf, 0.0])]))
+    with pytest.raises(InvalidOperator, match="expected a square"):
+        check_semi_density(np.zeros((2, 2, 3)))
+
+
+def test_psd_test_asks_lapack_only_where_the_gershgorin_bound_is_open(monkeypatch):
+    calls = []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or inner(a))
+    check_semi_density(np.stack([np.diag([0.3, 0.7]), np.diag([1.0, 0.0])]))
+    assert calls == []
+    check_semi_density(np.stack([np.diag([0.3, 0.7]), example_state(0.3, 0.5)]))
+    assert calls == [1]
+    # an eigenvalue just inside the tolerance leaves the bound open, and LAPACK accepts it
+    check_semi_density(np.diag([1.0, -TOL.psd]))
+    assert calls == [1, 1]
 
 
 def test_tensor_power_zero_is_scalar_one():
@@ -181,24 +214,8 @@ def test_herm_sqrt_handles_numerically_negative_zero():
     assert np.allclose(s, np.diag([1.0, 0.0]))
 
 
-def test_herm_power_on_support(rng):
-    rho = np.diag([0.5, 0.5, 0.0])
-    out = herm_power(rho, -1.0)
-    assert np.allclose(out, np.diag([2.0, 2.0, 0.0]))
-
-
-def test_herm_log_base_two():
-    out = herm_log(np.diag([4.0, 1.0]))
-    assert np.allclose(out, np.diag([2.0, 0.0]))
-
-
-def test_herm_log_excludes_kernel():
-    out = herm_log(np.diag([1.0, 0.0]))
-    assert np.allclose(out, np.zeros((2, 2)))
-
-
-# Reference bodies of the four support-convention functions as they stood
-# before they shared one kernel; the shared kernel must reproduce them bit for bit.
+# Reference bodies of the support-convention functions as they stood before
+# they shared one kernel; the shared kernel must reproduce them bit for bit.
 
 
 def _ref_clip_support(w):
@@ -210,23 +227,6 @@ def _ref_clip_support(w):
 def _ref_herm_sqrt(t):
     w, v = eigh(t)
     fw = np.sqrt(np.clip(_ref_clip_support(w), 0.0, None))
-    return (v * fw) @ v.conj().T
-
-
-def _ref_herm_power(t, p):
-    w, v = eigh(t)
-    w = np.clip(_ref_clip_support(w), 0.0, None)
-    fw = np.zeros_like(w)
-    pos = w > 0
-    fw[pos] = w[pos] ** p
-    return (v * fw) @ v.conj().T
-
-
-def _ref_herm_log(t):
-    w, v = eigh(t)
-    pos = w > TOL.support
-    fw = np.zeros_like(w)
-    fw[pos] = np.log(w[pos]) / np.log(2.0)
     return (v * fw) @ v.conj().T
 
 
@@ -265,10 +265,8 @@ def test_support_kernel_is_bit_identical_to_reference(d):
     for i, t in enumerate(_spectral_inputs(d)):
         pairs = [
             ("herm_sqrt", herm_sqrt(t), _ref_herm_sqrt(t)),
-            ("herm_log", herm_log(t), _ref_herm_log(t)),
             ("pinv_sqrt", pinv_sqrt(t), _ref_pinv_sqrt(t)),
         ]
-        pairs += [(f"herm_power {p}", herm_power(t, p), _ref_herm_power(t, p)) for p in (0.3, 0.5, 2.7)]
         mismatches += [(i, name) for name, got, ref in pairs if not np.array_equal(got, ref)]
     assert mismatches == []
 

@@ -165,6 +165,10 @@ def test_pickle_and_deepcopy_hold_the_stack_once(rng, declared):
         assert "projectors" not in vars(twin) and twin.stack.tobytes() == system.stack.tobytes()
         assert (twin.dim, twin.minimal, len(twin.projectors)) == (system.dim, system.minimal, len(system))
         assert all(np.shares_memory(p, twin.stack) for p in twin.projectors)
+        for array in (twin.stack, twin._vectors):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 def test_rejects_mixed_dimensions():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qmdl import (
+    TOL,
     BetaExampleSource,
     DimensionMismatch,
     GeneralizedModel,
@@ -27,10 +28,10 @@ from qmdl import (
     cond_density,
     conjugate,
     convex_combine,
+    eigh,
     example_state,
     example_uniform_source,
     haar_random_system,
-    herm_log,
     outcome_prob,
     outcome_probs,
     partial_trace,
@@ -78,6 +79,9 @@ def test_source_components_must_be_semi_densities():
             MixtureSource([(0.5, np.eye(2) / 2), (0.5, negative)], kind=kind)
         with pytest.raises(InvalidOperator, match=r"^component 0: not Hermitian: max deviation 3\.000e-01 > 1\.0e-10$"):
             MixtureSource([(0.5, skew), (0.5, negative)], kind=kind)
+    # a generalized component of trace 2: its levels' traces would grow as 2^(n-2)
+    with pytest.raises(InvalidOperator, match=r"^component 0: trace \(2\+0j\) exceeds semi-density bound$"):
+        MixtureSource([(0.25, np.eye(2))], kind="generalized")
 
 
 def test_generalized_source_allows_subnormalized(rng):
@@ -492,8 +496,17 @@ def _dense_margins(components, model, n, eps, mode):
             gap = lvl - 2.0 ** (-n * eps) * power
             margins.append(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
         else:
-            margins.append(n * eps - np.trace(power @ (herm_log(power) - herm_log(lvl))).real)
+            margins.append(n * eps - np.trace(power @ (_log2(power) - _log2(lvl))).real)
     return min(margins)
+
+
+def _log2(t):
+    """Base-2 spectral logarithm on the support: eigenvalues at or below TOL.support map to 0."""
+    w, v = eigh(t)
+    fw = np.zeros_like(w)
+    keep = w > TOL.support
+    fw[keep] = np.log(w[keep]) / np.log(2.0)
+    return (v * fw) @ v.conj().T
 
 
 def _full_rank_qubit(rng):

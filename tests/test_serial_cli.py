@@ -212,6 +212,24 @@ def test_cli_predict_after_a_probability_zero_word_is_an_error(tmp_path, capsys)
     assert err == "error: conditioning word has probability 0\n"
 
 
+_HEAVY = {"kind": "generalized", "components": [{"weight": 0.25, "matrix": identity_literal(2)}]}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("predict", {"source": _HEAVY, "word": [0, 0, 1]}, "source"),
+        ("divergence", {"a": _HEAVY, "b": {"components": [{"weight": 1.0, "matrix": matrix_to_json(np.eye(2) / 2)}]},
+                        "kind": "S", "n": 3}, "a"),
+    ],
+)
+def test_cli_generalized_component_with_trace_above_one_is_refused(tmp_path, capsys, command, config, field):
+    """Weight 0.25 on I_2 bounds the level-1 trace by 1, but level traces would double with n."""
+    assert run_cli(tmp_path, command, config) == 4
+    err = capsys.readouterr().err
+    assert err == f"config error: {field}: component 0: trace (2+0j) exceeds semi-density bound\n"
+
+
 def test_cli_divergence_matrices(tmp_path, capsys):
     config = {
         "a": matrix_to_json(example_state(0.3)),
