@@ -102,6 +102,16 @@ def _system(config: dict, dim: int, default=functools.cache(computational_basis)
     return system
 
 
+@functools.cache
+def _default_grid() -> ParamModel:
+    """estimate's built-in MLE grid, built on first use and shared by the process (read-only), as
+    _system shares one basis per dimension: its letter tables and log weights are built once."""
+    grid = ParamModel.example()
+    for array in (grid.weights, grid.states, grid.thetas):
+        array.flags.writeable = False
+    return grid
+
+
 def _model(data, thetas=REQUIRED) -> ParamModel:
     """Density-matrix literals or {"example": {"thetas": [...], "c": c}}; `thetas` is the
     grid of an example declaration that gives none (REQUIRED: it must give one)."""
@@ -212,7 +222,7 @@ def _cmd_estimate(config: dict, out: str | None) -> int:
     estimator = read(config, "estimator", choice("mle", "two-part"), default="mle")
     word = read(config, "word", _word)
     if estimator == "mle":
-        model = read(config, "model", lambda m: _model(m, None), default=None) or ParamModel.example()
+        model = read(config, "model", lambda m: _model(m, None), default=None) or _default_grid()
         estimate = mle
     else:
         model = read(config, "members", _two_part_model)

@@ -6,22 +6,23 @@ trace, then to the lowest index. Both models are the weighted family of
 qsource: GeneralizedModel's weights are code weights, ParamModel's are all 1.
 Models score and sources emit: a model is read only through _member_scores,
 which pays log w once per letter (a source's level pays it once; ROADMAP item 1)
-on top of typeclasses.log_likelihoods, the library's one log-likelihood rule.
+on top of typeclasses.log_likelihoods, the library's one log-likelihood rule, read
+from the model's cached letter_logs table and log weights.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalSystem
 from .models import example_states
-from .opcore import check_density, normalize
+from .config import TOL
+from .opcore import check_semi_density, normalize
 from .projlat import ProjSystem
 from .qsource import _Family, _unzip, word_counts
-from .typeclasses import compositions, log_likelihoods, log_multinomial
+from .typeclasses import compositions, log_multinomial, summed_logs
 
 __all__ = [
     "ParamModel",
@@ -55,7 +56,16 @@ class ParamModel(_Family):
 
     @classmethod
     def explicit(cls, states) -> "ParamModel":
-        return cls(tuple(check_density(s) for s in states), None)
+        """Density matrices as one model. Member i failing check_density is named
+        "component i:", the first in member order, each tested as check_density does."""
+        model = cls(states)
+        traces = np.trace(model.states, axis1=1, axis2=2)
+        off = np.abs(traces - 1) > TOL.trace
+        first = int(off.argmax()) if off.any() else len(model)
+        check_semi_density(model.states[: first + 1])
+        if first < len(model):
+            raise InvalidOperator(f"component {first}: trace {traces[first]} != 1")
+        return model
 
 
 def check_kraft(weights):
@@ -95,11 +105,12 @@ def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
     Models score and sources emit; this is the one reading of a model, paying a
     weight per letter. The one log-likelihood rule (math.log, index order, -inf at
     p <= 0 with a positive count, no floor) keeps each score the scalar sum's float,
-    so exact ties survive. counts [m] or [C, m] give [members] or [C, members]; the
+    so exact ties survive; its letter_logs table and the math.log weights are the
+    model's cached ones. counts [m] or [C, m] give [members] or [C, members]; the
     weight term is added in place, keeping one [C, members] array fewer alive.
     """
-    scores = log_likelihoods(model.letter_probs(system), counts)
-    scores += np.sum(counts, axis=-1)[..., None] * np.array(list(map(math.log, model.weights.tolist())))
+    scores = summed_logs(model.log_letter_probs(system), counts)
+    scores += np.sum(counts, axis=-1)[..., None] * model.log_weights
     return scores
 
 

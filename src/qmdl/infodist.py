@@ -93,21 +93,34 @@ def renyi(lam: float, r1: np.ndarray, r2: np.ndarray, base: str = "nats") -> Div
     return DivergenceValue(value, base)
 
 
-def kl_classical(p: np.ndarray, q: np.ndarray, base: str = "bits") -> float:
-    """sum p log(p/q) with the support convention; +inf on support violation."""
+def _row_sums(terms: np.ndarray):
+    """Each row's entries added in index order from 0.0: a float for one row [m], else an array."""
+    total = np.zeros(terms.shape[:-1])
+    for a in range(terms.shape[-1]):
+        total += terms[..., a]
+    return total if total.ndim else float(total)
+
+
+def kl_classical(p: np.ndarray, q: np.ndarray, base: str = "bits"):
+    """sum_a p_a log(p_a / q_a) with the support convention; +inf on support violation.
+
+    p and q are laws [m] or rows [..., m] that broadcast; one pair of laws gives a
+    float, rows give one value per row. An entry with p <= 0 adds nothing; every
+    other adds p * math.log(p / q), in index order.
+    """
     scale = _base_factor(base)
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return np.inf
-        total += pi * math.log(pi / qi)
-    return total / scale
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    live = ~(p <= 0.0)
+    lost = (live & (q <= 0.0)).any(axis=-1, keepdims=True)
+    live &= ~lost
+    terms = np.zeros(p.shape)
+    terms[live] = p[live] * np.array(list(map(math.log, (p[live] / q[live]).tolist())))
+    return _row_sums(np.where(lost, np.inf, terms)) / scale
 
 
-def hellinger_sq_classical(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum((np.sqrt(np.clip(p, 0, None)) - np.sqrt(np.clip(q, 0, None))) ** 2))
+def hellinger_sq_classical(p: np.ndarray, q: np.ndarray):
+    """sum_a (sqrt p_a - sqrt q_a)^2, negative entries read as 0, in index order; shapes as kl_classical."""
+    return _row_sums((np.sqrt(np.clip(p, 0, None)) - np.sqrt(np.clip(q, 0, None))) ** 2)
 
 
 def word_divergences(

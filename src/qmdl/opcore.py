@@ -101,11 +101,15 @@ def check_cap(dim: int, n: int = 1) -> None:
 
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power; n = 0 gives the 1x1 identity."""
+    """n-fold Kronecker power; n = 0 gives the 1x1 identity, and a 1 x 1 operator [[a^n]] in one step."""
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
     a = as_operator(a)
     check_cap(a.shape[0], max(n, 1))
+    if a.shape[0] == 1:  # the dense cap bounds no power of 1 x 1: numpy's int64 exponent does
+        if n > np.iinfo(np.int64).max:
+            raise SizeCapExceeded(f"word length {n} exceeds 2^63 - 1, the largest power of a 1 x 1 operator")
+        return a ** np.int64(n)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, a)
@@ -166,7 +170,7 @@ def _eigvalsh(t: np.ndarray, vectors: bool = False, check: bool = False):
     matrix or each matrix of an [N, d, d] stack; check: refuse a matrix not Hermitian within TOL.herm.
     T goes to LAPACK as it is where T - T^dagger is +0.0 in every entry; else the gap is freed first."""
     dev, exact = _hermitian_gap(t)
-    if check and dev > TOL.herm:
+    if check and np.any(dev > TOL.herm):
         check_semi_density(t)  # raises the rule's "not Hermitian" error
     if not exact:
         t = t + t.conj().swapaxes(-1, -2)

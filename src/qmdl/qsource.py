@@ -17,8 +17,9 @@ index order, -inf at a letter with p <= 0 and a positive count, no floor.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .opcore import (
     tensor_power,
 )
 from .projlat import ProjSystem, q_project
-from .typeclasses import compositions, letter_logs, log_likelihoods, log_multinomial, logsumexp, summed_logs
+from .typeclasses import compositions, letter_logs, log_multinomial, logsumexp, summed_logs
 
 __all__ = [
     "MixtureSource",
@@ -96,7 +97,8 @@ def word_counts(word, system: ProjSystem) -> np.ndarray:
 
 class _Family:
     """Weights [N], states as one [N, d, d] stack, optional thetas, stored_traces
-    w_i Tr rho_i and one outcome table per system; subclasses add a weight rule.
+    w_i Tr rho_i, and per system an outcome table and its letter_logs table, each
+    built once and kept while the system lives; subclasses add a weight rule.
     Only MixtureSource emits (level, log_prob, predict); models are scored by estim."""
 
     def __init__(self, weights, states, thetas=None, *, top: float, bad_weight: str, empty: str, mixed=None):
@@ -124,7 +126,13 @@ class _Family:
         self.dim = shape[1]
         self.thetas = thetas
         self.stored_traces = self.weights * np.trace(self.states, axis1=1, axis2=2).real
-        self._tables: dict[ProjSystem, np.ndarray] = {}
+        self.__setstate__({})  # empty per-system tables
+
+    def __getstate__(self) -> dict:  # weakly keyed tables do not pickle: a copy builds its own
+        return {k: v for k, v in vars(self).items() if k not in ("_tables", "_logs")}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _tables=weakref.WeakKeyDictionary(), _logs=weakref.WeakKeyDictionary())
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -140,6 +148,17 @@ class _Family:
         if system not in self._tables:
             self._tables[system] = outcome_probs(self.states, system)
         return self._tables[system]
+
+    def log_letter_probs(self, system: ProjSystem) -> np.ndarray:
+        """letter_logs(letter_probs(system)), the table summed_logs reads, cached per system."""
+        if system not in self._logs:
+            self._logs[system] = letter_logs(self.letter_probs(system))
+        return self._logs[system]
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """math.log of each weight, built on first read: the per-letter term of a model's score."""
+        return np.array(list(map(math.log, self.weights.tolist())))
 
 
 def _unzip(members) -> tuple[list, list]:
@@ -183,7 +202,7 @@ class MixtureSource(_Family):
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
-        logs, log_w = letter_logs(self.letter_probs(system)), np.log(self.weights)
+        logs, log_w = self.log_letter_probs(system), np.log(self.weights)
         # class blocks bound each [classes, components] intermediate to 8 MB
         step = max(1, 2**20 // len(log_w))
         blocks = (summed_logs(logs, counts[i : i + step]) for i in range(0, len(counts), step))
@@ -192,7 +211,7 @@ class MixtureSource(_Family):
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Posterior-weighted letter law after a word with histogram counts."""
         probs = self.letter_probs(system)
-        log_post = np.log(self.weights) + log_likelihoods(probs, counts)
+        log_post = np.log(self.weights) + summed_logs(self.log_letter_probs(system), counts)
         log_total = logsumexp(log_post)
         if log_total == -np.inf:
             raise AllZeroLikelihood("conditioning word has probability 0")
@@ -215,7 +234,7 @@ class BetaExampleSource(MixtureSource):
 
     def __getattr__(self, name: str):
         # reached only while a field is unset: the family fields before the first read
-        if name not in ("weights", "states", "thetas", "stored_traces", "_tables"):
+        if name not in ("weights", "states", "thetas", "stored_traces", "_tables", "_logs"):
             raise AttributeError(name)
         vars(self).update(vars(example_uniform_source(self.c, self._nodes)))
         return vars(self)[name]
@@ -362,15 +381,16 @@ _MARGIN_FLOOR = -1e-9
 
 
 def _q_margins(
-    src, member_probs: np.ndarray, system: ProjSystem, n: int, eps: float, mode: str
+    src, member_logs: np.ndarray, system: ProjSystem, n: int, eps: float, mode: str
 ) -> np.ndarray:
-    """Q-sense margin of every member at level n, from one type-class table.
+    """Q-sense margin of every member at level n, from one type-class table and the
+    members' letter_logs table.
 
     Classes a member never emits are skipped; a class the member emits but
     the source does not makes that member's margin -inf.
     """
     counts, log_mult, log_src = word_distribution(src, system, n)
-    member = log_likelihoods(member_probs, counts)  # [C, members]
+    member = summed_logs(member_logs, counts)  # [C, members]
     live = member > -np.inf
     # -inf - -inf and 0 * -inf arise only on the rows masked here or below
     with np.errstate(invalid="ignore"):
@@ -423,8 +443,8 @@ def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
             smallest = np.minimum(smallest, np.concatenate(eigs))
         else:
             w, v = eigh(lvl)
-            members = (p for stack in powers for p in stack)
-            value, off = np.array([_rel_entropy_nats(p, eigh(p, eigvals_only=True), w, v) for p in members]).T
+            members = ((p, wp) for stack in powers for p, wp in zip(stack, _eigvalsh(stack, check=True)))
+            value, off = np.array([_rel_entropy_nats(p, wp, w, v) for p, wp in members]).T
             nats = nats + mult * value
             leak = leak + mult * off
     if mode == "matrix":
@@ -468,7 +488,7 @@ def universality_check(
             raise DimensionMismatch(f"system acts on dimension {system.dim}, source on {src.dim}")
         if not system.minimal:
             raise NonMinimalSystem("Q-restricted universality needs a rank-1 system")
-        member_probs = outcome_probs(members, system)
+        member_logs = letter_logs(outcome_probs(members, system))
     ns = sorted(int(n) for n in n_range)
     on_blocks = mode in ("matrix", "expected") and src.dim == 2
     if on_blocks:
@@ -484,7 +504,7 @@ def universality_check(
         elif mode in ("matrix", "expected"):
             margins = _margins([(1, src.level(n), (tensor_power(m, n)[None] for m in members))], n, eps, mode)
         else:
-            margins = _q_margins(src, member_probs, system, n, eps, mode)
+            margins = _q_margins(src, member_logs, system, n, eps, mode)
         per_level.append((n, float(min(margins))))
     n0 = None
     for n, margin in reversed(per_level):

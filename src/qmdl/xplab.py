@@ -23,7 +23,7 @@ from .opcore import as_operator, normalize
 from .projlat import ProjSystem, computational_basis
 from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
 from .serial import choice, each, integer, interval, levels, read, unit
-from .typeclasses import log_likelihoods
+from .typeclasses import letter_logs, summed_logs
 
 __all__ = [
     "RunResult",
@@ -297,7 +297,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     Laplace-predictive), report He^2 and S between the pinched estimate and the
     pinched truth. Only each word's outcome counts are drawn (_replica_counts);
     the replicas of one n are estimated as one count batch, and He^2 and S are
-    taken once per distinct estimate. Declared competitors additionally get exact
+    taken once per distinct estimate, as one batch of rows. Declared competitors additionally get exact
     distinguishability masses per n.
     """
     system = computational_basis(2)
@@ -307,6 +307,7 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     result = RunResult("consistency", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
     ref_src = MixtureSource([(1.0, truth)])
+    competitors = [(t, MixtureSource([(1.0, example_state(t, config.c))])) for t in config.competitor_thetas]
     for n in config.n_schedule:
         counts = _replica_counts(truth, system, n, config.replicas, config.seed)
         if config.estimator == "two-part":
@@ -315,20 +316,19 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
             if min(keys) < 0:
                 raise AllZeroLikelihood("every member assigns probability 0 to the word")
             distinct = sorted(set(keys))
-            est = dict(zip(distinct, outcome_probs([normalize(model.states[i]) for i in distinct], system)))
+            est = outcome_probs([normalize(model.states[i]) for i in distinct], system)
         else:
             keys = counts[:, 0].tolist()
-            est = {k: np.array([(k + 1) / (n + 2), 1.0 - (k + 1) / (n + 2)]) for k in set(keys)}
-        # He^2 and S depend on the estimate alone: once per distinct estimate
-        div = {
-            key: (hellinger_sq_classical(truth_probs, p), kl_classical(truth_probs, p, "bits"))
-            for key, p in est.items()
-        }
+            distinct = sorted(set(keys))
+            p0 = (np.array(distinct) + 1) / (n + 2)
+            est = np.stack([p0, 1.0 - p0], axis=1)
+        # He^2 and S depend on the estimate alone: one [distinct, m] batch
+        div = dict(zip(distinct, zip(hellinger_sq_classical(truth_probs, est).tolist(),
+                                     kl_classical(truth_probs, est, "bits").tolist())))
         for r, key in enumerate(keys):
             result.add(n, r, "he2", div[key][0], "nats")
             result.add(n, r, "S", div[key][1], "bits")
-        for theta in config.competitor_thetas:
-            comp_src = MixtureSource([(1.0, example_state(theta, config.c))])
+        for theta, comp_src in competitors:
             ratios = _likelihood_ratios(ref_src, comp_src, system, n)
             for delta in config.deltas:
                 mass = _exceedance_mass(*ratios, delta)
@@ -388,9 +388,8 @@ def bound_run(config: BoundConfig) -> RunResult:
     member_probs = model.letter_probs(system)
     result = RunResult("bound", config.seed)
     result.metadata = {"config_hash": _config_hash(config.__dict__)}
-    tables = {
-        n: _bound_table(model, system, truth_probs, member_probs, n) for n in config.n_schedule
-    }
+    truth_logs = letter_logs(truth_probs[None])
+    tables = {n: _bound_table(model, system, truth_logs, n) for n in config.n_schedule}
     worst_slack = math.inf
     for alpha in config.alphas:
         lam = 1.0 - 1.0 / alpha
@@ -429,16 +428,17 @@ def bound_run(config: BoundConfig) -> RunResult:
     return result
 
 
-def _bound_table(model, system, truth_probs, member_probs, n: int):
+def _bound_table(model, system, truth_logs, n: int):
     """Two-part class table at length n plus, on the classes the truth emits and
-    some member explains (emitted), the truth's and the winner's log word probs.
-    The last entry is True when the truth emits a class that no member explains."""
+    some member explains (emitted), the truth's and the winner's log word probs,
+    from the truth's and the model's letter_logs tables. The last entry is True
+    when the truth emits a class that no member explains."""
     counts, log_mult, chosen = two_part_classes(model, system, n)
-    log_star = log_likelihoods(truth_probs[None], counts)[:, 0]
+    log_star = summed_logs(truth_logs, counts)[:, 0]
     truth_emits = log_star > -np.inf
     emitted = truth_emits & (chosen >= 0)
     idx = chosen[emitted]
-    log_est = log_likelihoods(member_probs, counts[emitted])[np.arange(len(idx)), idx]
+    log_est = summed_logs(model.log_letter_probs(system), counts[emitted])[np.arange(len(idx)), idx]
     unexplained = bool(np.any(truth_emits & (chosen < 0)))
     return log_mult, chosen, emitted, log_star[emitted], log_est, unexplained
 

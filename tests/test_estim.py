@@ -1,7 +1,9 @@
 """Estimators: grid MLE, two-part selection, alpha scaling, word-trace sums."""
 
+import gc
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from qmdl import (
     two_part,
 )
 from qmdl import BetaExampleSource, predict_step
+from qmdl import qsource
+from qmdl import estim
 from qmdl.estim import _member_scores, _select, _two_part_scores
-from qmdl.typeclasses import compositions, log_likelihoods
+from qmdl.typeclasses import compositions, letter_logs, log_likelihoods
 from conftest import random_density
 
 CB = computational_basis(2)
@@ -234,6 +238,77 @@ def test_score_table_is_cached_per_system(rng):
     haar = haar_random_system(2, rng)
     two_part(model, haar, (0, 1, 1))
     assert model.letter_probs(haar).tobytes() == outcome_probs(model.states, haar).tobytes()
+
+
+def _uncached_scores(model, system, counts):
+    """n log w + log_likelihoods(letter table, counts), every log taken anew."""
+    log_w = np.array([math.log(w) for w in model.weights.tolist()])
+    n = np.sum(counts, axis=-1)[..., None]
+    return log_likelihoods(model.letter_probs(system), counts) + n * log_w
+
+
+def test_cached_log_tables_score_as_the_uncached_rule(monkeypatch, rng):
+    """On the 1001-point grid, and on a model over it with unequal code weights, the scores
+    read the cached letter_logs table and log weights: built once, the same floats."""
+    grid = ParamModel.example()
+    weights = rng.dirichlet(np.ones(len(grid))) * 0.9
+    coded = GeneralizedModel(zip(weights, grid.states))
+    counts = compositions(1000, 2)
+    calls = []
+    monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
+    for model in (grid, coded):
+        calls.clear()
+        for _ in range(2):
+            for batch in (counts, counts[317], counts[:0]):
+                # bytes also tell -0.0 from 0.0
+                assert _member_scores(model, CB, batch).tobytes() == _uncached_scores(model, CB, batch).tobytes()
+        assert len(calls) == 1
+        assert model.log_letter_probs(CB) is model.log_letter_probs(CB)
+        assert model.log_weights is model.log_weights
+
+
+def test_a_family_pickles_without_its_tables_and_drops_them_with_their_system(rng):
+    """Tables are weakly keyed by their system: a pickled family builds its own, and a
+    dropped system takes its tables along."""
+    model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, random_density(rng, 2))])
+    system = haar_random_system(2, rng)
+    counts = np.array([3, 4])
+    scores = _member_scores(model, system, counts)
+    assert (len(model._tables), len(model._logs)) == (1, 1)
+    twin = pickle.loads(pickle.dumps(model))
+    assert (len(twin._tables), len(twin._logs)) == (0, 0)
+    assert _member_scores(twin, CB, counts).tobytes() == _member_scores(model, CB, counts).tobytes()
+    assert _member_scores(model, system, counts).tobytes() == scores.tobytes()
+    del system
+    gc.collect()
+    assert (len(model._tables), len(model._logs)) == (1, 1)  # CB's tables alone
+    beta = BetaExampleSource(0.5, 64)
+    beta.log_prob(haar_random_system(2, rng), np.array([[1, 2]]))
+    twin = pickle.loads(pickle.dumps(beta))
+    other = haar_random_system(2, rng)
+    assert twin.log_prob(other, counts[None]).tobytes() == beta.log_prob(other, counts[None]).tobytes()
+
+
+def test_explicit_model_checks_its_members_as_one_stack(monkeypatch):
+    """One check_semi_density call; the first failing member is named as check_density orders
+    its tests: square and finite, Hermitian, PSD, trace <= 1, then unit trace."""
+    good, half = example_state(0.3), np.diag([0.5, 0.0])
+    not_psd, not_herm = np.array([[1.5, 0.0], [0.0, -0.5]]), np.array([[0.5, 0.3], [0.0, 0.5]])
+    calls = []
+    check = estim.check_semi_density
+    monkeypatch.setattr(estim, "check_semi_density", lambda t: calls.append(len(t)) or check(t))
+    assert ParamModel.explicit([good, good, good]).states.tobytes() == np.stack([good] * 3).tobytes()
+    assert calls == [3]
+    cases = [
+        ([good, not_psd], r"^component 1: not PSD: min eigenvalue -5\.000e-01$"),
+        ([good, half, not_psd], r"^component 1: trace \(0\.5\+0j\) != 1$"),
+        ([good, not_psd, half], r"^component 1: not PSD: min eigenvalue -5\.000e-01$"),
+        ([not_herm, good], r"^component 0: not Hermitian: max deviation 3\.000e-01 > 1\.0e-10$"),
+        ([good, 2 * good], r"^component 1: trace \(2\+0j\) exceeds semi-density bound$"),
+    ]
+    for states, message in cases:
+        with pytest.raises(InvalidOperator, match=message):
+            ParamModel.explicit(states)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.37, 1.0])

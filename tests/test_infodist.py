@@ -434,3 +434,55 @@ def test_word_divergences_and_mass_match_mpmath(n):
         expected = mp.fsum(c * p for c, p, q in classes if q / p > delta)
         mass = distinguishability_mass(src_a, src_b, CB, n, delta)
         assert mass == pytest.approx(float(expected), rel=1e-12, abs=0.0), delta
+
+
+def _scalar_kl(p, q, base):
+    """The per-entry loop: p log(p/q) with math.log, skipped at p <= 0, +inf at q <= 0."""
+    total = 0.0
+    for pi, qi in zip(p, q):
+        if pi <= 0.0:
+            continue
+        if qi <= 0.0:
+            return math.inf
+        total += pi * math.log(pi / qi)
+    return total / (LN2 if base == "bits" else 1.0)
+
+
+def _scalar_he2(p, q):
+    """(sqrt p - sqrt q)^2 per entry, negatives read as 0, added in index order from 0.0."""
+    total = 0.0
+    for pi, qi in zip(np.clip(p, 0, None), np.clip(q, 0, None)):
+        total += (np.sqrt(pi) - np.sqrt(qi)) ** 2
+    return float(total)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_batched_classical_divergences_equal_the_scalar_ones(rng, m):
+    """Rows [K, m] give each row's scalar value bit for bit, zeros on either side included;
+    one pair of laws gives a float. At m = 2 He^2 is also the float np.sum gives."""
+    p = rng.dirichlet(np.ones(m))
+    rows = rng.dirichlet(np.ones(m), size=12)
+    rows[3, 0] = rows[4, -1] = 0.0  # q = 0 where p > 0: +inf
+    rows[5] = p
+    rows[6, 1:] = 0.0
+    rows[6, 0] = 1.0
+    rows[7, 0] = -0.0
+    for truth in (p, np.where(np.arange(m) == 1, 0.0, p / p[np.arange(m) != 1].sum())):
+        for base in ("bits", "nats"):
+            batch = kl_classical(truth, rows, base)
+            assert batch.shape == (len(rows),)
+            singles = [kl_classical(truth, q, base) for q in rows]
+            assert all(type(v) is float for v in singles)
+            scalar = [_scalar_kl(truth, q, base) for q in rows]
+            assert batch.tobytes() == np.array(singles).tobytes() == np.array(scalar).tobytes()
+        he2 = hellinger_sq_classical(truth, rows)
+        singles = [hellinger_sq_classical(truth, q) for q in rows]
+        scalar = [_scalar_he2(truth, q) for q in rows]
+        assert he2.tobytes() == np.array(singles).tobytes() == np.array(scalar).tobytes()
+        if m == 2:
+            root = np.sqrt(np.clip(truth, 0, None))
+            assert he2.tolist() == [float(np.sum((root - np.sqrt(np.clip(q, 0, None))) ** 2)) for q in rows]
+    assert np.isinf(kl_classical(p, rows)[[3, 4]]).all()
+    # rows on the left too: [K, m] against [K, m] and against one law
+    assert kl_classical(rows[5:], rows[5:]).tolist() == [0.0] * (len(rows) - 5)
+    assert kl_classical(rows, p).tobytes() == np.array([_scalar_kl(q, p, "bits") for q in rows]).tobytes()

@@ -45,7 +45,7 @@ from qmdl import (
     universality_check,
     word_distribution,
 )
-from qmdl import qsource
+from qmdl import opcore, qsource
 from qmdl.models import example_states
 from qmdl.serial import system_from_json, system_to_json
 from qmdl.typeclasses import compositions, letter_logs, log_likelihoods, logsumexp
@@ -587,6 +587,42 @@ def test_block_matrix_margins_are_bit_identical_to_the_member_loop():
         assert (report.n0, report.passed) == (n0, n0 is not None), name
 
 
+def _expected_loop_reference(blocks, n, eps):
+    """The expected margins of `qsource._margins` with one eigen-solve per member and block."""
+    nats, leak = 0.0, 0.0
+    for mult, lvl, powers in blocks:
+        w, v = eigh(lvl)
+        value, off = np.array([opcore._rel_entropy_nats(p, eigh(p, eigvals_only=True), w, v) for p in powers]).T
+        nats, leak = nats + mult * value, leak + mult * off
+    return np.where(leak > opcore._LEAK_TOL, -np.inf, n * eps - nats / math.log(2.0))
+
+
+def test_block_expected_margins_solve_each_member_stack_once(monkeypatch):
+    """Expected mode solves each block's [members, b, b] stack in one eigvalsh: a 3-member
+    check at n = 1..10 makes 35 eigh and 35 eigvalsh calls, and every margin is the loop's."""
+    ns = range(1, 11)
+    for name, src, _, model, eps in _qubit_cases():
+        levels = qsource._sym_blocks(np.stack(src.states), src.weights[None], ns)
+        powers = qsource._sym_blocks(np.stack(model), np.eye(len(model)), ns)
+        for n in ns:
+            mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
+            lvls = [lvl[0] for lvl in levels[n]]
+            batched = qsource._margins(zip(mults, lvls, ([p] for p in powers[n])), n, eps, "expected")
+            loop = _expected_loop_reference(zip(mults, lvls, powers[n]), n, eps)
+            assert batched.tobytes() == loop.tobytes(), (name, n)
+    src, model = three_component_source(1.0)
+    calls = Counter()
+
+    def counting(key):
+        solve = getattr(np.linalg, key)
+        return lambda *a, **k: calls.update([key]) or solve(*a, **k)
+
+    for key in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, key, counting(key))
+    universality_check(src, model, 0.5, ns, "expected")
+    assert calls == {"eigh": 35, "eigvalsh": 35}
+
+
 def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
@@ -709,6 +745,25 @@ def test_log_prob_logs_the_letter_table_once_across_class_blocks(monkeypatch, rn
     probs, log_w = src.letter_probs(system), np.log(src.weights)
     rows = [logsumexp(log_w + log_likelihoods(probs, row)) for row in counts]
     assert blocked.tobytes() == np.array(rows).tobytes()
+
+
+def test_cached_log_table_serves_log_prob_and_predict(monkeypatch, rng):
+    """A 4,096-node source logs its letter table once per system for log_prob and predict,
+    and both stay the floats of the uncached rule."""
+    thetas = np.linspace(0.0, 1.0, 4096)
+    src = MixtureSource(zip(np.full(4096, 1 / 4096), example_states(thetas, 0.3)))
+    system = haar_random_system(2, rng)
+    counts = compositions(300, 2)
+    calls = []
+    monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
+    probs, log_w = src.letter_probs(system), np.log(src.weights)
+    log_post = log_w + log_likelihoods(probs, counts[17])
+    predicted = np.exp(log_post - logsumexp(log_post)) @ np.clip(probs, 0.0, None)
+    expected = logsumexp(log_w + log_likelihoods(probs, counts))
+    for _ in range(2):
+        assert src.log_prob(system, counts).tobytes() == expected.tobytes()
+        assert src.predict(system, counts[17]).tobytes() == predicted.tobytes()
+    assert len(calls) == 1
 
 
 def test_q_restricted_universality_needs_system():

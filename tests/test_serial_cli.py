@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import pathlib
@@ -26,6 +27,7 @@ from qmdl import (
     system_from_json,
     system_to_json,
 )
+from qmdl import cli, estim, qsource
 from qmdl.cli import COMMANDS, build_parser, main
 from test_config import VALID
 
@@ -406,6 +408,55 @@ def test_cli_estimates_share_one_computational_basis(tmp_path, monkeypatch):
     for config in (mle, two_part, mle):
         assert run_cli(tmp_path, "estimate", config) == 0
     assert len(built) <= 1
+
+
+def test_cli_mle_builds_its_default_grid_and_log_table_once(tmp_path, monkeypatch):
+    """estimate without a model shares one built-in grid: two calls build the grid and its
+    letter_logs table once, and their JSON outputs are byte-identical."""
+    built, logged = [], []
+    states, logs = estim.example_states, qsource.letter_logs
+    monkeypatch.setattr(estim, "example_states", lambda *a: built.append(1) or states(*a))
+    monkeypatch.setattr(qsource, "letter_logs", lambda probs: logged.append(1) or logs(probs))
+    cli._default_grid.cache_clear()
+    config = {"estimator": "mle", "word": "0,1,1,0,1,1,1"}
+    outputs = []
+    for i in range(2):
+        assert run_cli(tmp_path, "estimate", config, ["--out", str(tmp_path / f"{i}.json")]) == 0
+        outputs.append((tmp_path / f"{i}.json").read_bytes())
+    assert (len(built), len(logged)) == (1, 1)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["theta_hat"] == np.linspace(0.0, 1.0, 1001)[286]  # 2 zeros in 7
+
+
+def test_cli_mle_on_declared_systems_leaves_the_shared_grid_cache_alone(tmp_path, capsys, monkeypatch):
+    """A declared system is a new key each call: the shared grid scores it, and its tables go with it."""
+    grid = cli._default_grid()
+    monkeypatch.setattr(estim, "example_states", None)  # no second grid is built
+    config = {"estimator": "mle", "word": [0, 1, 1, 1], "system": system_to_json(computational_basis(2))}
+    sizes = (len(grid._tables), len(grid._logs))
+    for _ in range(3):
+        assert run_cli(tmp_path, "estimate", config) == 0
+        assert json.loads(capsys.readouterr().out)["theta_hat"] == 0.25
+    gc.collect()
+    assert (len(grid._tables), len(grid._logs)) == sizes
+    assert cli._default_grid() is grid
+
+
+def test_cli_one_dimensional_universality_bounds_its_word_length(tmp_path, capsys):
+    """At d = 1 the dense cap bounds no level: a power is one step, and a word length past
+    numpy's int64 exponent is a size error, not a traceback."""
+    one = [[[1.0, 0.0]]]
+    config = {"source": {"components": [{"weight": 1.0, "matrix": one}]}, "model": [one],
+              "epsilon": 0.5, "n_range": [100000000]}
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "universality-check", config) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["per_level"] == [[100000000, 1.0]]
+    for n in (2**63, 1e30):
+        assert run_cli(tmp_path, "universality-check", dict(config, n_range=[n])) == 4
+        err = capsys.readouterr().err
+        assert err == f"config error: QMDL_DENSE_CAP: word length {int(n)} exceeds 2^63 - 1, " \
+                      "the largest power of a 1 x 1 operator\n"
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
