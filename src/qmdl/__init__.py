@@ -73,7 +73,6 @@ from .estim import (
     ParamModel,
     TiePath,
     alpha_scale,
-    lambda_sum,
     mle,
     two_part,
     two_part_classes,
@@ -105,7 +104,6 @@ from .xplab import (
     distinguishability_mass,
     markov_run,
     redundancy_run,
-    sample_words,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ trace, then to the lowest index. Both models are the weighted family of
 qsource: GeneralizedModel's weights are code weights, ParamModel's are all 1.
 Models score and sources emit: a model is read only through _member_scores,
 which pays log w once per letter (a source's level pays it once; ROADMAP item 1)
-on top of typeclasses.log_likelihoods, the library's one log-likelihood rule, read
-from the model's cached letter_logs table and log weights.
+on top of the library's one log-likelihood rule, typeclasses.summed_logs over the
+model's cached letter_logs table, plus its cached log weights.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "two_part",
     "alpha_scale",
     "two_part_classes",
-    "lambda_sum",
 ]
 
 DEFAULT_GRID_POINTS = 1001
@@ -100,7 +99,7 @@ class EstimateResult:
 
 
 def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-    """n log w_i + log_likelihoods(letter table, counts) per member: a model's scores.
+    """n log w_i + summed_logs(letter_logs(letter table), counts) per member: a model's scores.
 
     Models score and sources emit; this is the one reading of a model, paying a
     weight per letter. The one log-likelihood rule (math.log, index order, -inf at
@@ -206,26 +205,3 @@ def _trace_sum(stored_traces: np.ndarray, n: int, log_mult: np.ndarray, chosen: 
     """sum over the classes with a winner of #words * (winner's stored trace)^n."""
     won = chosen >= 0
     return float(np.exp(log_mult[won] + n * np.log(stored_traces[chosen[won]])).sum())
-
-
-def lambda_sum(
-    model: GeneralizedModel,
-    system: ProjSystem,
-    n: int,
-    select_model: GeneralizedModel | None = None,
-) -> float:
-    """Sum over all length-n words of the winning member's level-n trace.
-
-    The winner per word is the two-part argmax on select_model when given
-    (bound scores the family as given and sums the traces of its alpha-scaled
-    copy), else on model; its contribution is the trace of model's stored
-    level at that index, (code weight * Tr(rho))^n. This is the quantity whose
-    sum over words must stay below 1 for the expected-divergence bound to apply.
-    """
-    if not system.minimal:
-        raise NonMinimalSystem("lambda_sum needs a rank-1 system")
-    scorer = select_model if select_model is not None else model
-    if select_model is not None and len(select_model) != len(model):
-        raise InvalidOperator("select_model must parallel the model members")
-    _, log_mult, chosen = two_part_classes(scorer, system, n)
-    return _trace_sum(model.stored_traces, n, log_mult, chosen)

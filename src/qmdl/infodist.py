@@ -42,12 +42,6 @@ class DivergenceValue:
     value: float  # finite or +inf
     base: str     # "bits" | "nats"
 
-    def in_bits(self) -> float:
-        return self.value if self.base == "bits" else self.value / LN2
-
-    def in_nats(self) -> float:
-        return self.value if self.base == "nats" else self.value * LN2
-
 
 def _base_factor(base: str) -> float:
     if base == "bits":

@@ -160,9 +160,9 @@ def partial_trace(t: np.ndarray, dims: list[int], site: int) -> np.ndarray:
     return out.reshape(kept, kept)
 
 
-def eigh(t: np.ndarray, eigvals_only: bool = False):
-    """Ascending eigenvalues and orthonormal eigenvector columns (eigvals_only: the eigenvalues alone)."""
-    return _eigvalsh(as_operator(t), not eigvals_only, check=True)
+def eigh(t: np.ndarray):
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    return _eigvalsh(as_operator(t), True, check=True)
 
 
 def _eigvalsh(t: np.ndarray, vectors: bool = False, check: bool = False):

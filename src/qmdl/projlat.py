@@ -302,8 +302,6 @@ def consistent(systems: list[ProjSystem]) -> bool:
 @dataclass(frozen=True)
 class LatticeResult:
     system: ProjSystem
-    inputs: int
-    operation: str  # "join" | "meet"
 
 
 def _join_projectors(systems: list[ProjSystem]) -> np.ndarray:
@@ -334,7 +332,7 @@ def join(systems: list[ProjSystem]) -> LatticeResult:
         raise InconsistentFamily("join of an empty family is undefined")
     if not consistent(systems):
         raise InconsistentFamily("systems do not commute; no common refinement")
-    return LatticeResult(ProjSystem(_join_projectors(systems)), len(systems), "join")
+    return LatticeResult(ProjSystem(_join_projectors(systems)))
 
 
 def meet(systems: list[ProjSystem]) -> LatticeResult:
@@ -368,7 +366,7 @@ def meet(systems: list[ProjSystem]) -> LatticeResult:
             seen[linked] = True
             stack.extend(linked.tolist())
         members.append(sum(atoms[i] for i in comp))
-    return LatticeResult(ProjSystem(members), len(systems), "meet")
+    return LatticeResult(ProjSystem(members))
 
 
 def q_project(t: np.ndarray, system: ProjSystem) -> np.ndarray:

@@ -10,8 +10,8 @@ source type, MixtureSource, and it emits: level, log_prob and predict read
 sum_i w_i rho_i^(x)n, paying each weight once. BetaExampleSource is one with a
 closed form on the computational basis. Models (estim) only score, paying
 log w_i once per letter (ROADMAP item 1 chooses between the readings). A
-word's log-likelihood has one rule, typeclasses.log_likelihoods: math.log,
-index order, -inf at a letter with p <= 0 and a positive count, no floor.
+word's log-likelihood has one rule, summed_logs over a letter_logs table:
+math.log, index order, -inf where p <= 0 meets a positive count, no floor.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class _Family:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    @property
-    def components(self):
-        return list(zip(self.weights, self.states))
 
     def letter_probs(self, system: ProjSystem) -> np.ndarray:
         """Outcome probabilities per member, p[i, a] = Tr(q_a rho_i), cached per system."""

@@ -15,12 +15,13 @@ from math import comb, lgamma, log
 
 import numpy as np
 
+from .errors import SizeCapExceeded
+
 __all__ = [
     "compositions",
     "log_multinomial",
     "letter_logs",
     "summed_logs",
-    "log_likelihoods",
     "logsumexp",
 ]
 
@@ -28,8 +29,13 @@ __all__ = [
 def compositions(n: int, parts: int) -> np.ndarray:
     """All histograms of n outcomes over `parts` symbols, as counts[C, parts].
 
-    Rows are in lexicographic order; n = 0 gives one all-zero row.
+    Rows are in lexicographic order; n = 0 gives one all-zero row. A count is an
+    int64, so n past 2^63 - 1 raises SizeCapExceeded.
     """
+    if n > np.iinfo(np.int64).max:
+        raise SizeCapExceeded(f"word length {n} exceeds 2^63 - 1, the largest count of a type-class table")
+    if parts == 1:
+        return np.array([[n]], dtype=np.int64)
     if parts == 2:
         k = np.arange(n + 1, dtype=np.int64)
         return np.stack([k, n - k], axis=1)
@@ -54,6 +60,8 @@ def log_multinomial(counts) -> np.ndarray:
     """log of the number of words sharing each histogram (last axis of counts)."""
     global _LOG_FACT
     counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape[-1] == 1:  # one word per class: log 1, with no table up to n
+        return np.zeros(counts.shape[:-1])
     n = counts.sum(axis=-1)
     top = int(n.max()) if n.size else 0
     log_fact = _LOG_FACT
@@ -92,15 +100,6 @@ def summed_logs(logs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if not support.all():
         out[(counts > 0) @ ~support.T] = -np.inf
     return out
-
-
-def log_likelihoods(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """sum_a k_a log p[i, a] for every law i: [I] for counts [m], [C, I] for counts [C, m].
-
-    The library's one log-likelihood rule, summed_logs(letter_logs(probs), counts):
-    math.log of each positive p, no floor, and summed_logs's order and -inf rule.
-    """
-    return summed_logs(letter_logs(probs), counts)
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:

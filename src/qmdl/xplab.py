@@ -27,7 +27,6 @@ from .typeclasses import letter_logs, summed_logs
 
 __all__ = [
     "RunResult",
-    "sample_words",
     "distinguishability_mass",
     "ConsistencyConfig",
     "consistency_run",
@@ -175,27 +174,13 @@ def _letter_cdf(true_state, system: ProjSystem) -> np.ndarray:
     return cdf
 
 
-def sample_words(
-    true_state: np.ndarray,
-    system: ProjSystem,
-    n: int,
-    replicas: int,
-    seed: int,
-) -> list[np.ndarray]:
-    """i.i.d. outcome words drawn from Tr(q rho q); one word per replica.
-
-    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox
-    stream keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there.
-    """
-    cdf = _letter_cdf(true_state, system)
-    return [cdf.searchsorted(u, side="right") for u in _replica_uniforms(seed, n, replicas)]
-
-
 def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed: int) -> np.ndarray:
-    """The outcome counts [replicas, m] of sample_words's words, without forming a word.
+    """The outcome counts [replicas, m] of i.i.d. words from Tr(q rho q), no word formed.
 
-    A word's letter is <= a exactly where its uniform is < cdf[a], so the counts
-    are the differences of those tallies; the last tally is n.
+    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox stream
+    keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there. Its
+    letter is <= a exactly where its uniform is < cdf[a], so the counts are the
+    differences of those tallies; the last tally is n.
     """
     cdf = _letter_cdf(true_state, system)
     inner = cdf[:-1].tolist()
@@ -374,13 +359,13 @@ def bound_run(config: BoundConfig) -> RunResult:
     winner's alpha-scaled copy. Both expectations run over the classes the
     truth emits and some member explains; when the truth emits a class that no
     member explains, the envelope gives it 0 and the right side is +inf. The
-    lambda_sum row sums Lambda_I over every class with a winner, as
-    lambda_sum(alpha_scale(model, alpha), system, n, select_model=model)
-    does. Everything is enumerated over type classes; nothing is sampled. A
-    lambda_sum above 1 (the bound's hypothesis fails) marks the run
-    inconclusive instead of failed. The lhs_he2 row is reported, not
-    gated: 2(1 - BC^n) <= -2 ln BC^n puts it at or below ln 2 times the
-    alpha = 2 lhs_renyi, which the Renyi gate already holds to rhs.
+    lambda_sum row is the sum over all length-n words of the winner's
+    Lambda_I (_trace_sum over the two_part_classes table). Everything is
+    enumerated over type classes; nothing is sampled. A lambda_sum above 1
+    (the bound's hypothesis fails) marks the run inconclusive instead of
+    failed. The lhs_he2 row is reported, not gated: 2(1 - BC^n) <= -2 ln BC^n
+    puts it at or below ln 2 times the alpha = 2 lhs_renyi, which the Renyi
+    gate already holds to rhs.
     """
     system = computational_basis(2)
     truth_probs = outcome_probs([example_state(config.theta_star, config.c)], system)[0]

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from qmdl import computational_basis
 
 
 @pytest.fixture
@@ -30,3 +34,28 @@ def counted_view(a, calls):
             return result.view(Counted) if isinstance(result, np.ndarray) else result
 
     return a.view(Counted)
+
+
+def brute_force_lambda_sum(model, n, select_model=None):
+    """Sum over every length-n word on the qubit computational basis of the stored trace^n of
+    the two-part winner, chosen word by word on select_model (default model) by scalar products."""
+    scorer = select_model or model
+    weights = np.array(
+        [[np.trace(q @ rho).real for q in computational_basis(2)] for rho in scorer.states]
+    )
+    total = 0.0
+    for word in itertools.product(range(2), repeat=n):
+        scores = []
+        for w, probs in zip(scorer.weights, weights):
+            p = w**n
+            for i in word:
+                p *= probs[i]
+            scores.append(p)
+        best = max(scores)
+        if best == 0.0:
+            continue
+        winners = [i for i, s in enumerate(scores) if s == best]
+        traces = model.stored_traces[winners]
+        idx = winners[int(np.argmax(traces))]
+        total += model.stored_traces[idx] ** n
+    return total

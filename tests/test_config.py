@@ -175,6 +175,14 @@ BAD_HERM = matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]]))
         ("divergence", {"kind": "S", "a": {"components": [{"weight": 1.0, "matrix": BAD_PSD}]},
                         "b": {"kind": "beta-example"}, "n": 4, "system": HADAMARD}, "a"),
         ("predict", {"source": {"components": [{"weight": 1.0, "matrix": BAD_HERM}]}, "word": [0]}, "source"),
+        # word lengths past 2^63 - 1 ended in ValueError or OverflowError tracebacks inside
+        # typeclasses.compositions; they are size errors, reported as QMDL_DENSE_CAP's are
+        ("redundancy", dict(REDUNDANCY, n_schedule=[1e308]), "QMDL_DENSE_CAP"),
+        ("markov", dict(MARKOV, n_schedule=[2**64]), "QMDL_DENSE_CAP"),
+        ("bound", dict(BOUND, n_schedule=[2**63]), "QMDL_DENSE_CAP"),
+        ("universality-check", {"source": {"components": [{"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]},
+                                "model": [[[[1.0, 0.0]]]], "epsilon": 0.5, "n_range": [2**63],
+                                "mode": "q-restricted", "system": [[[[1.0, 0.0]]]]}, "QMDL_DENSE_CAP"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):

@@ -1,7 +1,6 @@
 """Estimators: grid MLE, two-part selection, alpha scaling, word-trace sums."""
 
 import gc
-import itertools
 import math
 import pickle
 
@@ -25,7 +24,6 @@ from qmdl import (
     example_state,
     example_uniform_source,
     haar_random_system,
-    lambda_sum,
     mle,
     outcome_probs,
     two_part,
@@ -33,9 +31,9 @@ from qmdl import (
 from qmdl import BetaExampleSource, predict_step
 from qmdl import qsource
 from qmdl import estim
-from qmdl.estim import _member_scores, _select, _two_part_scores
-from qmdl.typeclasses import compositions, letter_logs, log_likelihoods
-from conftest import random_density
+from qmdl.estim import _member_scores, _select, _trace_sum, _two_part_scores, two_part_classes
+from qmdl.typeclasses import compositions, letter_logs, summed_logs
+from conftest import brute_force_lambda_sum, random_density
 
 CB = computational_basis(2)
 
@@ -198,15 +196,15 @@ def test_kernel_scores_equal_scalar_loop(case):
     m, rows, weights, counts = case
     # the kernel itself, on one histogram [m] and on a batch [C, m]
     table = np.array(rows)
-    assert log_likelihoods(table, counts).tolist() == [reference_loglik(row, counts) for row in rows]
+    assert summed_logs(letter_logs(table), counts).tolist() == [reference_loglik(row, counts) for row in rows]
     batch = np.stack([counts, counts[::-1], np.zeros_like(counts)])
-    got = log_likelihoods(table, batch).tolist()
+    got = summed_logs(letter_logs(table), batch).tolist()
     assert got == [[reference_loglik(row, c) for row in rows] for c in batch]
     system = computational_basis(m)
     states = [np.diag(np.array(row, dtype=complex)) for row in rows]
     two = GeneralizedModel(list(zip(weights, states)))
     got = _two_part_scores(two, system, counts)
-    assert got.tolist() == reference_scores(two.components, system, counts)
+    assert got.tolist() == reference_scores(zip(two.weights, two.states), system, counts)
     grid = ParamModel(tuple(states))
     got = _member_scores(grid, system, counts)
     assert got.tolist() == reference_scores([(None, s) for s in states], system, counts)
@@ -214,8 +212,8 @@ def test_kernel_scores_equal_scalar_loop(case):
     for model in (two, grid):
         assert not any(hasattr(model, name) for name in ("level", "log_prob", "predict"))
     # every member listed twice: each winner ties with its copy
-    doubled = GeneralizedModel([(w / 2, s) for w, s in two.components] * 2)
-    scores = reference_scores(doubled.components, system, counts)
+    doubled = GeneralizedModel([(w / 2, s) for w, s in zip(two.weights, two.states)] * 2)
+    scores = reference_scores(zip(doubled.weights, doubled.states), system, counts)
     if max(scores) > -np.inf:
         tie = _select(doubled, _two_part_scores(doubled, system, counts))
         assert (tie.maxima, tie.trace_ties, tie.chosen) == reference_tie_path(doubled, scores)
@@ -241,10 +239,10 @@ def test_score_table_is_cached_per_system(rng):
 
 
 def _uncached_scores(model, system, counts):
-    """n log w + log_likelihoods(letter table, counts), every log taken anew."""
+    """n log w + summed_logs(letter_logs(letter table), counts), every log taken anew."""
     log_w = np.array([math.log(w) for w in model.weights.tolist()])
     n = np.sum(counts, axis=-1)[..., None]
-    return log_likelihoods(model.letter_probs(system), counts) + n * log_w
+    return summed_logs(letter_logs(model.letter_probs(system)), counts) + n * log_w
 
 
 def test_cached_log_tables_score_as_the_uncached_rule(monkeypatch, rng):
@@ -462,32 +460,16 @@ def test_alpha_scale_requires_alpha_above_one():
 # --- lambda_sum -------------------------------------------------------------
 
 
-def brute_force_lambda_sum(model, n, select_model=None):
-    scorer = select_model or model
-    weights = np.array(
-        [[np.trace(q @ rho).real for q in CB] for rho in scorer.states]
-    )
-    total = 0.0
-    for word in itertools.product(range(2), repeat=n):
-        scores = []
-        for (w, _), probs in zip(scorer.components, weights):
-            p = w**n
-            for i in word:
-                p *= probs[i]
-            scores.append(p)
-        best = max(scores)
-        if best == 0.0:
-            continue
-        winners = [i for i, s in enumerate(scores) if s == best]
-        traces = model.stored_traces[winners]
-        idx = winners[int(np.argmax(traces))]
-        total += model.stored_traces[idx] ** n
-    return total
+def bound_lambda_sum(model, n, select_model=None):
+    """bound_run's lambda_sum: _trace_sum of model's stored traces over the two_part_classes
+    table of select_model (default model), whose winners pick the traces."""
+    _, log_mult, chosen = two_part_classes(select_model or model, CB, n)
+    return _trace_sum(model.stored_traces, n, log_mult, chosen)
 
 
 def test_lambda_sum_matches_brute_force_word_enumeration():
     model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, example_state(0.8))])
-    assert lambda_sum(model, CB, 4) == pytest.approx(
+    assert bound_lambda_sum(model, 4) == pytest.approx(
         brute_force_lambda_sum(model, 4), abs=1e-12
     )
 
@@ -498,18 +480,19 @@ def test_lambda_sum_singleton_constant_winner():
     # every one of the 2^n words is won by the only member, whose level-n
     # trace is lam0^n
     for n in (1, 2, 5):
-        assert lambda_sum(model, CB, n) == pytest.approx(2**n * lam0**n, abs=1e-12)
+        assert bound_lambda_sum(model, n) == pytest.approx(2**n * lam0**n, abs=1e-12)
 
 
 def test_lambda_sum_empty_level():
     model = GeneralizedModel([(0.6, example_state(0.5))])
-    assert lambda_sum(model, CB, 0) <= 1.0
+    # the empty word is the one class, won by the only member: trace^0 = 1
+    assert bound_lambda_sum(model, 0) == brute_force_lambda_sum(model, 0) == 1.0
 
 
 def test_lambda_sum_with_scaled_selection():
     model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, example_state(0.8))])
     scaled = alpha_scale(model, 2.0)
-    value = lambda_sum(scaled, CB, 4, select_model=model)
+    value = bound_lambda_sum(scaled, 4, select_model=model)
     assert value == pytest.approx(
         brute_force_lambda_sum(scaled, 4, select_model=model), abs=1e-12
     )
@@ -545,7 +528,7 @@ def test_predict_raises_only_on_probability_zero_words():
 def test_lambda_sum_finite_at_n1100():
     # exp(log multinomial) overflowed here
     model = GeneralizedModel([(0.5, example_state(0.3)), (0.25, example_state(0.7))])
-    value = lambda_sum(model, CB, 1100)
+    value = bound_lambda_sum(model, 1100)
     assert math.isfinite(value) and 0.0 < value <= 1.0
 
 

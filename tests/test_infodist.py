@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qmdl import (
     TOL,
-    DivergenceValue,
     InvalidOperator,
     MixtureSource,
     as_operator,
@@ -33,12 +32,6 @@ from conftest import random_density
 
 CB = computational_basis(2)
 LN2 = math.log(2.0)
-
-
-def test_divergence_value_base_conversion():
-    dv = DivergenceValue(1.0, "bits")
-    assert dv.in_nats() == pytest.approx(LN2)
-    assert DivergenceValue(LN2, "nats").in_bits() == pytest.approx(1.0)
 
 
 def test_rel_entropy_zero_iff_equal(rng):

@@ -26,7 +26,7 @@ from qmdl import (
     tensor_power,
     trace_inner_norm,
 )
-from qmdl.opcore import check_cap, sym_powers
+from qmdl.opcore import _eigvalsh, check_cap, sym_powers
 from conftest import random_density, random_hermitian
 
 
@@ -181,13 +181,14 @@ def _exact_hermitian_inputs(rng):
 
 @pytest.mark.parametrize("off", [0.0, 1e-12])
 def test_eigh_equals_the_symmetrised_call_bit_for_bit(off):
-    """eigh(T) is LAPACK on (T + T^dagger) / 2, on exactly Hermitian inputs and 1e-12 off them."""
+    """eigh(T) and the eigenvalue path _eigvalsh(T, check=True) are LAPACK on (T + T^dagger) / 2,
+    on exactly Hermitian inputs and 1e-12 off them."""
     rng = np.random.default_rng(20261019)
     for t in _exact_hermitian_inputs(rng):
         if off:  # t + 0.0 * noise would turn the inputs' -0.0 into 0.0
             t = t + off * rng.standard_normal((len(t), 2 * len(t))).view(complex)
         sym = (t + t.conj().T) / 2
-        assert eigh(t, eigvals_only=True).tobytes() == np.linalg.eigvalsh(sym).tobytes()
+        assert _eigvalsh(t, check=True).tobytes() == np.linalg.eigvalsh(sym).tobytes()
         got, want = eigh(t), np.linalg.eigh(sym)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -197,8 +198,8 @@ def test_eigh_hands_an_exactly_hermitian_operator_to_lapack_as_it_is(monkeypatch
     inner = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or inner(a))
     t = random_density(rng, 8)
-    eigh(t, eigvals_only=True)
-    eigh(t + 1e-12j * np.eye(8), eigvals_only=True)
+    _eigvalsh(t, check=True)
+    _eigvalsh(t + 1e-12j * np.eye(8), check=True)
     assert seen[0] is t and seen[1] is not t
 
 

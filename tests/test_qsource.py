@@ -48,7 +48,7 @@ from qmdl import (
 from qmdl import opcore, qsource
 from qmdl.models import example_states
 from qmdl.serial import system_from_json, system_to_json
-from qmdl.typeclasses import compositions, letter_logs, log_likelihoods, logsumexp
+from qmdl.typeclasses import compositions, letter_logs, logsumexp, summed_logs
 from conftest import counted_view, random_density
 
 CB = computational_basis(2)
@@ -107,7 +107,7 @@ def test_generalized_source_rejects_mass_above_one():
 
 def test_level_one_is_barycenter(rng):
     src = random_mixture(rng)
-    expected = sum(w * s for w, s in src.components)
+    expected = sum(w * s for w, s in zip(src.weights, src.states))
     assert np.allclose(src.level(1), expected, atol=1e-12)
 
 
@@ -486,9 +486,9 @@ def test_universality_margins_equal_the_per_member_formula(mode, rng):
         assert margin == float(min(margins))
 
 
-def _dense_margins(components, model, n, eps, mode):
-    """Matrix or expected margin of each member on the dense 2^n x 2^n level."""
-    lvl = sum(w * tensor_power(rho, n) for w, rho in components)
+def _dense_margins(family, model, n, eps, mode):
+    """Matrix or expected margin of each member on the family's dense 2^n x 2^n level."""
+    lvl = sum(w * tensor_power(rho, n) for w, rho in zip(family.weights, family.states))
     margins = []
     for member in model:
         power = tensor_power(member, n)
@@ -526,24 +526,24 @@ def _full_rank_qubit(rng):
 def _qubit_cases():
     for c in (0.0, 0.3, 1.0):
         src, model = three_component_source(c)
-        yield f"acceptance-6-c{c}", src, src.components, model, 0.5
+        yield f"acceptance-6-c{c}", src, src, model, 0.5
     src, _ = three_component_source(0.3)
-    yield "rank-deficient-member", src, src.components, [np.diag([1.0, 0.0]), example_state(0.5, 0.3)], 0.5
+    yield "rank-deficient-member", src, src, [np.diag([1.0, 0.0]), example_state(0.5, 0.3)], 0.5
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         src = MixtureSource([(w, _full_rank_qubit(rng)) for w in rng.dirichlet(np.ones(3))])
         model = [src.states[0], _full_rank_qubit(rng)]
-        yield f"random-{seed}", src, src.components, model, 0.3
+        yield f"random-{seed}", src, src, model, 0.3
     for c in (0.0, 1.0):
         src = BetaExampleSource(c, fallback_nodes=64)
-        yield f"beta-c{c}", src, example_uniform_source(c, 64).components, [example_state(0.3, c)], 0.5
+        yield f"beta-c{c}", src, example_uniform_source(c, 64), [example_state(0.3, c)], 0.5
 
 
 @pytest.mark.parametrize("mode, top", [("matrix", 10), ("expected", 8)])
 def test_qubit_block_margins_match_the_dense_oracle(mode, top):
-    for name, src, components, model, eps in _qubit_cases():
+    for name, src, family, model, eps in _qubit_cases():
         report = universality_check(src, model, eps, range(1, top + 1), mode)
-        oracle = [_dense_margins(components, model, n, eps, mode) for n in range(1, top + 1)]
+        oracle = [_dense_margins(family, model, n, eps, mode) for n in range(1, top + 1)]
         assert [n for n, _ in report.per_level] == list(range(1, top + 1))
         for (n, margin), ref in zip(report.per_level, oracle):
             assert abs(margin - ref) <= 1e-12, (name, n, margin, ref)
@@ -592,7 +592,7 @@ def _expected_loop_reference(blocks, n, eps):
     nats, leak = 0.0, 0.0
     for mult, lvl, powers in blocks:
         w, v = eigh(lvl)
-        value, off = np.array([opcore._rel_entropy_nats(p, eigh(p, eigvals_only=True), w, v) for p in powers]).T
+        value, off = np.array([opcore._rel_entropy_nats(p, opcore._eigvalsh(p, check=True), w, v) for p in powers]).T
         nats, leak = nats + mult * value, leak + mult * off
     return np.where(leak > opcore._LEAK_TOL, -np.inf, n * eps - nats / math.log(2.0))
 
@@ -743,7 +743,7 @@ def test_log_prob_logs_the_letter_table_once_across_class_blocks(monkeypatch, rn
     blocked = src.log_prob(system, counts)
     assert len(calls) == 1
     probs, log_w = src.letter_probs(system), np.log(src.weights)
-    rows = [logsumexp(log_w + log_likelihoods(probs, row)) for row in counts]
+    rows = [logsumexp(log_w + summed_logs(letter_logs(probs), row)) for row in counts]
     assert blocked.tobytes() == np.array(rows).tobytes()
 
 
@@ -757,9 +757,9 @@ def test_cached_log_table_serves_log_prob_and_predict(monkeypatch, rng):
     calls = []
     monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
     probs, log_w = src.letter_probs(system), np.log(src.weights)
-    log_post = log_w + log_likelihoods(probs, counts[17])
+    log_post = log_w + summed_logs(letter_logs(probs), counts[17])
     predicted = np.exp(log_post - logsumexp(log_post)) @ np.clip(probs, 0.0, None)
-    expected = logsumexp(log_w + log_likelihoods(probs, counts))
+    expected = logsumexp(log_w + summed_logs(letter_logs(probs), counts))
     for _ in range(2):
         assert src.log_prob(system, counts).tobytes() == expected.tobytes()
         assert src.predict(system, counts[17]).tobytes() == predicted.tobytes()

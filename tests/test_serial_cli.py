@@ -459,6 +459,22 @@ def test_cli_one_dimensional_universality_bounds_its_word_length(tmp_path, capsy
                       "the largest power of a 1 x 1 operator\n"
 
 
+@pytest.mark.parametrize("mode", ["q-restricted", "q-expected"])
+def test_cli_one_dimensional_q_sense_universality_is_one_class(tmp_path, capsys, mode):
+    """At d = 1 a word length has one type class of one word, so Q-sense margins at n = 10^8
+    take one class, not O(n) work; past 2^63 - 1 the class table refuses the word length."""
+    one = [[[1.0, 0.0]]]
+    config = {"source": {"components": [{"weight": 1.0, "matrix": one}]}, "model": [one],
+              "epsilon": 0.0, "n_range": [100000000], "mode": mode, "system": [one]}
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "universality-check", config) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["per_level"] == [[100000000, 0.0]]
+    assert run_cli(tmp_path, "universality-check", dict(config, n_range=[2**63])) == 4
+    assert capsys.readouterr().err == "config error: QMDL_DENSE_CAP: word length 9223372036854775808 " \
+                                      "exceeds 2^63 - 1, the largest count of a type-class table\n"
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

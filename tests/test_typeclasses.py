@@ -11,12 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmdl import typeclasses
+from qmdl import SizeCapExceeded
 from qmdl.typeclasses import (
     compositions,
-    log_likelihoods,
+    letter_logs,
     log_multinomial,
     logsumexp,
+    summed_logs,
 )
+
 
 
 def test_composition_count_matches_stars_and_bars():
@@ -47,14 +50,14 @@ def test_multinomial_nonnegative(counts):
 
 
 def test_class_log_prob_simple():
-    assert log_likelihoods(np.array([[0.5, 0.5]]), np.array([[2, 1]]))[0, 0] == (
+    assert summed_logs(letter_logs(np.array([[0.5, 0.5]])), np.array([[2, 1]]))[0, 0] == (
         3 * math.log(0.5)
     )
 
 
 def test_class_log_prob_support_convention():
     probs = np.array([[1.0, 0.0]])
-    got = log_likelihoods(probs, np.array([[3, 0], [2, 1]]))[:, 0]
+    got = summed_logs(letter_logs(probs), np.array([[3, 0], [2, 1]]))[:, 0]
     assert got[0] == 0.0
     assert got[1] == -np.inf
 
@@ -62,13 +65,13 @@ def test_class_log_prob_support_convention():
 def test_class_masses_sum_to_one():
     probs = np.array([[0.3, 0.2, 0.5]])
     counts = compositions(6, 3)
-    total = np.exp(log_multinomial(counts) + log_likelihoods(probs, counts)[:, 0]).sum()
+    total = np.exp(log_multinomial(counts) + summed_logs(letter_logs(probs), counts)[:, 0]).sum()
     assert abs(total - 1.0) < 1e-12
 
 
 def mixture_prob(weights, letter_probs, counts):
     return math.exp(
-        logsumexp(np.log(weights) + log_likelihoods(letter_probs, np.array([counts])))[0]
+        logsumexp(np.log(weights) + summed_logs(letter_logs(letter_probs), np.array([counts])))[0]
     )
 
 
@@ -102,6 +105,23 @@ def test_compositions_match_recursive_order(n, m):
     assert table.shape == (math.comb(n + m - 1, m - 1), m)
     assert [tuple(row) for row in table] == list(reference_compositions(n, m))
 
+
+
+def test_one_letter_table_is_one_class_at_any_length(monkeypatch):
+    """One letter gives the one class [[n]] of one word: no O(n) enumeration or log k! table."""
+    monkeypatch.setattr(typeclasses, "_LOG_FACT", typeclasses._LOG_FACT[:0])
+    for n in (0, 1, 10**8, 2**63 - 1):
+        table = compositions(n, 1)
+        assert table.dtype == np.int64 and table.tolist() == [[n]]
+        assert log_multinomial(table).tolist() == [0.0]
+    assert typeclasses._LOG_FACT.size == 0
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("n", [2**63, 2**64, int(1e308)], ids=["2^63", "2^64", "1e308"])
+def test_word_length_past_int64_is_a_size_error(parts, n):
+    with pytest.raises(SizeCapExceeded, match=rf"^word length {n} exceeds 2\^63 - 1, the largest count"):
+        compositions(n, parts)
 
 def test_log_multinomial_rows_match_scalar_lgamma():
     counts = compositions(9, 3)
@@ -173,7 +193,7 @@ def test_table_functions_emit_no_warning_on_impossible_classes():
     counts = compositions(3, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ll = log_likelihoods(probs, counts)
+        ll = summed_logs(letter_logs(probs), counts)
         total = logsumexp(ll)
     assert ll[:, 1].tolist() == [-np.inf] * 4
     assert total.tolist() == [-np.inf] * 3 + [0.0]

@@ -29,19 +29,26 @@ from qmdl import (
     haar_random_system,
     hellinger_sq_classical,
     kl_classical,
-    lambda_sum,
     markov_run,
     outcome_probs,
     predict_step,
     redundancy_run,
-    sample_words,
     two_part,
     universality_check,
     word_divergences,
 )
 from qmdl.cli import main
-from qmdl.xplab import RunResult, _config_hash, _exceedance_mass, _likelihood_ratios, _philox_keys, _replica_counts
-from conftest import random_density
+from qmdl.estim import _trace_sum, two_part_classes
+from qmdl.xplab import (
+    RunResult,
+    _config_hash,
+    _exceedance_mass,
+    _likelihood_ratios,
+    _philox_keys,
+    _replica_counts,
+    _replica_uniforms,
+)
+from conftest import brute_force_lambda_sum, random_density
 
 CB = computational_basis(2)
 
@@ -59,29 +66,28 @@ def choice_words(true_state, system, n, replicas, seed):
 # --- sampling ---------------------------------------------------------------
 
 
-def test_sample_words_deterministic_distribution():
-    words = sample_words(np.diag([1.0, 0.0]), CB, 6, 3, seed=1)
-    for word in words:
-        assert np.all(word == 0)
+def test_replica_counts_deterministic_distribution():
+    counts = _replica_counts(np.diag([1.0, 0.0]), CB, 6, 3, seed=1)
+    assert counts.tolist() == [[6, 0]] * 3
 
 
-def test_sample_words_reproducible():
-    a = sample_words(example_state(0.4), CB, 20, 5, seed=99)
-    b = sample_words(example_state(0.4), CB, 20, 5, seed=99)
-    for wa, wb in zip(a, b):
-        assert np.array_equal(wa, wb)
+def test_replica_counts_reproducible():
+    a = _replica_counts(example_state(0.4), CB, 20, 5, seed=99)
+    b = _replica_counts(example_state(0.4), CB, 20, 5, seed=99)
+    assert np.array_equal(a, b)
 
 
-def test_sample_words_distinct_replica_streams():
-    words = sample_words(example_state(0.5), CB, 50, 2, seed=3)
-    assert not np.array_equal(words[0], words[1])
+def test_replica_uniforms_distinct_replica_streams():
+    # the generator refills one buffer per replica: copy each before the next
+    first, second = (u.copy() for u in _replica_uniforms(3, 50, 2))
+    assert not np.array_equal(first, second)
 
 
-def test_sample_words_empirical_frequency():
+def test_replica_counts_empirical_frequency():
     # binomial concentration: 4 sigma at n = 10^4 is ~0.018 < 0.02
-    (word,) = sample_words(example_state(0.3), CB, 10_000, 1, seed=11)
-    freq = np.mean(word == 0)
-    assert abs(freq - 0.3) < 0.02
+    ((zeros, ones),) = _replica_counts(example_state(0.3), CB, 10_000, 1, seed=11)
+    assert zeros + ones == 10_000
+    assert abs(zeros / 10_000 - 0.3) < 0.02
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 - 1, 2**70 + 3])
@@ -109,8 +115,6 @@ def test_sampler_equals_generator_choice(case):
     m = len(system)
     for seed, n, replicas in [(7, 1, 5), (2**32 + 9, 57, 40), (2**70 + 3, 400, 12)]:
         expected = list(choice_words(rho, system, n, replicas, seed))
-        words = sample_words(rho, system, n, replicas, seed)
-        assert len(words) == replicas and all(w.dtype == e.dtype and np.array_equal(w, e) for w, e in zip(words, expected))
         counts = _replica_counts(rho, system, n, replicas, seed)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, [np.bincount(e, minlength=m) for e in expected])
@@ -410,9 +414,9 @@ def test_bound_full_weight_singleton_is_inconclusive(theta_star):
         )
     )
     model = GeneralizedModel([(1.0, example_state(0.5))])
-    expected = lambda_sum(alpha_scale(model, 2.0), CB, 4, select_model=model)
-    assert result.metric_values("lambda_sum[alpha=2]") == [expected]
-    assert expected == pytest.approx(16.0)
+    (row,) = result.metric_values("lambda_sum[alpha=2]")
+    assert row == pytest.approx(brute_force_lambda_sum(alpha_scale(model, 2.0), 4, select_model=model), abs=1e-12)
+    assert row == pytest.approx(16.0)
     assert result.status == "inconclusive"
 
 
@@ -707,7 +711,8 @@ def test_exact_consumers_emit_no_numpy_warning_at_n3000():
                 word_divergences(a, b, CB, n, kind=kind)
             distinguishability_mass(a, b, CB, n, 1.0)
         predict_step(quad, CB, (0,) * 900 + (1,) * 2100)
-        lambda_sum(model, CB, n)
+        _, log_mult, chosen = two_part_classes(model, CB, n)
+        _trace_sum(model.stored_traces, n, log_mult, chosen)
         redundancy_run(RedundancyConfig.from_dict({"theta_star": 0.3, "n_schedule": [n]}))
         bound_run(BoundConfig.from_dict({
             "theta_star": 0.3, "model_thetas": [0.0, 0.3, 0.7], "code_weights": [0.25, 0.5, 0.25],
