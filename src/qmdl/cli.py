@@ -5,7 +5,8 @@ Usage: qmdl <subcommand> --config <file.json> [--out <path.csv>] [--seed <u64>]
 Subcommands: lattice, project, universality-check, estimate, predict,
 divergence, consistency, bound, redundancy, markov. Exit codes: 0 pass,
 2 assertion failure, 3 inconclusive (a theorem hypothesis was violated),
-4 configuration error (also a dense operator past QMDL_DENSE_CAP).
+4 configuration error (also a dense operator past QMDL_DENSE_CAP, or a word
+length past what a count or a buffer holds).
 """
 
 from __future__ import annotations
@@ -329,8 +330,8 @@ def main(argv=None) -> int:
         print(f"config error: word: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SizeCapExceeded as exc:
-        # the run asked for a dense operator larger than the configured cap
-        print(f"config error: QMDL_DENSE_CAP: {exc}", file=sys.stderr)
+        # a dense operator past the cap names the variable that sets it; a word length names its limit
+        print(f"config error: {exc.setting + ': ' if exc.setting else ''}{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QmdlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,10 @@ Operator divergences read the spectra (w_k, V_k) = eigh(r_k), eigenvalues at or 
 TOL.support read as 0: S = sum w1 log w1 - sum_j (V2^H r1 V2)_jj log w2_j; the Renyi
 affinity Tr r1^lam r2^(1-lam) = w1^lam @ |V1^H V2|^2 @ w2^(1-lam) (+inf at or below
 TOL.support); He^2 = sum_ij |V1^H (r1 - r2) V2|_ij^2 / (sqrt w1_i + sqrt w2_j)^2.
+Between operators at least 64 wide the two solves run at the same time on two CPUs of
+the affinity mask (opcore._spectra) when BLAS runs one thread, as OPENBLAS_NUM_THREADS=1
+sets it; each is the same LAPACK call, so the values are the same bits. `taskset -c 0`
+keeps a run on one CPU.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .opcore import _LEAK_TOL, _below_support, _eigvalsh, _rel_entropy_nats, as_operator, eigh
+from .opcore import _LEAK_TOL, _below_support, _rel_entropy_nats, _spectra, as_operator
 from .projlat import ProjSystem
 from .qsource import word_distribution
 from .typeclasses import logsumexp
@@ -58,16 +62,16 @@ def rel_entropy(r1: np.ndarray, r2: np.ndarray, base: str = "bits") -> Divergenc
     """
     r1, r2 = as_operator(r1), as_operator(r2)
     scale = _base_factor(base)
-    w1 = _eigvalsh(r1, check=True)
-    w2, v2 = _eigvalsh(r2, True, check=True)
+    w1, (w2, v2) = _spectra((r1, r2), (False, True))
     nats, leak = _rel_entropy_nats(r1, w1, w2, v2)
     return DivergenceValue(math.inf if leak > _LEAK_TOL else nats / scale, base)
 
 
 def hellinger_sq(r1: np.ndarray, r2: np.ndarray) -> DivergenceValue:
     """Squared Hellinger distance ||sqrt(r1) - sqrt(r2)||_T^2, read from r1 - r2: no cancellation."""
-    (w1, v1), (w2, v2) = eigh(r1), eigh(r2)
-    diff = np.asarray(r1, dtype=complex) - np.asarray(r2, dtype=complex)
+    r1, r2 = as_operator(r1), as_operator(r2)
+    (w1, v1), (w2, v2) = _spectra((r1, r2), (True, True))
+    diff = r1 - r2
     gap = v1.conj().T @ ((diff + diff.conj().T) / 2 - _below_support(w1, v1) + _below_support(w2, v2)) @ v2
     den = np.add.outer(*(np.sqrt(np.where(w > TOL.support, w, 0.0)) for w in (w1, w2))) ** 2
     terms = np.divide(np.abs(gap) ** 2, den, out=np.zeros_like(den), where=den > 0)
@@ -78,7 +82,7 @@ def renyi(lam: float, r1: np.ndarray, r2: np.ndarray, base: str = "nats") -> Div
     """Renyi divergence -(1/(1-lam)) log Tr(r1^lam r2^(1-lam)), lam in (0, 1)."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"Renyi order must lie in (0, 1), got {lam}")
-    (w1, v1), (w2, v2) = eigh(r1), eigh(r2)
+    (w1, v1), (w2, v2) = _spectra((as_operator(r1), as_operator(r2)), (True, True))
     f1, f2 = (np.where(w > TOL.support, w, 0.0) ** p for w, p in ((w1, lam), (w2, 1.0 - lam)))
     a = f1 @ np.abs(v1.conj().T @ v2) ** 2 @ f2
     if a <= TOL.support:

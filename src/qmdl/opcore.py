@@ -8,7 +8,10 @@ arrays and stays pure.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -97,7 +100,7 @@ def check_cap(dim: int, n: int = 1) -> None:
     formed = dim < 2 or n <= cap.bit_length()  # else dim^n >= 2^n > cap: named, not formed
     if not formed or dim**n > cap:
         size = dim**n if formed else f"{dim}^{n}"
-        raise SizeCapExceeded(f"dense dimension {size} exceeds cap {cap}; use factorized operations")
+        raise SizeCapExceeded(f"dense dimension {size} exceeds cap {cap}; use factorized operations", "QMDL_DENSE_CAP")
 
 
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
@@ -108,7 +111,7 @@ def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     check_cap(a.shape[0], max(n, 1))
     if a.shape[0] == 1:  # the dense cap bounds no power of 1 x 1: numpy's int64 exponent does
         if n > np.iinfo(np.int64).max:
-            raise SizeCapExceeded(f"word length {n} exceeds 2^63 - 1, the largest power of a 1 x 1 operator")
+            raise SizeCapExceeded.word_length(n, "2^63 - 1", "power of a 1 x 1 operator")
         return a ** np.int64(n)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
@@ -176,6 +179,75 @@ def _eigvalsh(t: np.ndarray, vectors: bool = False, check: bool = False):
         t = t + t.conj().swapaxes(-1, -2)
         t /= 2
     return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(t)
+
+
+# Width from which _spectra shares its solves with a second thread: at 64 wide one eigh takes
+# about ten times as long as starting and joining a thread (0.9 ms against 80 us, one BLAS
+# thread on a 2-CPU x86-64 virtual machine)
+_SPLIT_WIDTH = 64
+
+
+# The variables that set BLAS's thread count; OpenBLAS and MKL read their own before OMP_NUM_THREADS
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _cpus() -> int:
+    """CPUs _spectra may spread its solves over: the affinity mask's (else the machine's count)
+    where BLAS runs one thread, else 1. With those variables unset BLAS runs a thread per CPU, so
+    one solve already uses them all, and two callers contend for its one thread pool."""
+    if next((os.environ[name] for name in _BLAS_THREADS if name in os.environ), "").strip() != "1":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _other_cpus():
+    """The CPUs of this thread's affinity mask other than the one it runs on, or None where that is unknown."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            here = int(f.read().rsplit(")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError):
+        return None
+
+
+def _spectra(ts, vectors) -> list:
+    """[_eigvalsh(t, v, check=True) for t, v in zip(ts, vectors)], the solves run at the same time.
+
+    ts is a sequence of complex arrays, each a matrix or a stack. When the widest is at least
+    _SPLIT_WIDTH wide and _cpus() is two or more, the calling thread solves ts[0], ts[2],
+    ... and one thread started and joined here solves ts[1], ts[3], ...; LAPACK releases the GIL
+    while it solves. That thread moves off the calling thread's CPU first: in a cpuset without load
+    balancing a new thread stays on its creator's CPU, and the two would take turns there. Each
+    solve is the same call either way, so the results are the same bits, and an error is the first
+    one in argument order, as the in-order loop raises it.
+    """
+    if max(t.shape[-1] for t in ts) < _SPLIT_WIDTH or _cpus() < 2:
+        return [_eigvalsh(t, v, check=True) for t, v in zip(ts, vectors)]
+    out: list = [None] * len(ts)
+
+    def solve(first: int, cpus=None) -> None:
+        if cpus:
+            with contextlib.suppress(OSError):  # the mask changed since it was read: stay put
+                os.sched_setaffinity(0, cpus)
+        for i in range(first, len(ts), 2):
+            try:
+                out[i] = _eigvalsh(ts[i], vectors[i], check=True)
+            except Exception as exc:  # raised below, in argument order, on the calling thread
+                out[i] = exc
+
+    helper = threading.Thread(target=solve, args=(1, _other_cpus()))
+    helper.start()
+    try:
+        solve(0)
+    finally:
+        helper.join()
+    for r in out:
+        if isinstance(r, Exception):
+            raise r
+    return out
 
 
 def _below_support(w: np.ndarray, v: np.ndarray) -> np.ndarray:

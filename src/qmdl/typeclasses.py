@@ -33,7 +33,7 @@ def compositions(n: int, parts: int) -> np.ndarray:
     int64, so n past 2^63 - 1 raises SizeCapExceeded.
     """
     if n > np.iinfo(np.int64).max:
-        raise SizeCapExceeded(f"word length {n} exceeds 2^63 - 1, the largest count of a type-class table")
+        raise SizeCapExceeded.word_length(n, "2^63 - 1", "count of a type-class table")
     if parts == 1:
         return np.array([[n]], dtype=np.int64)
     if parts == 2:

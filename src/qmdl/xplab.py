@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroLikelihood, ConfigError
+from .errors import AllZeroLikelihood, ConfigError, SizeCapExceeded
 from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part_classes, _select, _trace_sum, _two_part_scores
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state, example_states
@@ -149,8 +149,11 @@ def _replica_uniforms(seed: int, n: int, replicas: int):
 
     One generator is re-keyed per replica through its documented state (counter
     0, empty buffer), so replica r reads what Generator(Philox(SeedSequence([seed,
-    r, n]))).random(n) reads. The [n] buffer is reused: read it before the next.
+    r, n]))).random(n) reads. The [n] buffer is reused: read it before the next. numpy forms
+    no buffer of 2^63 bytes, so n past 2^60 - 1 raises SizeCapExceeded before any is formed.
     """
+    if n > np.iinfo(np.int64).max // 8:
+        raise SizeCapExceeded.word_length(n, "2^60 - 1", "number of float64 uniforms one numpy buffer holds")
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},

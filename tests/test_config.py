@@ -175,14 +175,6 @@ BAD_HERM = matrix_to_json(np.array([[0.5, 0.3], [0.0, 0.5]]))
         ("divergence", {"kind": "S", "a": {"components": [{"weight": 1.0, "matrix": BAD_PSD}]},
                         "b": {"kind": "beta-example"}, "n": 4, "system": HADAMARD}, "a"),
         ("predict", {"source": {"components": [{"weight": 1.0, "matrix": BAD_HERM}]}, "word": [0]}, "source"),
-        # word lengths past 2^63 - 1 ended in ValueError or OverflowError tracebacks inside
-        # typeclasses.compositions; they are size errors, reported as QMDL_DENSE_CAP's are
-        ("redundancy", dict(REDUNDANCY, n_schedule=[1e308]), "QMDL_DENSE_CAP"),
-        ("markov", dict(MARKOV, n_schedule=[2**64]), "QMDL_DENSE_CAP"),
-        ("bound", dict(BOUND, n_schedule=[2**63]), "QMDL_DENSE_CAP"),
-        ("universality-check", {"source": {"components": [{"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]},
-                                "model": [[[[1.0, 0.0]]]], "epsilon": 0.5, "n_range": [2**63],
-                                "mode": "q-restricted", "system": [[[[1.0, 0.0]]]]}, "QMDL_DENSE_CAP"),
     ],
 )
 def test_malformed_field_is_named(tmp_path, command, config, field):
@@ -190,6 +182,32 @@ def test_malformed_field_is_named(tmp_path, command, config, field):
     assert code == 4
     assert err.startswith(f"config error: {field}: ")
     assert "Traceback" not in err
+
+
+TABLE_COUNT = "exceeds 2^63 - 1, the largest count of a type-class table"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        # word lengths past 2^63 - 1 ended in ValueError or OverflowError tracebacks inside
+        # typeclasses.compositions, and consistency's in a ValueError from np.empty; they are
+        # size errors that name the limit they pass, in e notation, not QMDL_DENSE_CAP
+        pytest.param("redundancy", dict(REDUNDANCY, n_schedule=[1e308]), f"1e+308 {TABLE_COUNT}", id="redundancy"),
+        pytest.param("markov", dict(MARKOV, n_schedule=[2**64]), f"1.84467e+19 {TABLE_COUNT}", id="markov"),
+        pytest.param("bound", dict(BOUND, n_schedule=[2**63]), f"9.22337e+18 {TABLE_COUNT}", id="bound"),
+        pytest.param("universality-check",
+                     {"source": {"components": [{"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]},
+                      "model": [[[[1.0, 0.0]]]], "epsilon": 0.5, "n_range": [2**63],
+                      "mode": "q-restricted", "system": [[[[1.0, 0.0]]]]},
+                     f"9.22337e+18 {TABLE_COUNT}", id="universality-check"),
+        pytest.param("consistency", dict(CONSISTENCY, n_schedule=[1e308]),
+                     "1e+308 exceeds 2^60 - 1, the largest number of float64 uniforms one numpy buffer holds",
+                     id="consistency"),
+    ],
+)
+def test_word_length_past_its_limit_is_a_size_error(tmp_path, command, config, message):
+    assert run(tmp_path / "c.json", command, config) == (4, f"config error: word length {message}\n")
 
 
 @pytest.mark.parametrize("schedule", [[0, 5], [-3]])

@@ -1,8 +1,10 @@
 """Divergences: closed forms, support conventions, classical/quantum agreement."""
 
 import collections
+import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -246,12 +248,13 @@ def test_operator_divergences_read_the_hermitian_part(rng):
 
 def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rng):
     """rel_entropy: one eigh and one eigvalsh. renyi, hellinger_sq: two eigh, no reconstruction.
-    Each validates each operator once."""
-    calls = collections.Counter()
+    Each validates each operator once. At 128 wide the solves come from two threads."""
+    calls, lock = collections.Counter(), threading.Lock()
 
     def counted(name, fn):
         def run(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return run
 
@@ -261,15 +264,63 @@ def test_operator_divergences_ask_lapack_only_for_what_they_read(monkeypatch, rn
         for name in ("herm_sqrt", "as_operator"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    r1, r2 = random_density(rng, 5), random_density(rng, 5)
-    for run, expected in [
-        (lambda: rel_entropy(r1, r2), {"eigh": 1, "eigvalsh": 1, "as_operator": 2}),
-        (lambda: renyi(0.4, r1, r2), {"eigh": 2, "as_operator": 2}),
-        (lambda: hellinger_sq(r1, r2), {"eigh": 2, "as_operator": 2}),
-    ]:
-        calls.clear()
-        run()
-        assert calls == collections.Counter(expected)
+    monkeypatch.setattr(opcore, "_cpus", lambda: 2)
+    for d in (5, 128):
+        r1, r2 = random_density(rng, d), random_density(rng, d)
+        for run, expected in [
+            (lambda: rel_entropy(r1, r2), {"eigh": 1, "eigvalsh": 1, "as_operator": 2}),
+            (lambda: renyi(0.4, r1, r2), {"eigh": 2, "as_operator": 2}),
+            (lambda: hellinger_sq(r1, r2), {"eigh": 2, "as_operator": 2}),
+        ]:
+            calls.clear()
+            run()
+            assert calls == collections.Counter(expected)
+
+
+DIVERGENCES = [rel_entropy, functools.partial(renyi, 0.4), hellinger_sq]
+
+
+@pytest.mark.parametrize("d", [64, 128, 256])
+def test_operator_divergences_are_bit_identical_on_one_cpu_and_two(monkeypatch, rng, d):
+    """From 64 wide a second thread solves r2 while the caller solves r1; every value is the
+    in-order path's, bit for bit, and no thread outlives a call."""
+    r1, r2 = random_density(rng, d), random_density(rng, d)
+    solvers = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, solve=solve: solvers.append(threading.get_ident()) or solve(*a))
+    threads = threading.active_count()
+    values = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(opcore, "_cpus", lambda: cpus)
+        solvers.clear()
+        values[cpus] = [f(r1, r2).value.hex() for f in DIVERGENCES]
+        assert threading.active_count() == threads
+        off_main = sorted(ident != threading.get_ident() for ident in solvers)
+        assert off_main == sorted([False, cpus == 2] * len(DIVERGENCES))
+    assert values[2] == values[1]
+
+
+def test_two_malformed_wide_operators_raise_r1s_error(monkeypatch):
+    """As at 2 x 2: with both operators not Hermitian, r1 is named on either path, and the
+    second thread is joined before the error leaves."""
+    r1, r2 = np.eye(128) / 128, np.eye(128) / 128
+    r1[0, 1], r2[0, 1] = 0.1, 0.2
+    threads = threading.active_count()
+    for cpus in (2, 1):
+        monkeypatch.setattr(opcore, "_cpus", lambda: cpus)
+        for f in DIVERGENCES:
+            with pytest.raises(InvalidOperator, match="not Hermitian: max deviation 1.000e-01 > 1.0e-10"):
+                f(r1, r2)
+            assert threading.active_count() == threads
+
+
+def test_divergences_check_both_shapes_before_either_spectrum():
+    """Shape and finiteness of r1 and r2 come before either's Hermiticity, alike in all three:
+    a 2 x 3 r2 is named before a non-Hermitian r1."""
+    for f in DIVERGENCES:
+        with pytest.raises(InvalidOperator, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            f(np.array([[0.5, 0.1], [0.0, 0.5]]), np.zeros((2, 3)))
 
 
 def test_rel_entropy_validates_r1_then_r2_before_the_leak_test():

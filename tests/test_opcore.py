@@ -1,6 +1,8 @@
 """Dense operator kernel: validators, tensor algebra, functional calculus."""
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from qmdl import (
     tensor_power,
     trace_inner_norm,
 )
-from qmdl.opcore import _eigvalsh, check_cap, sym_powers
+from qmdl import opcore
+from qmdl.opcore import _eigvalsh, _spectra, check_cap, sym_powers
 from conftest import random_density, random_hermitian
 
 
@@ -201,6 +204,34 @@ def test_eigh_hands_an_exactly_hermitian_operator_to_lapack_as_it_is(monkeypatch
     _eigvalsh(t, check=True)
     _eigvalsh(t + 1e-12j * np.eye(8), check=True)
     assert seen[0] is t and seen[1] is not t
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
+def test_spectra_spread_over_the_mask_only_with_one_blas_thread(monkeypatch):
+    """The first of BLAS's thread variables that is set decides; unset, BLAS takes every CPU."""
+    for name in opcore._BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    assert opcore._cpus() == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert opcore._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert opcore._cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
+def test_spectra_second_thread_leaves_the_callers_cpu(monkeypatch, rng):
+    """The second solve runs on the mask less the caller's CPU, which a cpuset without load
+    balancing needs; the caller's mask stays, and a one-CPU mask is left as it is."""
+    mask, seen = os.sched_getaffinity(0), {}
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.setdefault(threading.get_ident(), os.sched_getaffinity(0)) and inner(a))
+    monkeypatch.setattr(opcore, "_cpus", lambda: 2)
+    t = random_density(rng, 64)
+    _spectra([t, t], [False, False])
+    assert seen.pop(threading.get_ident()) == os.sched_getaffinity(0) == mask
+    [aside] = seen.values()
+    assert aside <= mask and len(aside) == max(len(mask) - 1, 1)
 
 
 def test_herm_sqrt_squares_back(rng):
