@@ -38,7 +38,6 @@ from .opcore import (
     _LEAK_TOL,
     _eigvalsh,
     _rel_entropy_nats,
-    _spectra,
     as_operator,
     check_cap,
     check_semi_density,
@@ -439,9 +438,8 @@ def _margins(blocks, n: int, eps: float, mode: str) -> np.ndarray:
             eigs = [_eigvalsh(lvl - scale * stack)[:, 0] for stack in powers]
             smallest = np.minimum(smallest, np.concatenate(eigs))
         else:
-            stacks = list(powers)
-            (w, v), *spectra = _spectra([as_operator(lvl), *stacks], [True] + [False] * len(stacks))
-            members = ((p, wp) for stack, ws in zip(stacks, spectra) for p, wp in zip(stack, ws))
+            w, v = eigh(lvl)
+            members = ((p, wp) for stack in powers for p, wp in zip(stack, _eigvalsh(stack, check=True)))
             value, off = np.array([_rel_entropy_nats(p, wp, w, v) for p, wp in members]).T
             nats = nats + mult * value
             leak = leak + mult * off

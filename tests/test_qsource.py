@@ -4,7 +4,6 @@ import itertools
 import math
 import operator
 import pickle
-import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -622,23 +621,6 @@ def test_block_expected_margins_solve_each_member_stack_once(monkeypatch):
         monkeypatch.setattr(np.linalg, key, counting(key))
     universality_check(src, model, 0.5, ns, "expected")
     assert calls == {"eigh": 35, "eigvalsh": 35}
-
-
-def test_dense_expected_margins_are_bit_identical_on_one_cpu_and_two(monkeypatch, rng):
-    """A 4 x 4 three-component source at n = 3 and 4 (64 and 256 wide): the level's eigh and the
-    members' eigvalsh, shared with a second thread, give the in-order path's margins."""
-    src = random_mixture(rng, n_comp=3, dim=4)
-    solvers = set()
-    solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solvers.add(threading.get_ident()) or solve(*a))
-    margins = {}
-    for cpus in (2, 1):
-        monkeypatch.setattr(opcore, "_cpus", lambda: cpus)
-        solvers.clear()
-        report = universality_check(src, src.states, 0.5, [3, 4], "expected")
-        margins[cpus] = [margin.hex() for _, margin in report.per_level]
-        assert (solvers != {threading.get_ident()}) == (cpus == 2)
-    assert margins[2] == margins[1]
 
 
 def test_gauss_legendre_table_is_built_once_per_node_count(monkeypatch, rng):
