@@ -26,13 +26,12 @@ from .models import example_state
 from .opcore import check_density
 from .projlat import (
     ProjSystem,
+    _atoms,
+    _meet_system,
     _require_same_dim,
     classify,
     computational_basis,
-    consistent,
     finer,
-    join,
-    meet,
     q_project,
 )
 from .qsource import predict_step, universality_check
@@ -176,16 +175,16 @@ def _jsonable(obj):
 
 def _cmd_lattice(config: dict, out: str | None) -> int:
     systems = read(config, "systems", _systems)
-    ok = consistent(systems)
+    found = _atoms(systems)  # one pass: consistent, join and meet
     payload = {
-        "consistent": ok,
+        "consistent": found is not None,
         "finer": [
             [finer(a, b) for b in systems] for a in systems
         ],
     }
-    if ok:
-        payload["join"] = system_to_json(join(systems).system)
-        payload["meet"] = system_to_json(meet(systems).system)
+    if found is not None:
+        payload["join"] = system_to_json(ProjSystem(found[0]))
+        payload["meet"] = system_to_json(_meet_system(systems, *found))
     _emit(payload, out)
     return EXIT_PASS
 

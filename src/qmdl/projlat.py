@@ -287,16 +287,42 @@ def finer(p_sys: ProjSystem, q_sys: ProjSystem) -> bool:
 
 def consistent(systems: list[ProjSystem]) -> bool:
     """True iff all projectors across the family commute pairwise."""
-    if not systems:
-        return True
-    _require_same_dim(*systems)
-    tol = TOL.lattice
+    return not systems or _atoms(systems, chain=False) is not None
+
+
+def _atoms(systems: list[ProjSystem], chain: bool = True):
+    """The join atoms, a list of [d, d] arrays, and their owners; None if the family does not commute.
+
+    Each product X = P Q of two systems' projectors is formed once, a row P @ Q-stack at a time;
+    X - X^H = P Q - Q P for Hermitian P, Q decides commutation. With `chain`, the first pair's
+    nonzero products start a chain each later system multiplies. Owner n, in lexicographic order,
+    names each system's projector in atom n; distinct owners give orthogonal atoms: none repeats."""
+    dim = _require_same_dim(*systems)
+    level, owners = [], []
+    if len(systems) == 1:
+        _keep(systems[0].stack, (), level, owners)
     for i, a in enumerate(systems):
-        for b in systems[i + 1 :]:
-            for p in a:
-                if norm_exceeds(p @ b.stack - b.stack @ p, tol).any():
-                    return False
-    return True
+        for j in range(i + 1, len(systems)):
+            x = np.empty((len(systems[j]), dim, dim), dtype=complex)  # one row of products at a time
+            for k, p in enumerate(a.stack):
+                np.matmul(p, systems[j].stack, out=x)
+                if j == 1 and chain:
+                    _keep(x, (k,), level, owners)
+                x -= x.conj().swapaxes(1, 2)
+                if norm_exceeds(x, TOL.lattice).any():
+                    return None
+    for sys_ in systems[2:] if chain else ():
+        atoms, tags, level, owners = level, owners, [], []
+        for atom, owner in zip(atoms, tags):
+            _keep(atom @ sys_.stack, owner, level, owners)
+    return (level if chain else None), owners
+
+
+def _keep(x: np.ndarray, owner: tuple, atoms: list, owners: list) -> None:
+    """Append the nonzero products x[j] to atoms, and owner + (j,) to owners."""
+    keep = np.flatnonzero(norm_exceeds(x, TOL.lattice))
+    atoms.extend(x[keep])
+    owners += [owner + (j,) for j in keep.tolist()]
 
 
 @dataclass(frozen=True)
@@ -304,69 +330,43 @@ class LatticeResult:
     system: ProjSystem
 
 
-def _join_projectors(systems: list[ProjSystem]) -> np.ndarray:
-    """All nonzero products, one projector per system, deduplicated, as a stack.
-
-    Commutativity (checked by the caller) makes each product a projector.
-    Deduplication keeps the first representative in lexicographic index order.
-    """
-    tol = TOL.lattice
-    products = np.eye(systems[0].dim, dtype=complex)[None]
-    for sys_ in systems:
-        nonzero = []
-        for acc in products:
-            row = acc @ sys_.stack
-            nonzero.append(row[norm_exceeds(row, tol)])
-        products = np.concatenate(nonzero)
-    kept = 0
-    for prod in products:
-        if norm_exceeds(prod - products[:kept], tol).all():
-            products[kept] = prod
-            kept += 1
-    return products[:kept]
+def _lattice_atoms(systems: list[ProjSystem], operation: str, bound: str):
+    if not systems:
+        raise InconsistentFamily(f"{operation} of an empty family is undefined")
+    found = _atoms(systems)
+    if found is None:
+        raise InconsistentFamily(f"systems do not commute; no common {bound}")
+    return found
 
 
 def join(systems: list[ProjSystem]) -> LatticeResult:
-    """Least upper bound (finest common refinement) of a commuting family."""
-    if not systems:
-        raise InconsistentFamily("join of an empty family is undefined")
-    if not consistent(systems):
-        raise InconsistentFamily("systems do not commute; no common refinement")
-    return LatticeResult(ProjSystem(_join_projectors(systems)))
+    """Least upper bound (finest common refinement) of a commuting family: its nonzero products."""
+    return LatticeResult(ProjSystem(_lattice_atoms(systems, "join", "refinement")[0]))
 
 
 def meet(systems: list[ProjSystem]) -> LatticeResult:
-    """Greatest lower bound: sums of join atoms over connected components.
+    """Greatest lower bound (coarsest common coarsening) of a commuting family: each member
+    sums the join atoms of one component of the graph in which an atom links its owners."""
+    return LatticeResult(_meet_system(systems, *_lattice_atoms(systems, "meet", "coarsening")))
 
-    Two join atoms are linked when some input projector contains both; the
-    component sums form the coarsest system refined by every input.
-    """
-    if not systems:
-        raise InconsistentFamily("meet of an empty family is undefined")
-    if not consistent(systems):
-        raise InconsistentFamily("systems do not commute; no common coarsening")
-    atoms = _join_projectors(systems)
-    n = len(atoms)
-    adj = np.zeros((n, n), dtype=bool)
-    for sys_ in systems:
-        for q in sys_:
-            under = np.flatnonzero(~norm_exceeds(q @ atoms - atoms, TOL.lattice))
-            adj[np.ix_(under, under)] = True
-    seen = np.zeros(n, dtype=bool)
-    members: list[np.ndarray] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            linked = np.flatnonzero(adj[i] & ~seen)
-            seen[linked] = True
-            stack.extend(linked.tolist())
-        members.append(sum(atoms[i] for i in comp))
-    return LatticeResult(ProjSystem(members))
+
+def _meet_system(systems: list[ProjSystem], atoms: list, owners: list) -> ProjSystem:
+    """The members of the meet, by union-find over the (system, projector) nodes."""
+    offsets = np.cumsum([0] + [len(s) for s in systems]).tolist()
+    parent = list(range(offsets[-1]))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for owner in owners:
+        for s, k in enumerate(owner):
+            parent[root(offsets[s] + k)] = root(owner[0])
+    members: dict[int, np.ndarray] = {}
+    for atom, owner in zip(atoms, owners):
+        members[root(owner[0])] = members.get(root(owner[0]), 0) + atom  # 0 + atom turns -0.0 into 0.0, as sum() does
+    return ProjSystem(list(members.values()))
 
 
 def q_project(t: np.ndarray, system: ProjSystem) -> np.ndarray:

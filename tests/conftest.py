@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qmdl import computational_basis
+from qmdl.config import TOL
+from qmdl.opcore import norm_exceeds
 
 
 @pytest.fixture
@@ -59,3 +61,51 @@ def brute_force_lambda_sum(model, n, select_model=None):
         idx = winners[int(np.argmax(traces))]
         total += model.stored_traces[idx] ** n
     return total
+
+
+def reference_lattice(systems):
+    """The lattice operations by their first algorithm: (consistent, join atoms, meet members).
+
+    PQ - QP for every pair of projectors of every two systems; the chained
+    products I P Q ..., deduplicated pairwise; and the meet's components by a
+    depth-first walk over the atoms that a common input projector contains,
+    each summed in the order the walk reaches it. The atoms and members are
+    None for a family that does not commute.
+    """
+    tol = TOL.lattice
+    for i, a in enumerate(systems):
+        for b in systems[i + 1 :]:
+            for p in a.stack:
+                if norm_exceeds(p @ b.stack - b.stack @ p, tol).any():
+                    return False, None, None
+    products = np.eye(systems[0].dim, dtype=complex)[None]
+    for s in systems:
+        rows = [acc @ s.stack for acc in products]
+        products = np.concatenate([row[norm_exceeds(row, tol)] for row in rows])
+    kept = 0
+    for prod in products:
+        if norm_exceeds(prod - products[:kept], tol).all():
+            products[kept] = prod
+            kept += 1
+    atoms = products[:kept]
+    n = len(atoms)
+    adj = np.zeros((n, n), dtype=bool)
+    for s in systems:
+        for q in s.stack:
+            under = np.flatnonzero(~norm_exceeds(q @ atoms - atoms, tol))
+            adj[np.ix_(under, under)] = True
+    seen = np.zeros(n, dtype=bool)
+    members = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            linked = np.flatnonzero(adj[i] & ~seen)
+            seen[linked] = True
+            stack.extend(linked.tolist())
+        members.append(sum(atoms[i] for i in comp))
+    return True, atoms, members

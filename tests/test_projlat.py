@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -31,7 +32,7 @@ from qmdl import projlat
 from qmdl.config import TOL
 from qmdl.opcore import as_operator, norm_exceeds
 from qmdl.serial import matrix_to_json
-from conftest import counted_view, random_hermitian
+from conftest import counted_view, random_hermitian, reference_lattice
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -544,6 +545,86 @@ def test_meet_interleaved_blocks_is_trivial():
     m = meet([a, b]).system
     assert len(m) == 1
     assert np.allclose(np.asarray(m.projectors[0]), np.eye(4))
+
+
+def _block_families(rng, count):
+    """Random block coarse-grainings of Haar bases: 2-3 systems on d <= 16, every fifth
+    family a system paired with itself, every third one with a system on another basis."""
+    for t in range(count):
+        d = int(rng.integers(2, 17))
+        bases = [haar_random_system(d, rng) for _ in range(2)]
+        family = []
+        for i in range(int(rng.integers(2, 4))):
+            fine = bases[t % 3 == 2 and i == 1]
+            labels = rng.integers(0, int(rng.integers(1, d + 1)), size=d)
+            family.append(ProjSystem([fine.stack[labels == g].sum(axis=0) for g in np.unique(labels)]))
+        yield [family[0], family[0]] if t % 5 == 0 else family
+
+
+def test_lattice_matches_the_reference_algorithm(rng):
+    """Against the pairwise PQ - QP test, the deduplicated product chain and the
+    containment walk: the same decision, bit-identical join atoms, meet members
+    within 1e-15 (they are summed in another order) and in the same order."""
+    decided = Counter()
+    for family in _block_families(rng, 60):
+        ok, atoms, members = reference_lattice(family)
+        decided[ok] += 1
+        assert consistent(family) is ok
+        if not ok:
+            for operation in (join, meet):
+                with pytest.raises(InconsistentFamily):
+                    operation(family)
+            continue
+        joined = join(family).system.stack
+        expected = ProjSystem(atoms).stack
+        assert joined.shape == expected.shape
+        assert np.array_equal(joined.view(np.uint64), expected.view(np.uint64))
+        met = meet(family).system.stack
+        assert len(met) == len(members)
+        assert np.abs(met - np.stack(members)).max() <= 1e-15
+    assert decided[True] and decided[False]
+
+
+def test_join_atoms_with_different_owners_are_orthogonal(rng):
+    """In a commuting family no product repeats another, so join needs no deduplication."""
+    for family in _block_families(rng, 30):
+        found = projlat._atoms(family)
+        if found is None:
+            continue
+        atoms, owners = np.stack(found[0]), found[1]
+        assert len(set(owners)) == len(owners) == len(atoms)
+        assert [list(o) for o in owners] == sorted(list(o) for o in owners)
+        overlaps = atoms[:, None] @ atoms[None]
+        off = ~np.eye(len(atoms), dtype=bool)
+        assert not norm_exceeds(overlaps[off], TOL.lattice).any()
+        assert norm_exceeds((atoms[:, None] - atoms[None])[off], TOL.lattice).all()
+
+
+def test_consistent_checks_every_pair_of_systems():
+    """Systems 0 and 1 commute, as do 1 and 2; only 0 and 2 do not."""
+    blocks = ProjSystem([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])
+    u = np.eye(4, dtype=complex)
+    u[:2, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    family = [computational_basis(4), blocks, system_from_unitary(u)]
+    assert consistent(family[:2]) and consistent(family[1:])
+    assert not consistent(family)
+    for operation in (join, meet):
+        with pytest.raises(InconsistentFamily):
+            operation(family)
+
+
+def test_join_holds_one_row_of_products_at_a_time(rng):
+    """The [m, m, d, d] table of all products of two rank-1 systems at d = 48 takes
+    85 MB; join forms one [m, d, d] row at a time besides the kept atoms."""
+    s = haar_random_system(48, rng)
+    tracemalloc.start()
+    try:
+        joined = join([s, s]).system
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(joined) == 48
+    assert peak < 16e6
 
 
 def _tilted(theta: float) -> ProjSystem:
