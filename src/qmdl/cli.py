@@ -80,13 +80,31 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _word(data) -> tuple[int, ...]:
-    """A word is a list of outcome indices, a comma string, or {n, k} shorthand."""
+def _word(data) -> np.ndarray | tuple[int, ...]:
+    """A word is a list of outcome indices, a comma string, or {n, k} shorthand.
+
+    A comma string or a list of plain ints is read in one pass into an int64 array. The
+    per-letter integer(0) parse, which skips blank parts of a string, runs only where that
+    pass cannot decide: a list holding anything but ints (bools, floats, strings), a part
+    that int() refuses, or a letter past int64 or below 0. So every word reads as the same
+    letters, or fails with the same message, as under the per-letter parse alone.
+    Consumers take either form (qsource.word_counts).
+    """
     if isinstance(data, dict):
         n, k = read(data, "n", integer(0), "word"), read(data, "k", integer(0), "word")
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
         return (0,) * k + (1,) * (n - k)
+    letters = None
+    try:
+        if isinstance(data, str):
+            letters = np.fromiter(map(int, data.split(",")), np.int64)
+        elif isinstance(data, list) and set(map(type, data)) == {int}:
+            letters = np.array(data, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass  # int() refuses a part, or numpy (1.24 too) an int past int64
+    if letters is not None and letters.min() >= 0:
+        return letters
     if isinstance(data, str):
         data = [s for s in data.split(",") if s.strip()]
     return tuple(map(integer(0), data))

@@ -314,9 +314,11 @@ def norm_exceeds(t: np.ndarray, tol: float):
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
         raise InvalidOperator(f"expected finite square matrices, got shape {t.shape}")
     k, d = stack.shape[:2]
-    # real and imaginary parts side by side: max |part| <= max |t_ij|
+    # real and imaginary parts side by side: max |part| <= max |t_ij|, taken as the larger of
+    # each row's max and -min, the same float, with no |parts| copy
     parts = np.ascontiguousarray(stack).view(np.float64).reshape(k, 2 * d * d)
-    out = np.abs(parts).max(axis=1, initial=0.0) * (1 - _GATE_SLACK) > tol
+    largest = np.maximum(parts.max(axis=1, initial=0.0), -parts.min(axis=1, initial=0.0))
+    out = largest * (1 - _GATE_SLACK) > tol
     frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
     between = ~out & (frobenius * (1 + _GATE_SLACK) > tol)
     for i in np.flatnonzero(between):

@@ -42,6 +42,9 @@ LN2 = math.log(2.0)
 
 CSV_HEADER = "experiment,n,replica,metric,value,base,seed"
 
+# most bytes of the sampler's uniforms buffer (_replica_uniforms), unless one row of n needs more
+_BLOCK_BYTES = 1 << 16
+
 
 @dataclass
 class RunResult:
@@ -57,10 +60,11 @@ class RunResult:
         self.rows.append((self.experiment, n, replica, metric, float(value), base))
 
     def csv_lines(self) -> list[str]:
-        lines = [CSV_HEADER]
-        for exp, n, replica, metric, value, base in self.rows:
-            lines.append(f"{exp},{n},{replica},{metric},{value!r},{base},{self.seed}")
-        return lines
+        """The header, then one line per row, formatted in one pass; a value prints as its
+        float repr, so each row's value must be a Python float (as `add` stores it)."""
+        seed = self.seed
+        return [CSV_HEADER, *(f"{exp},{n},{replica},{metric},{value!r},{base},{seed}"
+                              for exp, n, replica, metric, value, base in self.rows)]
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -145,25 +149,33 @@ def _philox_keys(seed: int, replicas: int, n: int) -> np.ndarray:
 
 
 def _replica_uniforms(seed: int, n: int, replicas: int):
-    """Each replica's n uniforms from its Philox stream keyed by (seed, replica, n).
+    """Blocks [rows, n] of the replicas' uniforms, in replica order, each row from the Philox
+    stream keyed by (seed, replica, n).
 
-    One generator is re-keyed per replica through its documented state (counter
-    0, empty buffer), so replica r reads what Generator(Philox(SeedSequence([seed,
-    r, n]))).random(n) reads. The [n] buffer is reused: read it before the next. numpy forms
-    no buffer of 2^63 bytes, so n past 2^60 - 1 raises SizeCapExceeded before any is formed.
+    One generator is re-keyed per row through its documented state (counter 0, empty
+    buffer), so replica r's row holds what Generator(Philox(SeedSequence([seed, r, n]))).random(n)
+    reads. The blocks are views of one [rows, n] buffer of at most _BLOCK_BYTES (one row when a
+    row is larger); the last may have fewer rows. Read each block before the next. numpy forms no
+    buffer of 2^63 bytes, so n past 2^60 - 1 raises SizeCapExceeded, on the first block and before
+    any buffer is formed.
     """
     if n > np.iinfo(np.int64).max // 8:
         raise SizeCapExceeded.word_length(n, "2^60 - 1", "number of float64 uniforms one numpy buffer holds")
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    u = np.empty(n)
-    for key in _philox_keys(seed, replicas, n):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.random(out=u)
-        yield u
+    # plain lists: the state setter reads them element by element, faster than numpy arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = _philox_keys(seed, replicas, n)
+    rows = max(1, min(replicas, _BLOCK_BYTES // (8 * n)))
+    buffer = np.empty((rows, n))
+    for start in range(0, replicas, rows):
+        block = buffer[: replicas - start]
+        for row, key in zip(block, keys[start : start + rows].tolist()):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.random(out=row)
+        yield block
 
 
 def _letter_cdf(true_state, system: ProjSystem) -> np.ndarray:
@@ -183,15 +195,17 @@ def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed:
     Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox stream
     keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there. Its
     letter is <= a exactly where its uniform is < cdf[a], so the counts are the
-    differences of those tallies; the last tally is n.
+    differences of those tallies; the last tally is n. Each block of replicas
+    (_replica_uniforms) is tallied at once, one count_nonzero over its rows per cut.
     """
     cdf = _letter_cdf(true_state, system)
-    inner = cdf[:-1].tolist()
-    below = np.array(
-        [[np.count_nonzero(u < c) for c in inner] + [n] for u in _replica_uniforms(seed, n, replicas)],
-        dtype=np.int64,
-    )
-    return np.diff(below, axis=1, prepend=0)
+    below = np.empty((replicas, len(cdf) - 1), dtype=np.int64)
+    start = 0
+    for block in _replica_uniforms(seed, n, replicas):
+        for a, c in enumerate(cdf[:-1]):
+            below[start : start + len(block), a] = np.count_nonzero(block < c, axis=1)
+        start += len(block)
+    return np.diff(below, axis=1, prepend=0, append=n)
 
 
 def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
@@ -313,9 +327,13 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
         # He^2 and S depend on the estimate alone: one [distinct, m] batch
         div = dict(zip(distinct, zip(hellinger_sq_classical(truth_probs, est).tolist(),
                                      kl_classical(truth_probs, est, "bits").tolist())))
-        for r, key in enumerate(keys):
-            result.add(n, r, "he2", div[key][0], "nats")
-            result.add(n, r, "S", div[key][1], "bits")
+        # each replica's two rows at once; tolist() gave Python floats, as add() would store
+        result.rows.extend(
+            row
+            for r, key in enumerate(keys)
+            for row in (("consistency", n, r, "he2", div[key][0], "nats"),
+                        ("consistency", n, r, "S", div[key][1], "bits"))
+        )
         for theta, comp_src in competitors:
             ratios = _likelihood_ratios(ref_src, comp_src, system, n)
             for delta in config.deltas:

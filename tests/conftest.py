@@ -6,6 +6,7 @@ import pytest
 from qmdl import computational_basis
 from qmdl.config import TOL
 from qmdl.opcore import norm_exceeds
+from qmdl.serial import integer
 
 
 @pytest.fixture
@@ -109,3 +110,11 @@ def reference_lattice(systems):
             stack.extend(linked.tolist())
         members.append(sum(atoms[i] for i in comp))
     return True, atoms, members
+
+
+def per_letter_word(data):
+    """A list or comma-string word parsed letter by letter: integer(0) on each element, blank
+    parts of a string skipped. The CLI's word parse reads every word as this does."""
+    if isinstance(data, str):
+        data = [s for s in data.split(",") if s.strip()]
+    return tuple(map(integer(0), data))

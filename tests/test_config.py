@@ -11,7 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qmdl import computational_basis, example_state, matrix_to_json, system_to_json
-from qmdl.cli import COMMANDS, main
+import qmdl.cli
+from qmdl.cli import COMMANDS, _word, main
+from qmdl.errors import ConfigError
+from qmdl.serial import read
+from conftest import per_letter_word
 
 
 def run(path, command, config):
@@ -226,3 +230,51 @@ def test_universality_levels_below_one_are_config_errors(tmp_path, n_range):
     code, err = run(tmp_path / "c.json", "universality-check", dict(UNIVERSALITY, n_range=n_range))
     assert code == 4
     assert err.startswith("config error: n_range: ")
+
+
+# what JSON can hold as a word's letters: ints in and out of range, bools, integral and
+# fractional floats, numeric strings with spaces
+LETTERS = st.one_of(
+    st.integers(0, 3),
+    st.integers(-2, -1),
+    st.integers(2**63 - 2, 2**64 + 1),
+    st.integers(-(2**64), -(2**63) - 1),
+    st.booleans(),
+    st.integers(-1, 3).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([" 1", "2 ", " 0 ", "-1", "1.0", "x", ""]),
+)
+# parts of a comma string, empty and blank ones among them
+PARTS = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.sampled_from(["", " ", " 1", "2 ", "\t0", "+1", "1.0", "x", "1_0", str(2**63 - 1), str(2**63), str(2**64)]),
+)
+WORDS = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    st.lists(LETTERS, max_size=8),
+    st.lists(PARTS, max_size=8).map(",".join),
+    st.integers(0, 3) | st.floats(0, 1) | st.booleans(),
+)
+
+
+def _parsed(parse, data):
+    """The letters parse reads from a config's word as Python ints, or the ConfigError text."""
+    try:
+        return [int(a) for a in read({"word": data}, "word", parse)]
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=WORDS)
+def test_one_pass_word_reads_as_the_per_letter_parse(tmp_path, data):
+    got, want = _parsed(_word, data), _parsed(per_letter_word, data)
+    assert got == want
+    if isinstance(data, list) and data and all(type(a) is int and 0 <= a < 2**63 for a in data):
+        assert isinstance(_word(data), np.ndarray)
+    # the CLI ends alike: the same exit code and stderr
+    config = {"source": iid(0.3), "word": data}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qmdl.cli, "_word", per_letter_word)
+        reference = run(tmp_path / "c.json", "predict", config)
+    assert run(tmp_path / "c.json", "predict", config) == reference

@@ -349,6 +349,22 @@ def test_norm_exceeds_runs_an_svd_only_between_the_bounds(monkeypatch):
     assert norm_exceeds(np.ones((3, 3)) * tol / 2, tol) and len(calls) == 1
 
 
+@pytest.mark.parametrize("sign", [1, -1, 1j, -1j])
+def test_norm_exceeds_decides_on_the_largest_entry_of_either_sign(monkeypatch, sign):
+    import qmdl.opcore as opcore
+
+    calls = []
+    monkeypatch.setattr(opcore, "op_norm", lambda t: calls.append(t) or np.linalg.norm(t, 2))
+    tol = 1e-8
+    stack = np.random.default_rng(5).uniform(-1, 1, (3, 4, 4, 2)) @ [1, 1j] * tol / 1000
+    stack[0, 1, 2] = 2 * tol * sign  # its largest entry alone decides: above
+    stack[2][np.eye(4, dtype=bool)] = tol / 2 * sign  # between the bounds: the SVD decides
+    expected = [op_norm(t) > tol for t in stack]
+    assert expected == [True, False, False] and not calls
+    # the entry of largest modulus has the given sign: -1 and -1j sit at each row's min
+    assert norm_exceeds(stack, tol).tolist() == expected and len(calls) == 1
+
+
 @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.array([[np.inf, 0], [0, 1]]), np.zeros((2, 2, 3))])
 def test_norm_exceeds_rejects_what_op_norm_rejects(bad):
     with pytest.raises(InvalidOperator):

@@ -38,8 +38,10 @@ from qmdl import (
     word_divergences,
 )
 from qmdl.cli import main
+from qmdl.errors import SizeCapExceeded
 from qmdl.estim import _trace_sum, two_part_classes
 from qmdl.xplab import (
+    _BLOCK_BYTES,
     RunResult,
     _config_hash,
     _exceedance_mass,
@@ -78,9 +80,29 @@ def test_replica_counts_reproducible():
 
 
 def test_replica_uniforms_distinct_replica_streams():
-    # the generator refills one buffer per replica: copy each before the next
-    first, second = (u.copy() for u in _replica_uniforms(3, 50, 2))
-    assert not np.array_equal(first, second)
+    # the generator refills one buffer per block: copy each before the next; both replicas
+    # fall in one block at n = 50 and in one-row blocks past the buffer's bytes
+    for n in [50, _BLOCK_BYTES // 8 + 1]:
+        first, second = np.concatenate([block.copy() for block in _replica_uniforms(3, n, 2)])
+        assert not np.array_equal(first, second)
+
+
+def test_replica_uniforms_blocks_hold_the_replica_streams():
+    # 8 rows fill the buffer's bytes: two full blocks, then 3 rows
+    n = _BLOCK_BYTES // (8 * 8)
+    blocks = [block.copy() for block in _replica_uniforms(2**40 + 1, n, 19)]
+    assert [block.shape for block in blocks] == [(8, n), (8, n), (3, n)]
+    expected = [np.random.Generator(np.random.Philox(np.random.SeedSequence([2**40 + 1, r, n]))).random(n)
+                for r in range(19)]
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("n", [2**60, 2**63, 10**308])
+def test_replica_counts_refuse_word_lengths_before_any_buffer(n):
+    # from 2^60 a [1, n] float64 buffer is 2^63 bytes, which numpy refuses with a ValueError
+    # and an int64 tally with an OverflowError: the size error comes first
+    with pytest.raises(SizeCapExceeded, match=r"exceeds 2\^60 - 1, the largest number of float64 uniforms"):
+        _replica_counts(example_state(0.3), CB, n, 3, seed=1)
 
 
 def test_replica_counts_empirical_frequency():
@@ -113,7 +135,9 @@ def test_sampler_equals_generator_choice(case):
     else:
         system, rho = computational_basis(len(case)), np.diag(case).astype(complex)
     m = len(system)
-    for seed, n, replicas in [(7, 1, 5), (2**32 + 9, 57, 40), (2**70 + 3, 400, 12)]:
+    # blocks of 8 rows holding 19 replicas (8 + 8 + 3), and one-row blocks past the buffer's bytes
+    blocks = [(5, _BLOCK_BYTES // (8 * 8), 19), (11, _BLOCK_BYTES // 8 + 1, 3)]
+    for seed, n, replicas in [(7, 1, 5), (2**32 + 9, 57, 40), (2**70 + 3, 400, 12), *blocks]:
         expected = list(choice_words(rho, system, n, replicas, seed))
         counts = _replica_counts(rho, system, n, replicas, seed)
         assert counts.dtype == np.int64
