@@ -5,8 +5,8 @@ Usage: qmdl <subcommand> --config <file.json> [--out <path.csv>] [--seed <u64>]
 Subcommands: lattice, project, universality-check, estimate, predict,
 divergence, consistency, bound, redundancy, markov. Exit codes: 0 pass,
 2 assertion failure, 3 inconclusive (a theorem hypothesis was violated),
-4 configuration error (also a dense operator past QMDL_DENSE_CAP, or a word
-length past what a count or a buffer holds).
+4 configuration error (also an array a word length sizes past 16 cap^2 bytes,
+cap = QMDL_DENSE_CAP, or a word length past 2^63 - 1 in an int64 entry).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from .config import admit
 from .errors import ConfigError, InvalidWord, QmdlError, SizeCapExceeded
 from .estim import GeneralizedModel, ParamModel, mle, two_part
 from .infodist import rel_entropy, hellinger_sq, renyi, word_divergences
@@ -94,6 +95,7 @@ def _word(data) -> np.ndarray | tuple[int, ...]:
         n, k = read(data, "n", integer(0), "word"), read(data, "k", integer(0), "word")
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
+        admit("word", n, itemsize=8)  # n references to its letters
         return (0,) * k + (1,) * (n - k)
     letters = None
     try:

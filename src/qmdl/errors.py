@@ -1,7 +1,5 @@
 """Exception types shared across the library."""
 
-from decimal import Context
-
 
 class QmdlError(Exception):
     """Base class for library errors."""
@@ -16,18 +14,13 @@ class DimensionMismatch(QmdlError):
 
 
 class SizeCapExceeded(QmdlError):
-    """A size past a limit: a dense dimension past the configured cap, whose environment variable
-    `setting` names, or a word length past what a count or a buffer holds (setting None)."""
+    """An array refused before it is formed (config.admit): past the bytes of a cap x cap complex
+    matrix, whose environment variable `setting` names, or a word length past the int64 value
+    that one of its entries holds (setting None)."""
 
     def __init__(self, message: str, setting: str | None = None):
         super().__init__(message)
         self.setting = setting
-
-    @classmethod
-    def word_length(cls, n: int, limit: str, what: str) -> "SizeCapExceeded":
-        """The refusal of word length n past `limit`, the largest `what`; n in e notation
-        to six digits, so a length of 309 digits reads 1e+308."""
-        return cls(f"word length {Context(prec=6).create_decimal(n).normalize():e} exceeds {limit}, the largest {what}")
 
 
 class ZeroTrace(QmdlError):

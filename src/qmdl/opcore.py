@@ -16,19 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .config import TOL, dense_cap
-from .errors import (
-    DimensionMismatch,
-    InvalidOperator,
-    SizeCapExceeded,
-    ZeroTrace,
-)
+from .config import TOL, admit
+from .errors import DimensionMismatch, InvalidOperator, ZeroTrace
 
 __all__ = [
     "as_operator",
     "check_semi_density",
     "check_density",
-    "check_cap",
     "tensor_power",
     "sym_powers",
     "partial_trace",
@@ -95,23 +89,14 @@ def check_density(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def check_cap(dim: int, n: int = 1) -> None:
-    cap = dense_cap()
-    formed = dim < 2 or n <= cap.bit_length()  # else dim^n >= 2^n > cap: named, not formed
-    if not formed or dim**n > cap:
-        size = dim**n if formed else f"{dim}^{n}"
-        raise SizeCapExceeded(f"dense dimension {size} exceeds cap {cap}; use factorized operations", "QMDL_DENSE_CAP")
-
-
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power; n = 0 gives the 1x1 identity, and a 1 x 1 operator [[a^n]] in one step."""
     if n < 0:
         raise ValueError("tensor power requires n >= 0")
     a = as_operator(a)
-    check_cap(a.shape[0], max(n, 1))
-    if a.shape[0] == 1:  # the dense cap bounds no power of 1 x 1: numpy's int64 exponent does
-        if n > np.iinfo(np.int64).max:
-            raise SizeCapExceeded.word_length(n, "2^63 - 1", "power of a 1 x 1 operator")
+    d = a.shape[0]
+    admit("tensor power", (d, n), (d, n), itemsize=16, top=(n, "power of a 1 x 1 operator"))
+    if d == 1:
         return a ** np.int64(n)
     out = np.eye(1, dtype=complex)
     for _ in range(n):
@@ -311,13 +296,15 @@ def norm_exceeds(t: np.ndarray, tol: float):
     """
     t = np.asarray(t, dtype=complex)
     stack = t[None] if t.ndim == 2 else t
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.all(np.isfinite(stack)):
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise InvalidOperator(f"expected finite square matrices, got shape {t.shape}")
     k, d = stack.shape[:2]
-    # real and imaginary parts side by side: max |part| <= max |t_ij|, taken as the larger of
-    # each row's max and -min, the same float, with no |parts| copy
+    # real and imaginary parts side by side: max |part| <= max |t_ij|, taken as the larger of each
+    # row's max and -min, the same float, with no |parts| copy; NaN or inf exactly where a part is
     parts = np.ascontiguousarray(stack).view(np.float64).reshape(k, 2 * d * d)
     largest = np.maximum(parts.max(axis=1, initial=0.0), -parts.min(axis=1, initial=0.0))
+    if not np.isfinite(largest).all():
+        raise InvalidOperator(f"expected finite square matrices, got shape {t.shape}")
     out = largest * (1 - _GATE_SLACK) > tol
     frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
     between = ~out & (frobenius * (1 + _GATE_SLACK) > tol)

@@ -23,23 +23,15 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import TOL
-from .errors import (
-    AllZeroLikelihood,
-    DimensionMismatch,
-    InvalidOperator,
-    InvalidWord,
-    NonMinimalSystem,
-    NotRegular,
-    SupportMismatch,
-)
+from .config import TOL, admit
+from .errors import (AllZeroLikelihood, DimensionMismatch, InvalidOperator, InvalidWord, NonMinimalSystem,
+                     NotRegular, SupportMismatch)
 from .models import example_states
 from .opcore import (
     _LEAK_TOL,
     _eigvalsh,
     _rel_entropy_nats,
     as_operator,
-    check_cap,
     check_semi_density,
     eigh,
     herm_sqrt,
@@ -190,7 +182,7 @@ class MixtureSource(_Family):
             raise InvalidOperator("generalized source has level-1 trace > 1")
 
     def level(self, n: int) -> np.ndarray:
-        check_cap(self.dim, max(n, 1))
+        admit("level", (self.dim, n), (self.dim, n), itemsize=16)
         out = np.zeros((self.dim**n, self.dim**n), dtype=complex)
         for w, rho in zip(self.weights, self.states):
             out += w * tensor_power(rho, n)
@@ -488,8 +480,8 @@ def universality_check(
     ns = sorted(int(n) for n in n_range)
     on_blocks = mode in ("matrix", "expected") and src.dim == 2
     if on_blocks:
-        for n in ns:
-            check_cap(2, max(n, 1))  # the configs the dense path refuses stay refused
+        top = max(ns, default=0)  # the dense level the blocks stand for, refused as on the dense path
+        admit("level", (2, top), (2, top), itemsize=16)
         levels = _sym_blocks(src.states, src.weights[None], ns)
         powers = _sym_blocks(np.stack(members), np.eye(len(members)), ns)
     per_level = []

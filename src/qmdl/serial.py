@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, QmdlError
+from .errors import ConfigError, QmdlError, SizeCapExceeded
 from .projlat import ProjSystem
 from .qsource import BetaExampleSource, MixtureSource, example_uniform_source
 
@@ -30,9 +30,9 @@ REQUIRED = object()
 def read(data, key: str, parse, path: str | None = None, default=REQUIRED):
     """parse(data[key]), or `default` (unparsed) when the key is absent or null.
 
-    Every failure is a ConfigError naming `path.key`: a required key that is
-    missing, or a TypeError, ValueError, OverflowError or library error from
-    `parse`. A ConfigError from a nested read names its own field already.
+    A failure is a ConfigError naming `path.key`: a required key that is missing, or a TypeError,
+    ValueError, OverflowError or library error from `parse`. A ConfigError from a nested read names
+    its own field already, and a size refusal (SizeCapExceeded) the setting that moves its limit.
     """
     field = f"{path}.{key}" if path else key
     if not isinstance(data, dict):
@@ -44,7 +44,7 @@ def read(data, key: str, parse, path: str | None = None, default=REQUIRED):
         return default
     try:
         return parse(value)
-    except ConfigError:
+    except (ConfigError, SizeCapExceeded):
         raise
     except (TypeError, ValueError, OverflowError, QmdlError) as exc:
         raise ConfigError(field, str(exc)) from exc

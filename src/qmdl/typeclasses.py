@@ -15,7 +15,7 @@ from math import comb, lgamma, log
 
 import numpy as np
 
-from .errors import SizeCapExceeded
+from .config import admit
 
 __all__ = [
     "compositions",
@@ -29,18 +29,17 @@ __all__ = [
 def compositions(n: int, parts: int) -> np.ndarray:
     """All histograms of n outcomes over `parts` symbols, as counts[C, parts].
 
-    Rows are in lexicographic order; n = 0 gives one all-zero row. A count is an
-    int64, so n past 2^63 - 1 raises SizeCapExceeded.
+    Rows are in lexicographic order; n = 0 gives one all-zero row. The table is admitted
+    (config.admit) before it is formed: a count is an int64, so n past 2^63 - 1 is refused too.
     """
-    if n > np.iinfo(np.int64).max:
-        raise SizeCapExceeded.word_length(n, "2^63 - 1", "count of a type-class table")
+    rows = comb(n + parts - 1, parts - 1)
+    admit("type-class table", rows, parts, itemsize=8, top=(n, "count of a type-class table"))
     if parts == 1:
         return np.array([[n]], dtype=np.int64)
     if parts == 2:
         k = np.arange(n + 1, dtype=np.int64)
         return np.stack([k, n - k], axis=1)
     # stars and bars: each choice of parts-1 bar positions among n+parts-1 slots
-    rows = comb(n + parts - 1, parts - 1)
     bars = np.fromiter(
         chain.from_iterable(combinations(range(n + parts - 1), parts - 1)),
         dtype=np.int64,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroLikelihood, ConfigError, SizeCapExceeded
+from .config import admit
+from .errors import AllZeroLikelihood, ConfigError
 from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part_classes, _select, _trace_sum, _two_part_scores
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state, example_states
@@ -155,12 +156,10 @@ def _replica_uniforms(seed: int, n: int, replicas: int):
     One generator is re-keyed per row through its documented state (counter 0, empty
     buffer), so replica r's row holds what Generator(Philox(SeedSequence([seed, r, n]))).random(n)
     reads. The blocks are views of one [rows, n] buffer of at most _BLOCK_BYTES (one row when a
-    row is larger); the last may have fewer rows. Read each block before the next. numpy forms no
-    buffer of 2^63 bytes, so n past 2^60 - 1 raises SizeCapExceeded, on the first block and before
-    any buffer is formed.
+    row is larger); the last may have fewer rows. Read each block before the next. The row of n
+    uniforms is admitted (config.admit) on the first block, before any buffer is formed.
     """
-    if n > np.iinfo(np.int64).max // 8:
-        raise SizeCapExceeded.word_length(n, "2^60 - 1", "number of float64 uniforms one numpy buffer holds")
+    admit("row of uniforms", n, itemsize=8)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # plain lists: the state setter reads them element by element, faster than numpy arrays
@@ -192,13 +191,14 @@ def _letter_cdf(true_state, system: ProjSystem) -> np.ndarray:
 def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed: int) -> np.ndarray:
     """The outcome counts [replicas, m] of i.i.d. words from Tr(q rho q), no word formed.
 
-    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox stream
-    keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there. Its
-    letter is <= a exactly where its uniform is < cdf[a], so the counts are the
-    differences of those tallies; the last tally is n. Each block of replicas
-    (_replica_uniforms) is tallied at once, one count_nonzero over its rows per cut.
+    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox stream keyed by
+    (seed, r, n): the word Generator.choice(m, n, p) draws there. Its letter is <= a exactly where
+    its uniform is < cdf[a], so the counts are the differences of those tallies; the last tally is
+    n. Each block of replicas (_replica_uniforms) is tallied at once, one count_nonzero over its
+    rows per cut. The counts are admitted first, and with them the [replicas, 2] uint64 keys.
     """
     cdf = _letter_cdf(true_state, system)
+    admit("replica counts", replicas, len(cdf), itemsize=8)
     below = np.empty((replicas, len(cdf) - 1), dtype=np.int64)
     start = 0
     for block in _replica_uniforms(seed, n, replicas):

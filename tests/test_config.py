@@ -4,6 +4,12 @@ import contextlib
 import copy
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,8 @@ from qmdl.cli import COMMANDS, _word, main
 from qmdl.errors import ConfigError
 from qmdl.serial import read
 from conftest import per_letter_word
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(path, command, config):
@@ -189,6 +197,7 @@ def test_malformed_field_is_named(tmp_path, command, config, field):
 
 
 TABLE_COUNT = "exceeds 2^63 - 1, the largest count of a type-class table"
+BUDGET = "would hold more than 16 cap^2 = 1073741824 bytes at cap 8192"
 
 
 @pytest.mark.parametrize(
@@ -196,22 +205,77 @@ TABLE_COUNT = "exceeds 2^63 - 1, the largest count of a type-class table"
     [
         # word lengths past 2^63 - 1 ended in ValueError or OverflowError tracebacks inside
         # typeclasses.compositions, and consistency's in a ValueError from np.empty; they are
-        # size errors that name the limit they pass, in e notation, not QMDL_DENSE_CAP
-        pytest.param("redundancy", dict(REDUNDANCY, n_schedule=[1e308]), f"1e+308 {TABLE_COUNT}", id="redundancy"),
-        pytest.param("markov", dict(MARKOV, n_schedule=[2**64]), f"1.84467e+19 {TABLE_COUNT}", id="markov"),
-        pytest.param("bound", dict(BOUND, n_schedule=[2**63]), f"9.22337e+18 {TABLE_COUNT}", id="bound"),
+        # size errors, in e notation: an array past the byte budget names QMDL_DENSE_CAP, and
+        # the one-class table [[n]] of a 1 x 1 source names its int64 count
+        pytest.param("redundancy", dict(REDUNDANCY, n_schedule=[1e308]),
+                     f"QMDL_DENSE_CAP: type-class table of shape [1e+308, 2] in 8-byte entries {BUDGET}", id="redundancy"),
+        pytest.param("markov", dict(MARKOV, n_schedule=[2**64]),
+                     f"QMDL_DENSE_CAP: type-class table of shape [1.84467e+19, 2] in 8-byte entries {BUDGET}", id="markov"),
+        pytest.param("bound", dict(BOUND, n_schedule=[2**63]),
+                     f"QMDL_DENSE_CAP: type-class table of shape [9.22337e+18, 2] in 8-byte entries {BUDGET}", id="bound"),
         pytest.param("universality-check",
                      {"source": {"components": [{"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]},
                       "model": [[[[1.0, 0.0]]]], "epsilon": 0.5, "n_range": [2**63],
                       "mode": "q-restricted", "system": [[[[1.0, 0.0]]]]},
-                     f"9.22337e+18 {TABLE_COUNT}", id="universality-check"),
+                     f"word length 9.22337e+18 {TABLE_COUNT}", id="universality-check"),
         pytest.param("consistency", dict(CONSISTENCY, n_schedule=[1e308]),
-                     "1e+308 exceeds 2^60 - 1, the largest number of float64 uniforms one numpy buffer holds",
-                     id="consistency"),
+                     f"QMDL_DENSE_CAP: row of uniforms of shape [1e+308] in 8-byte entries {BUDGET}", id="consistency"),
     ],
 )
 def test_word_length_past_its_limit_is_a_size_error(tmp_path, command, config, message):
-    assert run(tmp_path / "c.json", command, config) == (4, f"config error: word length {message}\n")
+    assert run(tmp_path / "c.json", command, config) == (4, f"config error: {message}\n")
+
+
+def _sources(dim: int, kind: str | None = None) -> dict:
+    if kind:
+        return {"kind": kind}
+    return {"components": [{"weight": 1.0, "matrix": matrix_to_json(np.eye(dim) / dim)}]}
+
+
+# each array below fits no 2 GiB address space: the sizes that ended in MemoryError tracebacks
+PROBES = {
+    "redundancy": ("redundancy", dict(REDUNDANCY, n_schedule=[10**12])),
+    "markov": ("markov", dict(MARKOV, n_schedule=[10**12])),
+    "bound": ("bound", dict(BOUND, n_schedule=[10**12])),
+    "divergence-beta": ("divergence", {"a": _sources(2, "beta-example"), "b": _sources(2, "beta-example"), "n": 10**12}),
+    "divergence-3x3": ("divergence", {"a": _sources(3), "b": _sources(3), "n": 10**5}),
+    "consistency-n": ("consistency", dict(CONSISTENCY, n_schedule=[10**11])),
+    "consistency-replicas": ("consistency", dict(CONSISTENCY, replicas=4 * 10**9)),
+    "estimate": ("estimate", {"estimator": "mle", "word": {"n": 10**12, "k": 1}}),
+    "predict": ("predict", {"source": _sources(2, "beta-example"), "word": {"n": 10**12, "k": 1}}),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_sizes_past_the_budget_are_refused_before_they_are_formed(tmp_path, name):
+    """Each probe runs in a child process whose address space is capped at 2 GiB, so an array
+    formed past the budget would end in MemoryError: it exits 4 with one config error line."""
+    command, config = PROBES[name]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("QMDL_DENSE_CAP", None)
+    env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread's buffers, whatever the host's CPU count
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qmdl.cli", command, "--config", str(path)], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2  # start and imports included (about 0.2 s on a 2-vCPU host)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("config error: QMDL_DENSE_CAP: ")
+    assert done.stderr.endswith("in 8-byte entries would hold more than 16 cap^2 = 1073741824 bytes at cap 8192\n")
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+@pytest.mark.parametrize("command", ["universality-check", "redundancy", "divergence"])
+def test_malformed_dense_cap_is_a_config_error(tmp_path, monkeypatch, cap, command):
+    """A QMDL_DENSE_CAP that is not a positive integer exits 4 where a size is admitted."""
+    config = {"universality-check": dict(UNIVERSALITY, mode="matrix"), "redundancy": dict(REDUNDANCY, n_schedule=[4]),
+              "divergence": dict(VALID["divergence"])}[command]
+    monkeypatch.setenv("QMDL_DENSE_CAP", cap)
+    shown = "must be an integer, got 'abc'" if cap == "abc" else f"must be positive, got {cap}"
+    assert run(tmp_path / "c.json", command, config) == (4, f"config error: QMDL_DENSE_CAP: {shown}\n")
 
 
 @pytest.mark.parametrize("schedule", [[0, 5], [-3]])

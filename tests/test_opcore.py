@@ -29,7 +29,8 @@ from qmdl import (
     trace_inner_norm,
 )
 from qmdl import opcore
-from qmdl.opcore import _eigvalsh, _spectra, check_cap, sym_powers
+from qmdl.config import admit
+from qmdl.opcore import _eigvalsh, _spectra, sym_powers
 from conftest import random_density, random_hermitian
 
 
@@ -110,8 +111,14 @@ def test_tensor_power_dimensions(n):
     assert tensor_power(np.eye(2), n).shape == (max(2**n, 1), max(2**n, 1))
 
 
-def test_check_cap_names_a_power_past_the_cap_bit_length(monkeypatch):
+def test_admit_names_a_power_past_the_cap_bit_length(monkeypatch):
+    """The square case of config.admit is the dense-dimension cap: d^n is named as a power past
+    the cap's bit length and never formed past the budget's."""
     monkeypatch.setenv("QMDL_DENSE_CAP", "64")  # bit length 7
+
+    def check_cap(dim, n=1):
+        admit("level", (dim, n), (dim, n), itemsize=16)
+
     check_cap(64)
     check_cap(2, 6)
     check_cap(1, 10**100)
@@ -126,6 +133,11 @@ def test_check_cap_names_a_power_past_the_cap_bit_length(monkeypatch):
         check_cap(3, 10**5)
     with pytest.raises(SizeCapExceeded, match=r"^dense dimension 2\^20000 exceeds"):
         tensor_power(np.eye(2), 20000)
+    monkeypatch.delenv("QMDL_DENSE_CAP")  # d^n = cap is admitted at the default 8192 too
+    check_cap(2, 13)
+    check_cap(8192)
+    with pytest.raises(SizeCapExceeded, match=r"^dense dimension 16384 exceeds cap 8192;"):
+        check_cap(2, 14)
 
 
 def test_sym_powers_are_tensor_powers_on_the_dicke_basis(rng):
@@ -365,10 +377,22 @@ def test_norm_exceeds_decides_on_the_largest_entry_of_either_sign(monkeypatch, s
     assert norm_exceeds(stack, tol).tolist() == expected and len(calls) == 1
 
 
-@pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.array([[np.inf, 0], [0, 1]]), np.zeros((2, 2, 3))])
+def _one_bad_in_a_stack():
+    stack = np.zeros((4, 3, 3), dtype=complex)
+    stack[2, 1, 0] = complex(0.0, np.nan)
+    return stack
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.array([[np.inf, 0], [0, 1]]), np.zeros((2, 2, 3)),
+                                 np.array([[np.nan, 0], [0, 1]]), np.array([[0, -np.inf], [0, 1]]),
+                                 np.array([[0, 0], [complex(1, np.inf), 1]]), _one_bad_in_a_stack()])
 def test_norm_exceeds_rejects_what_op_norm_rejects(bad):
-    with pytest.raises(InvalidOperator):
+    """A bad shape or a non-finite entry, real or imaginary, anywhere in a matrix or a stack."""
+    with pytest.raises(InvalidOperator, match=r"^expected finite square matrices, got shape \("):
         norm_exceeds(bad, 1e-8)
+    if bad.ndim == 2 and bad.shape[0] == bad.shape[1]:
+        with pytest.raises(InvalidOperator):
+            op_norm(bad)
 
 
 def test_trace_inner_norm_is_frobenius(rng):

@@ -123,8 +123,13 @@ def test_one_letter_table_is_one_class_at_any_length(monkeypatch):
 def test_word_length_past_int64_is_a_size_error(parts, n, shown):
     with pytest.raises(SizeCapExceeded) as refused:
         compositions(n, parts)
-    assert str(refused.value) == f"word length {shown} exceeds 2^63 - 1, the largest count of a type-class table"
-    assert refused.value.setting is None
+    if parts == 1:  # the one class [[n]] fits the byte budget: its int64 count refuses n
+        assert str(refused.value) == f"word length {shown} exceeds 2^63 - 1, the largest count of a type-class table"
+        assert refused.value.setting is None
+    else:  # n + 1 or more rows pass the byte budget first, before anything is formed
+        assert str(refused.value).startswith("type-class table of shape [" + (f"{shown}, 2]" if parts == 2 else ""))
+        assert str(refused.value).endswith("would hold more than 16 cap^2 = 1073741824 bytes at cap 8192")
+        assert refused.value.setting == "QMDL_DENSE_CAP"
 
 def test_log_multinomial_rows_match_scalar_lgamma():
     counts = compositions(9, 3)

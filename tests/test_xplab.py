@@ -101,7 +101,7 @@ def test_replica_uniforms_blocks_hold_the_replica_streams():
 def test_replica_counts_refuse_word_lengths_before_any_buffer(n):
     # from 2^60 a [1, n] float64 buffer is 2^63 bytes, which numpy refuses with a ValueError
     # and an int64 tally with an OverflowError: the size error comes first
-    with pytest.raises(SizeCapExceeded, match=r"exceeds 2\^60 - 1, the largest number of float64 uniforms"):
+    with pytest.raises(SizeCapExceeded, match=r"^row of uniforms of shape \[\S+\] in 8-byte entries would hold more"):
         _replica_counts(example_state(0.3), CB, n, 3, seed=1)
 
 
@@ -352,6 +352,28 @@ def test_consistency_replicas_fit_one_entropy_word(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(dict(data, replicas=2**32 + 1)))
     assert main(["consistency", "--config", str(path)]) == 4
+
+
+# ROADMAP item 14: on the default basis example_state(theta, c) has the law (theta, 1 - theta) for
+# every c, so c changes no output; the change that makes c live lists this test
+C_INVARIANT = {
+    "consistency": {"theta_star": 0.3, "model_thetas": [0.1, 0.3, 0.7], "code_weights": [0.25, 0.5, 0.25],
+                    "n_schedule": [5, 40], "replicas": 6, "seed": 3, "competitor_thetas": [0.7], "deltas": [2.0]},
+    "bound": {"theta_star": 0.3, "model_thetas": [0.3, 0.7], "code_weights": [0.5, 0.25], "alphas": [2.0, 4.0],
+              "n_schedule": [4, 16]},
+    "markov": {"theta_ref": 0.3, "theta_comp": 0.7, "comp_weight": 0.5, "deltas": [1.5, 3.0], "n_schedule": [8, 32]},
+}
+
+
+@pytest.mark.parametrize("command", C_INVARIANT)
+def test_c_changes_no_csv_on_the_default_basis(tmp_path, command):
+    csvs = set()
+    for c in (0.0, 0.5, 1.0):
+        path = tmp_path / f"{c}.json"
+        path.write_text(json.dumps(dict(C_INVARIANT[command], c=c)))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / f"{c}.csv")]) == 0
+        csvs.add((tmp_path / f"{c}.csv").read_bytes())
+    assert len(csvs) == 1
 
 
 def test_consistency_word_no_member_explains_raises(tmp_path):
