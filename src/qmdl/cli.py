@@ -171,22 +171,12 @@ def _operand(data, field: str):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_jsonable)
+    text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------

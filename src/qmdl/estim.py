@@ -4,10 +4,10 @@ The two-part estimator scores each model member by the projected likelihood of
 its code-weighted tensor-power level; ties fall back to the maximum stored
 trace, then to the lowest index. Both models are the weighted family of
 qsource: GeneralizedModel's weights are code weights, ParamModel's are all 1.
-Models score and sources emit: a model is read only through _member_scores,
-which pays log w once per letter (a source's level pays it once; ROADMAP item 1)
-on top of the library's one log-likelihood rule, typeclasses.summed_logs over the
-model's cached letter_logs table, plus its cached log weights.
+Models score and sources emit: a model is read only through the family's one
+word-score kernel, qsource._Family.scores (summed_logs over the cached letter_logs
+table plus the cached math.log weights), whose weight term a model pays once per
+letter (a source's level pays it once; ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import AllZeroLikelihood, InvalidOperator, InvalidWord, NonMinimalSystem
 from .models import example_states
-from .config import TOL
-from .opcore import check_semi_density, normalize
+from .opcore import check_density, normalize
 from .projlat import ProjSystem
 from .qsource import _Family, _unzip, word_counts
-from .typeclasses import compositions, log_multinomial, summed_logs
+from .typeclasses import compositions, log_multinomial
 
 __all__ = [
     "ParamModel",
@@ -55,15 +54,9 @@ class ParamModel(_Family):
 
     @classmethod
     def explicit(cls, states) -> "ParamModel":
-        """Density matrices as one model. Member i failing check_density is named
-        "component i:", the first in member order, each tested as check_density does."""
+        """Density matrices as one model, checked as one stack: check_density names the first failing member."""
         model = cls(states)
-        traces = np.trace(model.states, axis1=1, axis2=2)
-        off = np.abs(traces - 1) > TOL.trace
-        first = int(off.argmax()) if off.any() else len(model)
-        check_semi_density(model.states[: first + 1])
-        if first < len(model):
-            raise InvalidOperator(f"component {first}: trace {traces[first]} != 1")
+        check_density(model.states)
         return model
 
 
@@ -98,21 +91,6 @@ class EstimateResult:
     tie_path: TiePath
 
 
-def _member_scores(model, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-    """n log w_i + summed_logs(letter_logs(letter table), counts) per member: a model's scores.
-
-    Models score and sources emit; this is the one reading of a model, paying a
-    weight per letter. The one log-likelihood rule (math.log, index order, -inf at
-    p <= 0 with a positive count, no floor) keeps each score the scalar sum's float,
-    so exact ties survive; its letter_logs table and the math.log weights are the
-    model's cached ones. counts [m] or [C, m] give [members] or [C, members]; the
-    weight term is added in place, keeping one [C, members] array fewer alive.
-    """
-    scores = summed_logs(model.log_letter_probs(system), counts)
-    scores += np.sum(counts, axis=-1)[..., None] * model.log_weights
-    return scores
-
-
 def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
     """Grid maximum likelihood; ties resolved to the lowest grid index."""
     if not system.minimal:
@@ -120,7 +98,7 @@ def mle(model: ParamModel, system: ProjSystem, word) -> EstimateResult:
     counts = word_counts(word, system)
     if not counts.any():
         raise InvalidWord("MLE needs a nonempty outcome word")
-    scores = _member_scores(model, system, counts)
+    scores = model.scores(system, counts)
     best = scores.max()
     if best == -np.inf:
         raise AllZeroLikelihood("every grid state assigns probability 0 to the word")
@@ -140,7 +118,7 @@ def _two_part_scores(
 ) -> np.ndarray:
     """Two-part scores of one word [m], consistency_run's replicas [R, m] or a class table
     [C, m] of two_part_classes (kept apart from mle: perfbench counts calls here)."""
-    return _member_scores(model, system, counts)
+    return model.scores(system, counts)
 
 
 def _select(model: GeneralizedModel, scores: np.ndarray) -> TiePath:

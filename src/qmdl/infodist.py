@@ -26,7 +26,7 @@ from .config import TOL
 from .opcore import _LEAK_TOL, _below_support, _rel_entropy_nats, _spectra, as_operator
 from .projlat import ProjSystem
 from .qsource import word_distribution
-from .typeclasses import logsumexp
+from .typeclasses import letter_logs, logsumexp
 
 __all__ = [
     "DivergenceValue",
@@ -104,7 +104,7 @@ def kl_classical(p: np.ndarray, q: np.ndarray, base: str = "bits"):
 
     p and q are laws [m] or rows [..., m] that broadcast; one pair of laws gives a
     float, rows give one value per row. An entry with p <= 0 adds nothing; every
-    other adds p * math.log(p / q), in index order.
+    other adds p * log(p / q), the log from typeclasses.letter_logs, in index order.
     """
     scale = _base_factor(base)
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
@@ -112,7 +112,7 @@ def kl_classical(p: np.ndarray, q: np.ndarray, base: str = "bits"):
     lost = (live & (q <= 0.0)).any(axis=-1, keepdims=True)
     live &= ~lost
     terms = np.zeros(p.shape)
-    terms[live] = p[live] * np.array(list(map(math.log, (p[live] / q[live]).tolist())))
+    terms[live] = p[live] * letter_logs(p[live] / q[live])
     return _row_sums(np.where(lost, np.inf, terms)) / scale
 
 

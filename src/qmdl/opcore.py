@@ -83,9 +83,20 @@ def check_semi_density(t: np.ndarray) -> np.ndarray:
 
 
 def check_density(t: np.ndarray) -> np.ndarray:
-    t = check_semi_density(as_operator(t))
-    if abs(np.trace(t) - 1) > TOL.trace:
-        raise InvalidOperator(f"trace {np.trace(t)} != 1")
+    """t if it is a density matrix, or a square [N, d, d] stack of them; else InvalidOperator.
+
+    Each matrix is tested as check_semi_density tests it, then for unit trace within TOL.trace;
+    a stack's error names its first failing matrix as "component i:", as a single one fails."""
+    t = np.asarray(t, dtype=complex)
+    many = t.ndim == 3 and t.shape[1] == t.shape[2]
+    stack = t if many else as_operator(t)[None]
+    tr = np.trace(stack, axis1=1, axis2=2)
+    off = np.flatnonzero(np.abs(tr - 1) > TOL.trace)
+    first = int(off[0]) if off.size else len(stack)
+    check_semi_density(t[: first + 1] if many else stack[0])  # no matrix past the first off trace
+    if off.size:
+        message = f"trace {tr[first]} != 1"
+        raise InvalidOperator(f"component {first}: {message}" if many else message)
     return t
 
 

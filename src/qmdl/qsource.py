@@ -5,13 +5,12 @@ materialization is an explicit capped operation. Outcome-word probabilities
 factorize through per-letter traces, so finite-n checks scale to large n via
 type-class enumeration.
 
-One weighted family {(w_i, rho_i)} underlies sources and models. There is one
-source type, MixtureSource, and it emits: level, log_prob and predict read
-sum_i w_i rho_i^(x)n, paying each weight once. BetaExampleSource is one with a
-closed form on the computational basis. Models (estim) only score, paying
-log w_i once per letter (ROADMAP item 1 chooses between the readings). A
-word's log-likelihood has one rule, summed_logs over a letter_logs table:
-math.log, index order, -inf where p <= 0 meets a positive count, no floor.
+One weighted family {(w_i, rho_i)} underlies sources and models, and one kernel,
+_Family.scores, scores words against it: summed_logs over the cached letter_logs
+table (math.log, index order, -inf where p <= 0 meets a positive count, no floor)
+plus the cached math.log weights, paid once by the one source type, MixtureSource,
+whose level, log_prob and predict read sum_i w_i rho_i^(x)n, and once per letter by
+a model (estim), read as (w_i rho_i)^(x)n (ROADMAP item 1 chooses between the two).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .opcore import (
     _eigvalsh,
     _rel_entropy_nats,
     as_operator,
+    check_density,
     check_semi_density,
     eigh,
     herm_sqrt,
@@ -91,7 +91,8 @@ class _Family:
     """Weights [N], states as one [N, d, d] stack, optional thetas, stored_traces
     w_i Tr rho_i, and per system an outcome table and its letter_logs table, each
     built once and kept while the system lives; subclasses add a weight rule.
-    Only MixtureSource emits (level, log_prob, predict); models are scored by estim."""
+    Only MixtureSource emits (level, log_prob, predict); every family scores, and
+    pays its weights once per letter unless it is a MixtureSource."""
 
     def __init__(self, weights, states, thetas=None, *, top: float, bad_weight: str, empty: str, mixed=None):
         """Check 0 < w <= top and one finite square stack at once. On failure raise what
@@ -145,8 +146,20 @@ class _Family:
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """math.log of each weight, built on first read: the per-letter term of a model's score."""
+        """math.log of each weight, built on first read: the weight term of every score."""
         return np.array(list(map(math.log, self.weights.tolist())))
+
+    def scores(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
+        """Every member's log score of a word per histogram, [members] for counts [m] or [C, members]
+        for [C, m]: each the scalar sum's float, so exact ties survive. The weight term is added
+        in place, keeping one [C, members] array fewer alive."""
+        out = summed_logs(self.log_letter_probs(system), counts)
+        out += self._weight_term(counts)
+        return out
+
+    def _weight_term(self, counts: np.ndarray) -> np.ndarray:
+        """n log w_i for words of length n: a model's (w_i rho_i)^(x)n pays its weight per letter."""
+        return np.sum(counts, axis=-1)[..., None] * self.log_weights
 
 
 def _unzip(members) -> tuple[list, list]:
@@ -158,10 +171,10 @@ def _unzip(members) -> tuple[list, list]:
 class MixtureSource(_Family):
     """Weighted family {(w_i, rho_i)} with levels sum_i w_i rho_i^(x)n.
 
-    Every component passes check_semi_density, trace <= 1 included. kind = "source"
-    demands sum w_i = 1 and unit-trace components, so every level is a density
-    matrix; kind = "generalized" bounds the level-1 trace by 1, and the level
-    traces are nonincreasing in n.
+    kind = "source" demands that every component pass check_density and that
+    sum w_i = 1, so every level is a density matrix; kind = "generalized" demands
+    check_semi_density, trace <= 1 included, and bounds the level-1 trace by 1, so
+    the level traces are nonincreasing in n.
     """
 
     def __init__(self, components, kind: str = "source"):
@@ -171,14 +184,11 @@ class MixtureSource(_Family):
                          empty="a mixture needs at least one component",
                          mixed=DimensionMismatch("mixture components live on different spaces"))
         self.kind = kind
-        check_semi_density(self.states)
-        traces = np.trace(self.states, axis1=1, axis2=2).real
         if kind == "source":
+            check_density(self.states)
             if abs(self.weights.sum() - 1.0) > 1e-9:
                 raise InvalidOperator("source weights must sum to 1")
-            if np.any(np.abs(traces - 1.0) > TOL.trace):
-                raise InvalidOperator("source components must have unit trace")
-        elif float(self.weights @ traces) > 1 + 1e-9:
+        elif float(self.weights @ np.trace(check_semi_density(self.states), axis1=1, axis2=2).real) > 1 + 1e-9:
             raise InvalidOperator("generalized source has level-1 trace > 1")
 
     def level(self, n: int) -> np.ndarray:
@@ -188,22 +198,24 @@ class MixtureSource(_Family):
             out += w * tensor_power(rho, n)
         return out
 
+    def _weight_term(self, counts: np.ndarray) -> np.ndarray:
+        """log w_i: the level sum_i w_i rho_i^(x)n pays each weight once."""
+        return self.log_weights
+
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
-        logs, log_w = self.log_letter_probs(system), np.log(self.weights)
         # class blocks bound each [classes, components] intermediate to 8 MB
-        step = max(1, 2**20 // len(log_w))
-        blocks = (summed_logs(logs, counts[i : i + step]) for i in range(0, len(counts), step))
-        return np.concatenate([logsumexp(log_w + ll) for ll in blocks])
+        step = max(1, 2**20 // len(self))
+        blocks = (counts[i : i + step] for i in range(0, len(counts), step))
+        return np.concatenate([logsumexp(self.scores(system, block)) for block in blocks])
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Posterior-weighted letter law after a word with histogram counts."""
-        probs = self.letter_probs(system)
-        log_post = np.log(self.weights) + summed_logs(self.log_letter_probs(system), counts)
+        log_post = self.scores(system, counts)
         log_total = logsumexp(log_post)
         if log_total == -np.inf:
             raise AllZeroLikelihood("conditioning word has probability 0")
-        return np.exp(log_post - log_total) @ np.clip(probs, 0.0, None)
+        return np.exp(log_post - log_total) @ np.clip(self.letter_probs(system), 0.0, None)
 
 
 class BetaExampleSource(MixtureSource):
@@ -241,7 +253,9 @@ class BetaExampleSource(MixtureSource):
 
 @cache
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count;
+    leggauss's nodes x nodes companion matrix is admitted (config.admit) first."""
+    admit("Gauss-Legendre companion matrix", nodes, nodes, itemsize=8)
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w

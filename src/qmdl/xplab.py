@@ -302,6 +302,9 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     taken once per distinct estimate, as one batch of rows. Declared competitors additionally get exact
     distinguishability masses per n.
     """
+    # two rows per replica and n take about 300 bytes of resident memory (ru_maxrss; 224 of
+    # them are the rows' tuples, list slots and replica int): 19 8-byte words a row
+    admit("consistency rows", len(config.n_schedule), 2 * config.replicas, 19, itemsize=8)
     system = computational_basis(2)
     truth = example_state(config.theta_star, config.c)
     truth_probs = outcome_probs([truth], system)[0]

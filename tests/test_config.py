@@ -241,6 +241,8 @@ PROBES = {
     "divergence-3x3": ("divergence", {"a": _sources(3), "b": _sources(3), "n": 10**5}),
     "consistency-n": ("consistency", dict(CONSISTENCY, n_schedule=[10**11])),
     "consistency-replicas": ("consistency", dict(CONSISTENCY, replicas=4 * 10**9)),
+    "consistency-rows": ("consistency", dict(CONSISTENCY, replicas=2**26)),
+    "quadrature-nodes": ("predict", {"source": {"quadrature": {"model": "example", "nodes": 10**12}}}),
     "estimate": ("estimate", {"estimator": "mle", "word": {"n": 10**12, "k": 1}}),
     "predict": ("predict", {"source": _sources(2, "beta-example"), "word": {"n": 10**12, "k": 1}}),
 }

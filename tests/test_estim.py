@@ -31,7 +31,7 @@ from qmdl import (
 from qmdl import BetaExampleSource, predict_step
 from qmdl import qsource
 from qmdl import estim
-from qmdl.estim import _member_scores, _select, _trace_sum, _two_part_scores, two_part_classes
+from qmdl.estim import _select, _trace_sum, _two_part_scores, two_part_classes
 from qmdl.typeclasses import compositions, letter_logs, summed_logs
 from conftest import brute_force_lambda_sum, random_density
 
@@ -69,9 +69,12 @@ def test_mle_all_zero_likelihood():
 
 
 def test_mle_requires_minimal_system():
+    """So does two-part selection."""
     model = ParamModel.example(grid=np.array([0.5]))
     with pytest.raises(NonMinimalSystem):
         mle(model, ProjSystem([np.eye(2)]), (0,))
+    with pytest.raises(NonMinimalSystem, match="^two-part selection needs a rank-1 system$"):
+        two_part(GeneralizedModel([(0.5, example_state(0.3))]), ProjSystem([np.eye(2)]), (0,))
 
 
 def test_mle_rejects_empty_word():
@@ -206,7 +209,7 @@ def test_kernel_scores_equal_scalar_loop(case):
     got = _two_part_scores(two, system, counts)
     assert got.tolist() == reference_scores(zip(two.weights, two.states), system, counts)
     grid = ParamModel(tuple(states))
-    got = _member_scores(grid, system, counts)
+    got = grid.scores(system, counts)
     assert got.tolist() == reference_scores([(None, s) for s in states], system, counts)
     # models score and never emit: a weight is read one way per type
     for model in (two, grid):
@@ -259,7 +262,7 @@ def test_cached_log_tables_score_as_the_uncached_rule(monkeypatch, rng):
         for _ in range(2):
             for batch in (counts, counts[317], counts[:0]):
                 # bytes also tell -0.0 from 0.0
-                assert _member_scores(model, CB, batch).tobytes() == _uncached_scores(model, CB, batch).tobytes()
+                assert model.scores(CB, batch).tobytes() == _uncached_scores(model, CB, batch).tobytes()
         assert len(calls) == 1
         assert model.log_letter_probs(CB) is model.log_letter_probs(CB)
         assert model.log_weights is model.log_weights
@@ -271,12 +274,12 @@ def test_a_family_pickles_without_its_tables_and_drops_them_with_their_system(rn
     model = GeneralizedModel([(0.5, example_state(0.2)), (0.25, random_density(rng, 2))])
     system = haar_random_system(2, rng)
     counts = np.array([3, 4])
-    scores = _member_scores(model, system, counts)
+    scores = model.scores(system, counts)
     assert (len(model._tables), len(model._logs)) == (1, 1)
     twin = pickle.loads(pickle.dumps(model))
     assert (len(twin._tables), len(twin._logs)) == (0, 0)
-    assert _member_scores(twin, CB, counts).tobytes() == _member_scores(model, CB, counts).tobytes()
-    assert _member_scores(model, system, counts).tobytes() == scores.tobytes()
+    assert twin.scores(CB, counts).tobytes() == model.scores(CB, counts).tobytes()
+    assert model.scores(system, counts).tobytes() == scores.tobytes()
     del system
     gc.collect()
     assert (len(model._tables), len(model._logs)) == (1, 1)  # CB's tables alone
@@ -288,13 +291,13 @@ def test_a_family_pickles_without_its_tables_and_drops_them_with_their_system(rn
 
 
 def test_explicit_model_checks_its_members_as_one_stack(monkeypatch):
-    """One check_semi_density call; the first failing member is named as check_density orders
-    its tests: square and finite, Hermitian, PSD, trace <= 1, then unit trace."""
+    """One check_density call; the first failing member is named, its tests in check_density's
+    order: square and finite, Hermitian, PSD, trace <= 1, then unit trace."""
     good, half = example_state(0.3), np.diag([0.5, 0.0])
     not_psd, not_herm = np.array([[1.5, 0.0], [0.0, -0.5]]), np.array([[0.5, 0.3], [0.0, 0.5]])
     calls = []
-    check = estim.check_semi_density
-    monkeypatch.setattr(estim, "check_semi_density", lambda t: calls.append(len(t)) or check(t))
+    check = estim.check_density
+    monkeypatch.setattr(estim, "check_density", lambda t: calls.append(len(t)) or check(t))
     assert ParamModel.explicit([good, good, good]).states.tobytes() == np.stack([good] * 3).tobytes()
     assert calls == [3]
     cases = [
@@ -380,7 +383,7 @@ FAMILIES = {
     ),
     "source": (
         MixtureSource, lambda w: w > 0.0, POSITIVE, MIXTURE_END, MIXED_SPACES,
-        [(InvalidOperator, "source weights must sum to 1"), (InvalidOperator, "source components must have unit trace")],
+        [(InvalidOperator, "source weights must sum to 1")],
     ),
     "generalized-source": (
         lambda members: MixtureSource(members, kind="generalized"), lambda w: w > 0.0, POSITIVE, MIXTURE_END,
@@ -553,7 +556,7 @@ def test_batched_scores_equal_per_class_loop():
         system = computational_basis(m)
         counts = compositions(n, m)
         batch = _two_part_scores(model, system, counts)
-        loop = np.array([_member_scores(model, system, row) for row in counts])
+        loop = np.array([model.scores(system, row) for row in counts])
         assert np.array_equal(batch, loop)
         chosen = _select(model, batch).chosen
         for row, idx in zip(loop, chosen):

@@ -82,6 +82,22 @@ def test_check_semi_density_takes_a_stack_and_names_its_first_failing_matrix():
         check_semi_density(np.zeros((2, 2, 3)))
 
 
+def test_check_density_takes_a_stack_and_names_its_first_failing_matrix():
+    """Each matrix is tested as check_density tests it alone, unit trace last; a stack's
+    error names the first failing one, with that matrix's first failing test."""
+    good, half, negative = np.eye(2) / 2, np.diag([0.5, 0.0]), np.diag([1.5, -0.5])
+    for bad in (np.array([[0.5, 0.3], [0.0, 0.5]]), negative, np.eye(2), half):
+        with pytest.raises(InvalidOperator) as alone:
+            check_density(bad)
+        with pytest.raises(InvalidOperator, match=f"^component 1: {re.escape(str(alone.value))}$"):
+            check_density(np.stack([good, bad, negative]))
+    assert str(alone.value) == "trace (0.5+0j) != 1"
+    with pytest.raises(InvalidOperator, match=r"^component 1: not PSD: min eigenvalue -5\.000e-01$"):
+        check_density(np.stack([good, negative, half]))
+    stack = np.stack([good, np.diag([1.0, 0.0])])
+    assert np.array_equal(check_density(stack), stack)
+
+
 def test_psd_test_asks_lapack_only_where_the_gershgorin_bound_is_open(monkeypatch):
     calls = []
     inner = np.linalg.eigvalsh

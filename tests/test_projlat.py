@@ -600,6 +600,14 @@ def test_join_atoms_with_different_owners_are_orthogonal(rng):
         assert norm_exceeds((atoms[:, None] - atoms[None])[off], TOL.lattice).all()
 
 
+def test_lattice_of_one_system_is_that_system(rng):
+    """A one-system family commutes, and its join and meet are the system itself."""
+    for system in (haar_random_system(3, rng), ProjSystem([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])):
+        assert consistent([system])
+        for operation in (join, meet):
+            assert np.array_equal(operation([system]).system.stack, system.stack)
+
+
 def test_consistent_checks_every_pair_of_systems():
     """Systems 0 and 1 commute, as do 1 and 2; only 0 and 2 do not."""
     blocks = ProjSystem([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])

@@ -84,6 +84,33 @@ def test_source_components_must_be_semi_densities():
         MixtureSource([(0.25, np.eye(2))], kind="generalized")
 
 
+def test_source_components_must_be_densities():
+    """A source checks its components as one check_density stack: the first failing one is
+    named, each tested as a single matrix is; a generalized source takes the trace-0.5 one."""
+    good, half, negative = np.eye(2) / 2, np.diag([0.5, 0.0]), np.array([[0.5, 2.0], [2.0, 0.5]])
+    with pytest.raises(InvalidOperator, match=r"^component 0: trace \(0\.5\+0j\) != 1$"):
+        MixtureSource([(0.5, half), (0.5, negative)])
+    with pytest.raises(InvalidOperator, match=r"^component 1: not PSD: min eigenvalue -1\.500e\+00$"):
+        MixtureSource([(0.4, good), (0.3, negative), (0.3, half)])
+    with pytest.raises(InvalidOperator, match=r"^component 2: trace \(0\.5\+0j\) != 1$"):
+        MixtureSource([(0.4, good), (0.3, good), (0.3, half)])
+    assert MixtureSource([(1.0, half)], kind="generalized").stored_traces.tolist() == [0.5]
+
+
+def test_one_member_source_and_model_score_alike_at_one_letter():
+    """At n = 1 a weight paid once and one paid per letter are the same term, and the level
+    w rho is the model's (w rho)^(x)1: a one-member generalized source and a one-member model
+    score each letter bit for bit alike. The weights are ones whose np.log and math.log
+    differ in the last bit, where this host has them (0.35% of uniform doubles)."""
+    draws = np.random.default_rng(35).uniform(1e-6, 1.0, 200_000)
+    differ = np.log(draws) != np.array([math.log(w) for w in draws.tolist()])
+    rho, system = example_state(0.3), haar_random_system(2, np.random.default_rng(7))
+    for w in np.concatenate([draws[differ], draws[~differ]])[:300].tolist():
+        src, model = MixtureSource([(w, rho)], kind="generalized"), GeneralizedModel([(w, rho)])
+        for counts in np.eye(2, dtype=np.int64):
+            assert src.log_prob(system, counts[None]).tobytes() == model.scores(system, counts).tobytes()
+
+
 def test_generalized_source_allows_subnormalized(rng):
     src = MixtureSource([(0.5, np.eye(2) / 2)], kind="generalized")
     assert abs(np.trace(src.level(1)) - 0.5) < 1e-12
@@ -742,7 +769,7 @@ def test_log_prob_logs_the_letter_table_once_across_class_blocks(monkeypatch, rn
     monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
     blocked = src.log_prob(system, counts)
     assert len(calls) == 1
-    probs, log_w = src.letter_probs(system), np.log(src.weights)
+    probs, log_w = src.letter_probs(system), np.array([math.log(w) for w in src.weights.tolist()])
     rows = [logsumexp(log_w + summed_logs(letter_logs(probs), row)) for row in counts]
     assert blocked.tobytes() == np.array(rows).tobytes()
 
@@ -756,7 +783,7 @@ def test_cached_log_table_serves_log_prob_and_predict(monkeypatch, rng):
     counts = compositions(300, 2)
     calls = []
     monkeypatch.setattr(qsource, "letter_logs", lambda probs: calls.append(1) or letter_logs(probs))
-    probs, log_w = src.letter_probs(system), np.log(src.weights)
+    probs, log_w = src.letter_probs(system), np.array([math.log(w) for w in src.weights.tolist()])
     log_post = log_w + summed_logs(letter_logs(probs), counts[17])
     predicted = np.exp(log_post - logsumexp(log_post)) @ np.clip(probs, 0.0, None)
     expected = logsumexp(log_w + summed_logs(letter_logs(probs), counts))

@@ -5,6 +5,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -241,6 +242,35 @@ def test_cli_divergence_matrices(tmp_path, capsys):
     assert run_cli(tmp_path, "divergence", config) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["base"] == "bits" and out["value"] > 0
+
+
+def test_cli_divergence_renyi_between_matrices_is_the_closed_form(tmp_path, capsys):
+    """-log Tr(a^lam b^(1-lam)) / (1 - lam): sum_k p_k^lam q_k^(1-lam) for diagonal states, and
+    the overlap |<u|v>|^2 for pure ones, whose powers are the states themselves."""
+    p, q, t = np.array([0.2, 0.8]), np.array([0.6, 0.4]), 0.4
+    u, v = np.array([1.0, 0.0]), np.array([math.cos(t), math.sin(t)])
+    cases = [
+        (np.diag(p), np.diag(q), 0.3, "nats", -math.log(float(np.sum(p**0.3 * q**0.7))) / 0.7),
+        (np.outer(u, u), np.outer(v, v), 0.6, "bits", -math.log2(math.cos(t) ** 2) / 0.4),
+    ]
+    for a, b, lam, base, expected in cases:
+        config = {"a": matrix_to_json(a), "b": matrix_to_json(b), "kind": "renyi", "lam": lam}
+        if base == "bits":
+            config["base"] = base
+        assert run_cli(tmp_path, "divergence", config) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["base"] == base and out["value"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_cli_word_with_k_above_n_is_a_config_error(tmp_path, capsys):
+    assert run_cli(tmp_path, "estimate", {"word": {"n": 3, "k": 4}}) == 4
+    assert capsys.readouterr().err == "config error: word: need k <= n, got n=3, k=4\n"
+
+
+def test_cli_source_component_off_unit_trace_is_named(tmp_path, capsys):
+    config = {"source": {"components": [{"weight": 1.0, "matrix": matrix_to_json(np.diag([0.5, 0.0]))}]}, "word": [0]}
+    assert run_cli(tmp_path, "predict", config) == 4
+    assert capsys.readouterr().err == "config error: source: component 0: trace (0.5+0j) != 1\n"
 
 
 def test_cli_divergence_sources_need_level(tmp_path):
