@@ -1,17 +1,21 @@
 """Command-line front end.
 
-Usage: qmdl <subcommand> --config <file.json> [--out <path.csv>] [--seed <u64>]
+Usage: qmdl <subcommand> --config <file.json> [--out <path>]
+       qmdl <experiment> --config <file.json> [--out <path.csv>] [--seed <u64>]
 
 Subcommands: lattice, project, universality-check, estimate, predict,
-divergence, consistency, bound, redundancy, markov. Exit codes: 0 pass,
+divergence, and the experiments consistency, bound, redundancy, markov, whose
+configs read a seed: only they take --seed. Exit codes: 0 pass,
 2 assertion failure, 3 inconclusive (a theorem hypothesis was violated),
 4 configuration error (also an array a word length sizes past 16 cap^2 bytes,
 cap = QMDL_DENSE_CAP, or a word length past 2^63 - 1 in an int64 entry).
+An experiment that both fails a check and finds a hypothesis violated exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -284,10 +288,8 @@ def _cmd_divergence(config: dict, out: str | None) -> int:
 
 def _cmd_experiment(config: dict, out: str | None, cfg_cls, runner) -> int:
     result = runner(cfg_cls.from_dict(config))
-    if out:
-        result.write_csv(out)
-    else:
-        print("\n".join(result.csv_lines()))
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        result.write_csv(fh)
     print(f"# status: {result.status}", file=sys.stderr)
     if result.status == "inconclusive":
         return EXIT_INCONCLUSIVE
@@ -315,11 +317,12 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, *experiment) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (CSV or JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if experiment:  # (config class, runner): the configs that read a seed
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -328,7 +331,7 @@ def main(argv=None) -> int:
     handler, *extra = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config = dict(config, seed=args.seed)
         return handler(config, args.out, *extra)
     except ConfigError as exc:

@@ -204,9 +204,9 @@ class MixtureSource(_Family):
 
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """log probability of one word of each class in counts[C, m]."""
-        # class blocks bound each [classes, components] intermediate to 8 MB
+        # class blocks bound each [classes, components] intermediate to 8 MB; no classes are one empty block
         step = max(1, 2**20 // len(self))
-        blocks = (counts[i : i + step] for i in range(0, len(counts), step))
+        blocks = (counts[i : i + step] for i in range(0, len(counts) or 1, step))
         return np.concatenate([logsumexp(self.scores(system, block)) for block in blocks])
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
@@ -239,14 +239,21 @@ class BetaExampleSource(MixtureSource):
         vars(self).update(vars(example_uniform_source(self.c, self._nodes)))
         return vars(self)[name]
 
+    def _closed_form(self, system: ProjSystem) -> bool:
+        """Whether system is the computational basis of C^2; a system on another dimension raises
+        DimensionMismatch here, before the family is built."""
+        if system.dim != self.dim:
+            raise DimensionMismatch("system dim does not match source dim")
+        return system.computational
+
     def log_prob(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
-        if system.dim != self.dim or not system.computational:
+        if not self._closed_form(system):
             return super().log_prob(system, counts)
         return -np.log(counts.sum(axis=1) + 1.0) - log_multinomial(counts)
 
     def predict(self, system: ProjSystem, counts: np.ndarray) -> np.ndarray:
         """Rule of succession (k_a + 1) / (n + 2) on the computational basis."""
-        if system.dim != self.dim or not system.computational:
+        if not self._closed_form(system):
             return super().predict(system, counts)
         return (counts + 1.0) / (counts.sum() + 2.0)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,11 +20,10 @@ from .errors import AllZeroLikelihood, ConfigError
 from .estim import GeneralizedModel, alpha_scale, check_kraft, two_part_classes, _select, _trace_sum, _two_part_scores
 from .infodist import hellinger_sq_classical, kl_classical, word_divergences
 from .models import example_state, example_states
-from .opcore import as_operator, normalize
 from .projlat import ProjSystem, computational_basis
-from .qsource import BetaExampleSource, MixtureSource, outcome_probs, word_distribution
-from .serial import choice, each, integer, interval, levels, read, unit
-from .typeclasses import letter_logs, summed_logs
+from .qsource import BetaExampleSource, MixtureSource, word_distribution
+from .serial import REQUIRED, choice, each, integer, interval, levels, read, unit
+from .typeclasses import summed_logs
 
 __all__ = [
     "RunResult",
@@ -43,6 +42,12 @@ LN2 = math.log(2.0)
 
 CSV_HEADER = "experiment,n,replica,metric,value,base,seed"
 
+# a run's verdicts in rising precedence: RunResult._mark keeps the highest it is given
+_VERDICTS = ("pass", "inconclusive", "fail")
+
+# rows formatted and written per write (RunResult.write_csv)
+_CSV_BLOCK = 4096
+
 # most bytes of the sampler's uniforms buffer (_replica_uniforms), unless one row of n needs more
 _BLOCK_BYTES = 1 << 16
 
@@ -55,21 +60,25 @@ class RunResult:
     seed: int
     rows: list[tuple] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-    status: str = "pass"  # "pass" | "fail" | "inconclusive"
+    status: str = "pass"  # "pass" | "inconclusive" | "fail" (_VERDICTS), set through _mark
 
     def add(self, n: int, replica, metric: str, value: float, base: str = "") -> None:
         self.rows.append((self.experiment, n, replica, metric, float(value), base))
 
-    def csv_lines(self) -> list[str]:
-        """The header, then one line per row, formatted in one pass; a value prints as its
-        float repr, so each row's value must be a Python float (as `add` stores it)."""
-        seed = self.seed
-        return [CSV_HEADER, *(f"{exp},{n},{replica},{metric},{value!r},{base},{seed}"
-                              for exp, n, replica, metric, value, base in self.rows)]
+    def _mark(self, verdict: str) -> None:
+        """Fold a check's verdict into the status: fail outranks inconclusive, which outranks
+        pass, so the status does not depend on the order the checks ran in."""
+        self.status = max(self.status, verdict, key=_VERDICTS.index)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
+    def write_csv(self, fh) -> None:
+        """Write the header, then one line per row, to the text stream fh, _CSV_BLOCK rows per
+        write, so no more than one block is ever formatted at once. A value prints as its float
+        repr, so each row's value must be a Python float (as `add` stores it)."""
+        fh.write(CSV_HEADER + "\n")
+        seed = self.seed
+        for start in range(0, len(self.rows), _CSV_BLOCK):
+            fh.write("".join(f"{exp},{n},{replica},{metric},{value!r},{base},{seed}\n"
+                             for exp, n, replica, metric, value, base in self.rows[start : start + _CSV_BLOCK]))
 
     def metric_values(self, metric: str, n: int | None = None) -> list[float]:
         return [
@@ -83,6 +92,22 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
+
+
+def _result(experiment: str, config, **metadata) -> RunResult:
+    """A run's empty result: the config's seed, and metadata led by the config's hash."""
+    return RunResult(experiment, config.seed, metadata={"config_hash": _config_hash(config.__dict__), **metadata})
+
+
+def _point(theta: float, c: float = 0.0) -> MixtureSource:
+    """example_state(theta, c) as a one-component source: a point law whose letter tables
+    (letter_probs, log_letter_probs) are built once per system and read by every consumer."""
+    return MixtureSource([(1.0, example_state(theta, c))])
+
+
+def _model(config) -> GeneralizedModel:
+    """The config's family: code weight code_weights[i] on example_state(model_thetas[i], c)."""
+    return GeneralizedModel(zip(config.code_weights, example_states(config.model_thetas, config.c)))
 
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe): pool hashing, output
@@ -177,27 +202,23 @@ def _replica_uniforms(seed: int, n: int, replicas: int):
         yield block
 
 
-def _letter_cdf(true_state, system: ProjSystem) -> np.ndarray:
-    """Cumulative outcome law of Tr(q rho q), normalised as Generator.choice does."""
-    probs = np.clip(outcome_probs([as_operator(true_state)], system)[0], 0.0, None)
+def _replica_counts(truth: MixtureSource, system: ProjSystem, n: int, replicas: int, seed: int) -> np.ndarray:
+    """The outcome counts [replicas, m] of i.i.d. words from a point law's letters, no word formed.
+
+    The cumulative law cdf is the truth's one row of letter_probs, clipped at 0 and normalised as
+    Generator.choice does. Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox
+    stream keyed by (seed, r, n): the word Generator.choice(m, n, p) draws there. Its letter is <= a
+    exactly where its uniform is < cdf[a], so the counts are the differences of those tallies; the
+    last tally is n. Each block of replicas (_replica_uniforms) is tallied at once, one
+    count_nonzero over its rows per cut. The counts are admitted first, and with them the
+    [replicas, 2] uint64 keys.
+    """
+    (probs,) = np.clip(truth.letter_probs(system), 0.0, None)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
     cdf = (probs / total).cumsum()
     cdf /= cdf[-1]
-    return cdf
-
-
-def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed: int) -> np.ndarray:
-    """The outcome counts [replicas, m] of i.i.d. words from Tr(q rho q), no word formed.
-
-    Word r is cdf.searchsorted(u, "right") on the uniforms u of the Philox stream keyed by
-    (seed, r, n): the word Generator.choice(m, n, p) draws there. Its letter is <= a exactly where
-    its uniform is < cdf[a], so the counts are the differences of those tallies; the last tally is
-    n. Each block of replicas (_replica_uniforms) is tallied at once, one count_nonzero over its
-    rows per cut. The counts are admitted first, and with them the [replicas, 2] uint64 keys.
-    """
-    cdf = _letter_cdf(true_state, system)
     admit("replica counts", replicas, len(cdf), itemsize=8)
     below = np.empty((replicas, len(cdf) - 1), dtype=np.int64)
     start = 0
@@ -208,16 +229,14 @@ def _replica_counts(true_state, system: ProjSystem, n: int, replicas: int, seed:
     return np.diff(below, axis=1, prepend=0, append=n)
 
 
-def _likelihood_ratios(ref_src, comp_src, system: ProjSystem, n: int):
-    """(log reference class mass, log likelihood ratio) over the classes the reference emits."""
+def _exceedance_masses(ref_src, comp_src, system: ProjSystem, n: int, deltas) -> list[float]:
+    """Exact reference mass of the length-n words whose likelihood ratio comp/ref exceeds each
+    delta, all from one type-class table over the classes the reference emits."""
     counts, log_mult, log_ref = word_distribution(ref_src, system, n)
     live = log_ref > -np.inf
-    log_comp = comp_src.log_prob(system, counts[live])
-    return log_mult[live] + log_ref[live], log_comp - log_ref[live]
-
-
-def _exceedance_mass(log_mass: np.ndarray, log_ratio: np.ndarray, delta: float) -> float:
-    return float(np.exp(log_mass[log_ratio > math.log(delta)]).sum())
+    log_mass = log_mult[live] + log_ref[live]
+    log_ratio = comp_src.log_prob(system, counts[live]) - log_ref[live]
+    return [float(np.exp(log_mass[log_ratio > math.log(delta)]).sum()) for delta in deltas]
 
 
 def distinguishability_mass(
@@ -233,7 +252,7 @@ def distinguishability_mass(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return _exceedance_mass(*_likelihood_ratios(ref_src, comp_src, system, n), delta)
+    return _exceedance_masses(ref_src, comp_src, system, n, [delta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +278,45 @@ def _replicas(value) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ConsistencyConfig:
-    theta_star: float
-    c: float
-    model_thetas: tuple[float, ...]
-    code_weights: tuple[float, ...]
-    estimator: str  # "two-part" | "laplace"
-    n_schedule: tuple[int, ...]
-    replicas: int
-    seed: int
-    competitor_thetas: tuple[float, ...]
-    deltas: tuple[float, ...]
+def _field(parse, default=REQUIRED):
+    """A config field: the config key of its name read by `parse`, or `default` when absent."""
+    return field(metadata={"parse": parse, "default": default})
+
+
+class _Config:
+    """The experiment configs: frozen dataclasses whose every field is a _field."""
 
     @classmethod
-    def from_dict(cls, data: dict, path: str = "config") -> "ConsistencyConfig":
-        thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
-        weights = read(data, "code_weights", _code_weights, path, (1.0 / len(thetas),) * len(thetas))
-        if len(weights) != len(thetas):
-            raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
-        return cls(
-            theta_star=read(data, "theta_star", unit, path),
-            c=read(data, "c", unit, path, 0.0),
-            model_thetas=thetas,
-            code_weights=weights,
-            estimator=read(data, "estimator", choice("two-part", "laplace"), path, "two-part"),
-            n_schedule=read(data, "n_schedule", _schedule, path),
-            replicas=read(data, "replicas", _replicas, path),
-            seed=read(data, "seed", integer(0), path),
-            competitor_thetas=read(data, "competitor_thetas", each(unit), path, ()),
-            deltas=read(data, "deltas", each(interval("(0, inf)")), path, ()),
-        )
+    def from_dict(cls, data: dict):
+        """Read every field through serial.read in declaration order; a bad or missing one raises
+        ConfigError naming config.<key>. Rules across fields run in the class's __post_init__."""
+        return cls(**{f.name: read(data, f.name, f.metadata["parse"], "config", f.metadata["default"])
+                      for f in fields(cls)})
+
+
+def _weights_parallel_thetas(config) -> None:
+    """The rule across a family's fields: one code weight per member."""
+    if len(config.code_weights) != len(config.model_thetas):
+        raise ConfigError("config.code_weights", "must parallel model_thetas")
+
+
+@dataclass(frozen=True)
+class ConsistencyConfig(_Config):
+    theta_star: float = _field(unit)
+    c: float = _field(unit, 0.0)
+    model_thetas: tuple[float, ...] = _field(each(unit, nonempty=True))
+    code_weights: tuple[float, ...] = _field(_code_weights, None)
+    estimator: str = _field(choice("two-part", "laplace"), "two-part")
+    n_schedule: tuple[int, ...] = _field(_schedule)
+    replicas: int = _field(_replicas)
+    seed: int = _field(integer(0))
+    competitor_thetas: tuple[float, ...] = _field(each(unit), ())
+    deltas: tuple[float, ...] = _field(each(interval("(0, inf)")), ())
+
+    def __post_init__(self):
+        if self.code_weights is None:  # one uniform code over the members
+            object.__setattr__(self, "code_weights", (1.0 / len(self.model_thetas),) * len(self.model_thetas))
+        _weights_parallel_thetas(self)
 
 
 def consistency_run(config: ConsistencyConfig) -> RunResult:
@@ -306,13 +333,10 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
     # them are the rows' tuples, list slots and replica int): 19 8-byte words a row
     admit("consistency rows", len(config.n_schedule), 2 * config.replicas, 19, itemsize=8)
     system = computational_basis(2)
-    truth = example_state(config.theta_star, config.c)
-    truth_probs = outcome_probs([truth], system)[0]
-    model = GeneralizedModel(zip(config.code_weights, example_states(config.model_thetas, config.c)))
-    result = RunResult("consistency", config.seed)
-    result.metadata = {"config_hash": _config_hash(config.__dict__), "estimator": config.estimator}
-    ref_src = MixtureSource([(1.0, truth)])
-    competitors = [(t, MixtureSource([(1.0, example_state(t, config.c))])) for t in config.competitor_thetas]
+    truth, model = _point(config.theta_star, config.c), _model(config)
+    truth_probs = truth.letter_probs(system)[0]
+    result = _result("consistency", config, estimator=config.estimator)
+    competitors = [(t, _point(t, config.c)) for t in config.competitor_thetas]
     for n in config.n_schedule:
         counts = _replica_counts(truth, system, n, config.replicas, config.seed)
         if config.estimator == "two-part":
@@ -321,7 +345,8 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
             if min(keys) < 0:
                 raise AllZeroLikelihood("every member assigns probability 0 to the word")
             distinct = sorted(set(keys))
-            est = outcome_probs([normalize(model.states[i]) for i in distinct], system)
+            # the members are example states, of trace exactly 1: each is its normalised self
+            est = model.letter_probs(system)[distinct]
         else:
             keys = counts[:, 0].tolist()
             distinct = sorted(set(keys))
@@ -338,38 +363,23 @@ def consistency_run(config: ConsistencyConfig) -> RunResult:
                         ("consistency", n, r, "S", div[key][1], "bits"))
         )
         for theta, comp_src in competitors:
-            ratios = _likelihood_ratios(ref_src, comp_src, system, n)
-            for delta in config.deltas:
-                mass = _exceedance_mass(*ratios, delta)
+            masses = _exceedance_masses(truth, comp_src, system, n, config.deltas)
+            for delta, mass in zip(config.deltas, masses):
                 result.add(n, "exact", f"mass[theta={theta:g},delta={delta:g}]", mass)
     return result
 
 
 @dataclass(frozen=True)
-class BoundConfig:
-    theta_star: float
-    c: float
-    model_thetas: tuple[float, ...]
-    code_weights: tuple[float, ...]
-    alphas: tuple[float, ...]
-    n_schedule: tuple[int, ...]
-    seed: int
+class BoundConfig(_Config):
+    theta_star: float = _field(unit)
+    c: float = _field(unit, 0.0)
+    model_thetas: tuple[float, ...] = _field(each(unit, nonempty=True))
+    code_weights: tuple[float, ...] = _field(_code_weights)
+    alphas: tuple[float, ...] = _field(each(interval("(1, inf)")))
+    n_schedule: tuple[int, ...] = _field(_schedule)
+    seed: int = _field(integer(0), 0)
 
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "config") -> "BoundConfig":
-        thetas = read(data, "model_thetas", each(unit, nonempty=True), path)
-        weights = read(data, "code_weights", _code_weights, path)
-        if len(weights) != len(thetas):
-            raise ConfigError(f"{path}.code_weights", "must parallel model_thetas")
-        return cls(
-            theta_star=read(data, "theta_star", unit, path),
-            c=read(data, "c", unit, path, 0.0),
-            model_thetas=thetas,
-            code_weights=weights,
-            alphas=read(data, "alphas", each(interval("(1, inf)")), path),
-            n_schedule=read(data, "n_schedule", _schedule, path),
-            seed=read(data, "seed", integer(0), path, 0),
-        )
+    __post_init__ = _weights_parallel_thetas
 
 
 def bound_run(config: BoundConfig) -> RunResult:
@@ -387,18 +397,15 @@ def bound_run(config: BoundConfig) -> RunResult:
     Lambda_I (_trace_sum over the two_part_classes table). Everything is
     enumerated over type classes; nothing is sampled. A lambda_sum above 1
     (the bound's hypothesis fails) marks the run inconclusive instead of
-    failed. The lhs_he2 row is reported, not gated: 2(1 - BC^n) <= -2 ln BC^n
-    puts it at or below ln 2 times the alpha = 2 lhs_renyi, which the Renyi
-    gate already holds to rhs.
+    failed, unless the bound fails at another (alpha, n). The lhs_he2 row is
+    reported, not gated: 2(1 - BC^n) <= -2 ln BC^n puts it at or below ln 2
+    times the alpha = 2 lhs_renyi, which the Renyi gate already holds to rhs.
     """
     system = computational_basis(2)
-    truth_probs = outcome_probs([example_state(config.theta_star, config.c)], system)[0]
-    model = GeneralizedModel(zip(config.code_weights, example_states(config.model_thetas, config.c)))
-    member_probs = model.letter_probs(system)
-    result = RunResult("bound", config.seed)
-    result.metadata = {"config_hash": _config_hash(config.__dict__)}
-    truth_logs = letter_logs(truth_probs[None])
-    tables = {n: _bound_table(model, system, truth_logs, n) for n in config.n_schedule}
+    truth, model = _point(config.theta_star, config.c), _model(config)
+    truth_probs, member_probs = truth.letter_probs(system)[0], model.letter_probs(system)
+    result = _result("bound", config)
+    tables = {n: _bound_table(model, truth, system, n) for n in config.n_schedule}
     worst_slack = math.inf
     for alpha in config.alphas:
         lam = 1.0 - 1.0 / alpha
@@ -427,23 +434,23 @@ def bound_run(config: BoundConfig) -> RunResult:
                 lhs_he2 = float(np.sum(mass * 2.0 * (1.0 - bhatt[idx] ** n)))
                 result.add(n, "exact", "lhs_he2[alpha=2]", lhs_he2, "nats")
             if lam_sum > 1 + 1e-9:
-                result.status = "inconclusive"
+                result._mark("inconclusive")
                 continue
             slack = rhs - lhs
             worst_slack = min(worst_slack, slack)
             if lhs > rhs + 1e-7:
-                result.status = "fail"
+                result._mark("fail")
     result.metadata["worst_slack_bits"] = worst_slack
     return result
 
 
-def _bound_table(model, system, truth_logs, n: int):
+def _bound_table(model, truth, system, n: int):
     """Two-part class table at length n plus, on the classes the truth emits and
     some member explains (emitted), the truth's and the winner's log word probs,
     from the truth's and the model's letter_logs tables. The last entry is True
     when the truth emits a class that no member explains."""
     counts, log_mult, chosen = two_part_classes(model, system, n)
-    log_star = summed_logs(truth_logs, counts)[:, 0]
+    log_star = summed_logs(truth.log_letter_probs(system), counts)[:, 0]
     truth_emits = log_star > -np.inf
     emitted = truth_emits & (chosen >= 0)
     idx = chosen[emitted]
@@ -453,18 +460,10 @@ def _bound_table(model, system, truth_logs, n: int):
 
 
 @dataclass(frozen=True)
-class RedundancyConfig:
-    theta_star: float
-    n_schedule: tuple[int, ...]
-    seed: int
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "config") -> "RedundancyConfig":
-        return cls(
-            theta_star=read(data, "theta_star", unit, path),
-            n_schedule=read(data, "n_schedule", _schedule, path),
-            seed=read(data, "seed", integer(0), path, 0),
-        )
+class RedundancyConfig(_Config):
+    theta_star: float = _field(unit)
+    n_schedule: tuple[int, ...] = _field(_schedule)
+    seed: int = _field(integer(0), 0)
 
 
 def redundancy_run(config: RedundancyConfig) -> RunResult:
@@ -473,10 +472,8 @@ def redundancy_run(config: RedundancyConfig) -> RunResult:
     S(n) = S(truth^(n) || uniform-prior mixture^(n)) in bits on pinched words, a
     sum over the n+1 type classes: the mixture gives 1/((n+1) C(n,k)) per word.
     """
-    result = RunResult("redundancy", config.seed)
-    result.metadata = {"config_hash": _config_hash(config.__dict__)}
-    truth = MixtureSource([(1.0, example_state(config.theta_star))])
-    mixture, system = BetaExampleSource(), computational_basis(2)
+    result = _result("redundancy", config)
+    truth, mixture, system = _point(config.theta_star), BetaExampleSource(), computational_basis(2)
     values: dict[int, float] = {}
     for n in config.n_schedule:
         s = word_divergences(truth, mixture, system, n).value
@@ -489,57 +486,42 @@ def redundancy_run(config: RedundancyConfig) -> RunResult:
             gap = values[2 * n] - values[n]
             result.add(2 * n, "exact", "S_gap", gap, "bits")
             if gap > 0.75:
-                result.status = "fail"
+                result._mark("fail")
     ratios = [
         values[n] / math.log2(n) for n in config.n_schedule[-3:] if n > 1
     ]
     if len(ratios) == 3:
         lo, hi = min(ratios), max(ratios)
         if hi > 1.25 * lo:
-            result.status = "fail"
+            result._mark("fail")
         result.metadata["tail_ratio_band"] = [lo, hi]
     return result
 
 
 @dataclass(frozen=True)
-class MarkovConfig:
-    theta_ref: float
-    theta_comp: float
-    comp_weight: float
-    c: float
-    deltas: tuple[float, ...]
-    n_schedule: tuple[int, ...]
-    seed: int
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str = "config") -> "MarkovConfig":
-        return cls(
-            theta_ref=read(data, "theta_ref", unit, path),
-            theta_comp=read(data, "theta_comp", unit, path),
-            comp_weight=read(data, "comp_weight", interval("(0, 1]"), path, 1.0),
-            c=read(data, "c", unit, path, 0.0),
-            deltas=read(data, "deltas", each(interval("(0, inf)")), path),
-            n_schedule=read(data, "n_schedule", _schedule, path),
-            seed=read(data, "seed", integer(0), path, 0),
-        )
+class MarkovConfig(_Config):
+    theta_ref: float = _field(unit)
+    theta_comp: float = _field(unit)
+    comp_weight: float = _field(interval("(0, 1]"), 1.0)
+    c: float = _field(unit, 0.0)
+    deltas: tuple[float, ...] = _field(each(interval("(0, inf)")))
+    n_schedule: tuple[int, ...] = _field(_schedule)
+    seed: int = _field(integer(0), 0)
 
 
 def markov_run(config: MarkovConfig) -> RunResult:
     """Exact exceedance masses with the 1/delta coding bound asserted."""
     system = computational_basis(2)
-    ref_src = MixtureSource([(1.0, example_state(config.theta_ref, config.c))])
+    ref_src = _point(config.theta_ref, config.c)
     comp_src = MixtureSource(
         [(config.comp_weight, example_state(config.theta_comp, config.c))],
         kind="generalized",
     )
-    result = RunResult("markov", config.seed)
-    result.metadata = {"config_hash": _config_hash(config.__dict__)}
+    result = _result("markov", config)
     for n in config.n_schedule:
-        ratios = _likelihood_ratios(ref_src, comp_src, system, n)
-        for delta in config.deltas:
-            mass = _exceedance_mass(*ratios, delta)
+        for delta, mass in zip(config.deltas, _exceedance_masses(ref_src, comp_src, system, n, config.deltas)):
             result.add(n, "exact", f"mass[delta={delta:g}]", mass)
             result.add(n, "exact", f"bound[delta={delta:g}]", 1.0 / delta)
             if mass > 1.0 / delta + 1e-9:
-                result.status = "fail"
+                result._mark("fail")
     return result

@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -12,6 +13,13 @@ from qmdl.serial import integer
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+def csv_text(result):
+    """The CSV that RunResult.write_csv writes."""
+    buffer = io.StringIO()
+    result.write_csv(buffer)
+    return buffer.getvalue()
 
 
 def random_hermitian(rng, dim):

@@ -44,7 +44,7 @@ from qmdl import (
     trace_inner_norm,
     universality_check,
 )
-from conftest import random_density, random_hermitian
+from conftest import csv_text, random_density, random_hermitian
 
 CB = computational_basis(2)
 LN2 = math.log(2.0)
@@ -323,7 +323,7 @@ def test_criterion_12_consistency_decay(report):
     }
     first = consistency_run(ConsistencyConfig.from_dict(config))
     second = consistency_run(ConsistencyConfig.from_dict(config))
-    identical = "\n".join(first.csv_lines()) == "\n".join(second.csv_lines())
+    identical = csv_text(first) == csv_text(second)
     med_25 = float(np.median(first.metric_values("he2", 25)))
     med_400 = float(np.median(first.metric_values("he2", 400)))
     ok = identical and med_400 <= med_25

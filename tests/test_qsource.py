@@ -263,12 +263,14 @@ def test_mixture_operations_read_the_beta_source_as_its_quadrature_family(rng):
 
 
 def test_beta_source_rejects_a_system_on_another_dimension():
+    # refused before the 4096-node family is built on the first read of a family field
     system = computational_basis(3)
     assert system.computational
-    with pytest.raises(DimensionMismatch):
-        outcome_prob(BetaExampleSource(), system, (0, 2, 2))
-    with pytest.raises(DimensionMismatch):
-        predict_step(BetaExampleSource(), system, (0, 2))
+    for call in (lambda src: outcome_prob(src, system, (0, 2, 2)), lambda src: predict_step(src, system, (0, 2))):
+        src = BetaExampleSource()
+        with pytest.raises(DimensionMismatch):
+            call(src)
+        assert "weights" not in vars(src)
 
 
 def test_quadrature_matches_beta_closed_form():
@@ -772,6 +774,11 @@ def test_log_prob_logs_the_letter_table_once_across_class_blocks(monkeypatch, rn
     probs, log_w = src.letter_probs(system), np.array([math.log(w) for w in src.weights.tolist()])
     rows = [logsumexp(log_w + summed_logs(letter_logs(probs), row)) for row in counts]
     assert blocked.tobytes() == np.array(rows).tobytes()
+
+
+def test_log_prob_of_no_classes_is_empty():
+    out = MixtureSource([(1.0, example_state(0.3))]).log_prob(CB, np.zeros((0, 2), dtype=np.int64))
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_cached_log_table_serves_log_prob_and_predict(monkeypatch, rng):

@@ -322,6 +322,18 @@ def test_cli_seed_override(tmp_path):
     assert all(line.endswith(",77") for line in out_path.read_text().splitlines()[1:])
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_experiments_take_a_seed(capsys, command):
+    # an experiment's config reads a seed, which --seed overrides; argparse refuses it elsewhere
+    argv = [command, "--config", "c.json", "--seed", "1"]
+    if command in ("consistency", "bound", "redundancy", "markov"):
+        assert build_parser().parse_args(argv).seed == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2 and "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_cli_bound_inconclusive_exit_code(tmp_path):
     config = {
         "theta_star": 0.3,
@@ -562,7 +574,8 @@ def test_a_reused_parser_keeps_no_state(tmp_path, monkeypatch):
     for command, config in VALID.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(config))
         commands.append([command, "--config", f"{command}.json", "--out", f"{command}.out"])
-    usage_errors = [["nope", "--config", "p.json"], ["predict"], ["predict", "--config", "p.json", "--seed", "x"]]
+    usage_errors = [["nope", "--config", "p.json"], ["predict"], ["predict", "--config", "p.json", "--seed", "1"],
+                    ["bound", "--config", "p.json", "--seed", "x"]]
     others = usage_errors + [["--help"]]
     calls = [argv for i, command in enumerate(commands) for argv in (command, others[i % len(others)])]
 

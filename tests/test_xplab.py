@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,17 +43,22 @@ from qmdl.errors import SizeCapExceeded
 from qmdl.estim import _trace_sum, two_part_classes
 from qmdl.xplab import (
     _BLOCK_BYTES,
+    _CSV_BLOCK,
+    CSV_HEADER,
     RunResult,
     _config_hash,
-    _exceedance_mass,
-    _likelihood_ratios,
     _philox_keys,
     _replica_counts,
     _replica_uniforms,
 )
-from conftest import brute_force_lambda_sum, random_density
+from conftest import brute_force_lambda_sum, csv_text, random_density
 
 CB = computational_basis(2)
+
+
+def point(rho):
+    """rho as a one-component source, the point law the sampler reads."""
+    return MixtureSource([(1.0, rho)])
 
 
 def choice_words(true_state, system, n, replicas, seed):
@@ -69,13 +75,13 @@ def choice_words(true_state, system, n, replicas, seed):
 
 
 def test_replica_counts_deterministic_distribution():
-    counts = _replica_counts(np.diag([1.0, 0.0]), CB, 6, 3, seed=1)
+    counts = _replica_counts(point(np.diag([1.0, 0.0])), CB, 6, 3, seed=1)
     assert counts.tolist() == [[6, 0]] * 3
 
 
 def test_replica_counts_reproducible():
-    a = _replica_counts(example_state(0.4), CB, 20, 5, seed=99)
-    b = _replica_counts(example_state(0.4), CB, 20, 5, seed=99)
+    a = _replica_counts(point(example_state(0.4)), CB, 20, 5, seed=99)
+    b = _replica_counts(point(example_state(0.4)), CB, 20, 5, seed=99)
     assert np.array_equal(a, b)
 
 
@@ -102,12 +108,12 @@ def test_replica_counts_refuse_word_lengths_before_any_buffer(n):
     # from 2^60 a [1, n] float64 buffer is 2^63 bytes, which numpy refuses with a ValueError
     # and an int64 tally with an OverflowError: the size error comes first
     with pytest.raises(SizeCapExceeded, match=r"^row of uniforms of shape \[\S+\] in 8-byte entries would hold more"):
-        _replica_counts(example_state(0.3), CB, n, 3, seed=1)
+        _replica_counts(point(example_state(0.3)), CB, n, 3, seed=1)
 
 
 def test_replica_counts_empirical_frequency():
     # binomial concentration: 4 sigma at n = 10^4 is ~0.018 < 0.02
-    ((zeros, ones),) = _replica_counts(example_state(0.3), CB, 10_000, 1, seed=11)
+    ((zeros, ones),) = _replica_counts(point(example_state(0.3)), CB, 10_000, 1, seed=11)
     assert zeros + ones == 10_000
     assert abs(zeros / 10_000 - 0.3) < 0.02
 
@@ -139,7 +145,7 @@ def test_sampler_equals_generator_choice(case):
     blocks = [(5, _BLOCK_BYTES // (8 * 8), 19), (11, _BLOCK_BYTES // 8 + 1, 3)]
     for seed, n, replicas in [(7, 1, 5), (2**32 + 9, 57, 40), (2**70 + 3, 400, 12), *blocks]:
         expected = list(choice_words(rho, system, n, replicas, seed))
-        counts = _replica_counts(rho, system, n, replicas, seed)
+        counts = _replica_counts(point(rho), system, n, replicas, seed)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, [np.bincount(e, minlength=m) for e in expected])
 
@@ -223,12 +229,12 @@ def test_consistency_singleton_model_zero_divergence():
 def test_consistency_csv_reproducible():
     a = consistency_run(small_consistency_config())
     b = consistency_run(small_consistency_config())
-    assert a.csv_lines() == b.csv_lines()
+    assert csv_text(a) == csv_text(b)
 
 
 def test_consistency_csv_schema():
     result = consistency_run(small_consistency_config())
-    lines = result.csv_lines()
+    lines = csv_text(result).splitlines()
     assert lines[0] == "experiment,n,replica,metric,value,base,seed"
     assert lines[1].startswith("consistency,5,0,")
     assert all(line.endswith(",42") for line in lines[1:])
@@ -274,9 +280,8 @@ def _loop_reference(config):
             result.add(n, r, "S", kl_classical(truth_probs, est_probs, "bits"), "bits")
         for theta in config.competitor_thetas:
             comp_src = MixtureSource([(1.0, example_state(theta, config.c))])
-            ratios = _likelihood_ratios(ref_src, comp_src, system, n)
             for delta in config.deltas:
-                mass = _exceedance_mass(*ratios, delta)
+                mass = distinguishability_mass(ref_src, comp_src, system, n, delta)
                 result.add(n, "exact", f"mass[theta={theta:g},delta={delta:g}]", mass)
     return result
 
@@ -318,7 +323,7 @@ def test_consistency_batch_csv_equals_the_per_replica_loop():
     rng = np.random.default_rng(2026)
     for i in range(48):
         config = _fuzz_consistency_config(rng, i)
-        assert consistency_run(config).csv_lines() == _loop_reference(config).csv_lines(), config
+        assert csv_text(consistency_run(config)) == csv_text(_loop_reference(config)), config
 
 
 _GRID = [round(0.005 * i, 3) for i in range(1, 200)]
@@ -344,6 +349,22 @@ def test_consistency_csv_matches_its_pinned_digest(tmp_path, data, digest):
     path.write_text(json.dumps(data))
     assert main(["consistency", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
     assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
+
+
+def test_consistency_peak_stays_within_its_admitted_rows(tmp_path):
+    # config.admit charges 19 8-byte words a row, two rows per replica and n; the CSV is written
+    # through --out a block of rows at a time, so the run's peak stays below that charge
+    replicas, schedule = 20_000, [10, 20]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"theta_star": 0.3, "model_thetas": [0.1, 0.3, 0.5, 0.7, 0.9],
+                                "n_schedule": schedule, "replicas": replicas, "seed": 7}))
+    tracemalloc.start()
+    try:
+        assert main(["consistency", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 19 * 8 * replicas * len(schedule)
 
 
 def test_consistency_replicas_fit_one_entropy_word(tmp_path):
@@ -532,6 +553,30 @@ def test_bound_rhs_is_infinite_when_no_member_explains_a_truth_class():
     assert result.metric_values("lambda_sum[alpha=2]") == [pytest.approx(0.25**20, rel=1e-12)]
 
 
+@pytest.mark.parametrize("alphas", [[8.0, 2.0], [2.0, 8.0]])
+def test_bound_fail_outranks_inconclusive_in_either_alpha_order(tmp_path, capsys, alphas):
+    config = {"theta_star": 0.3, "model_thetas": [0.1, 0.9], "code_weights": [0.9, 0.1],
+              "n_schedule": [4, 25, 100], "alphas": alphas}
+    result = bound_run(BoundConfig.from_dict(config))
+    verdicts = set()
+    for alpha in alphas:
+        for n in config["n_schedule"]:
+            (gate,) = result.metric_values(f"lambda_sum[alpha={alpha:g}]", n)
+            (lhs,) = result.metric_values(f"lhs_renyi[alpha={alpha:g}]", n)
+            (rhs,) = result.metric_values(f"rhs[alpha={alpha:g}]", n)
+            verdicts.add("inconclusive" if gate > 1 + 1e-9 else "fail" if lhs > rhs + 1e-7 else "pass")
+    # one (alpha, n) breaks the hypothesis and another the bound: the run fails whichever comes first
+    assert {"inconclusive", "fail"} <= verdicts and result.status == "fail"
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(config))
+    assert main(["bound", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "# status: fail\n"
+    # the other order writes the same rows
+    other = bound_run(BoundConfig.from_dict(dict(config, alphas=alphas[::-1])))
+    assert sorted(out.splitlines()) == sorted(csv_text(other).splitlines())
+
+
 def test_bound_config_rejects_alpha_at_one():
     with pytest.raises(ConfigError) as err:
         BoundConfig.from_dict(
@@ -608,12 +653,10 @@ def _per_n_reference(config):
 
 @pytest.mark.parametrize("schedule", [[2**k for k in range(4, 13)], [3, 1000, 2000, 4000]])
 @pytest.mark.parametrize("theta", [0.0, 0.1, 0.37, 0.5, 1.0])
-def test_redundancy_csv_equals_the_per_n_reference(tmp_path, theta, schedule):
+def test_redundancy_csv_equals_the_per_n_reference(theta, schedule):
     config = RedundancyConfig.from_dict({"theta_star": theta, "n_schedule": schedule, "seed": 3})
     got, want = redundancy_run(config), _per_n_reference(config)
-    got.write_csv(tmp_path / "got.csv")
-    want.write_csv(tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert csv_text(got) == csv_text(want)
     assert (got.status, got.metadata) == (want.status, want.metadata)
 
 
@@ -673,10 +716,14 @@ def test_markov_config_weight_range():
 
 
 def test_write_csv_round_trip(tmp_path):
-    result = consistency_run(small_consistency_config())
+    # rows across two blocks and a short third: each row a line, in order
+    result = consistency_run(small_consistency_config(replicas=_CSV_BLOCK // 2 + 3))
+    assert len(result.rows) == 2 * _CSV_BLOCK + 12
     path = tmp_path / "run.csv"
-    result.write_csv(path)
-    assert path.read_text().splitlines() == result.csv_lines()
+    with open(path, "w") as fh:
+        result.write_csv(fh)
+    lines = [CSV_HEADER] + [",".join(map(str, (*row[:4], repr(row[4]), row[5], result.seed))) for row in result.rows]
+    assert path.read_text() == "\n".join(lines) + "\n" == csv_text(result)
 
 
 # --- log-space enumeration at large n ------------------------------------------
